@@ -23,7 +23,7 @@ from . import expr as E
 from .classify import classify, einstein_check
 from .frame import ManifoldSpec, default_samples, load_manifold
 from .npcore import spin_coefficients
-from .suites import run_suites, suite_passed
+from .suites import SUITE_NAMES, run_suites, suite_passed, suite_roots
 from .xi import divergence_xi, parallel_and_collinearity
 
 __all__ = ["CatalogEntry", "UnknownEntry", "names", "get", "get_spec", "run", "run_all"]
@@ -288,6 +288,9 @@ def get_spec(name: str) -> ManifoldSpec:
     return load_manifold(get(name).document)
 
 
+_EXPECTED_FORMS = ("alpha", "beta", "theta", "omega", "div_xi")
+
+
 def _expected_values(expr_text, pts):
     f = E.parse(expr_text)
     return E.evaluate_many(f, pts)
@@ -305,59 +308,61 @@ def run(name: str, count: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
         checks.append({"name": cname, "max_residual": float(value),
                        "tolerance": tolerance, "pass": bool(value <= tolerance)})
 
-    cls = classify(spec, samples=pts, tol=tol)
-    verdict_ok = cls.verdict == exp["verdict"]
-    checks.append({"name": "verdict", "expected": exp["verdict"], "got": cls.verdict,
-                   "pass": verdict_ok})
+    expected = [E.parse(exp[k]) for k in _EXPECTED_FORMS if k in exp]
+    with E.shared(pts, spec.params, suite_roots(spec, SUITE_NAMES) + expected):
+        cls = classify(spec, samples=pts, tol=tol)
+        verdict_ok = cls.verdict == exp["verdict"]
+        checks.append({"name": "verdict", "expected": exp["verdict"], "got": cls.verdict,
+                       "pass": verdict_ok})
 
-    co = spin_coefficients(spec)
-    rho = co.rho.evaluate_many(pts, spec.params)
-    if "alpha" in exp:
-        add("alpha_matches", np.max(np.abs(rho.imag - _expected_values(exp["alpha"], pts))))
-    if "beta" in exp:
-        add("beta_matches", np.max(np.abs(rho.real - _expected_values(exp["beta"], pts))))
-    if "theta" in exp:
-        add("theta_matches", np.max(np.abs(rho.real - _expected_values(exp["theta"], pts))))
-    if "omega" in exp:
-        add("omega_matches", np.max(np.abs(rho.imag - _expected_values(exp["omega"], pts))))
-    if "div_xi" in exp:
-        div_vals = E.evaluate_many(divergence_xi(spec).direct, pts, spec.params)
-        add("div_matches", np.max(np.abs(div_vals - _expected_values(exp["div_xi"], pts))))
+        co = spin_coefficients(spec)
+        rho = co.rho.evaluate_many(pts, spec.params)
+        if "alpha" in exp:
+            add("alpha_matches", np.max(np.abs(rho.imag - _expected_values(exp["alpha"], pts))))
+        if "beta" in exp:
+            add("beta_matches", np.max(np.abs(rho.real - _expected_values(exp["beta"], pts))))
+        if "theta" in exp:
+            add("theta_matches", np.max(np.abs(rho.real - _expected_values(exp["theta"], pts))))
+        if "omega" in exp:
+            add("omega_matches", np.max(np.abs(rho.imag - _expected_values(exp["omega"], pts))))
+        if "div_xi" in exp:
+            div_vals = E.evaluate_many(divergence_xi(spec).direct, pts, spec.params)
+            add("div_matches", np.max(np.abs(div_vals - _expected_values(exp["div_xi"], pts))))
 
-    for spot in exp.get("spots", []):
-        point = spot["point"]
-        vals = co.evaluate(point, spec.params)
-        for key in ("rho", "kappa", "sigma"):
-            if key in spot:
-                add(f"spot_{key}_at_{point}", abs(vals[key] - spot[key]), 1e-9)
+        for spot in exp.get("spots", []):
+            point = spot["point"]
+            vals = co.evaluate(point, spec.params)
+            for key in ("rho", "kappa", "sigma"):
+                if key in spot:
+                    add(f"spot_{key}_at_{point}", abs(vals[key] - spot[key]), 1e-9)
 
-    report = parallel_and_collinearity(spec, samples=pts, tol=tol)
-    for fname, want in exp.get("flags", {}).items():
-        got = getattr(report, fname) if fname != "expansion" else report.expansion
-        checks.append({"name": f"flag_{fname}", "expected": want, "got": got,
-                       "pass": got == want})
+        report = parallel_and_collinearity(spec, samples=pts, tol=tol)
+        for fname, want in exp.get("flags", {}).items():
+            got = getattr(report, fname) if fname != "expansion" else report.expansion
+            checks.append({"name": f"flag_{fname}", "expected": want, "got": got,
+                           "pass": got == want})
 
-    ev = einstein_check(spec, samples=pts, tol=tol)
-    want_einstein = exp.get("einstein", None)
-    if want_einstein is False:
-        checks.append({"name": "einstein", "expected": False, "got": ev.is_einstein,
-                       "pass": not ev.is_einstein})
-    elif want_einstein is not None:
-        ok = ev.is_einstein and abs(ev.a - float(want_einstein)) <= 1e-8
-        checks.append({"name": "einstein", "expected": float(want_einstein),
-                       "got": ev.a if ev.is_einstein else None, "pass": ok})
+        ev = einstein_check(spec, samples=pts, tol=tol)
+        want_einstein = exp.get("einstein", None)
+        if want_einstein is False:
+            checks.append({"name": "einstein", "expected": False, "got": ev.is_einstein,
+                           "pass": not ev.is_einstein})
+        elif want_einstein is not None:
+            ok = ev.is_einstein and abs(ev.a - float(want_einstein)) <= 1e-8
+            checks.append({"name": "einstein", "expected": float(want_einstein),
+                           "got": ev.a if ev.is_einstein else None, "pass": ok})
 
-    if "ricci_diag" in exp:
-        from .frame import curvature_values_many
-        _, S, _ = curvature_values_many(spec, pts)
-        want = np.diag(exp["ricci_diag"])
-        add("ricci_diag", np.max(np.abs(S - want)), 1e-9)
-    if "ricci_xi_xi" in exp:
-        from .frame import curvature_values_many
-        _, S, _ = curvature_values_many(spec, pts)
-        add("ricci_xi_xi", np.max(np.abs(S[:, 2, 2] - exp["ricci_xi_xi"])), 1e-9)
+        if "ricci_diag" in exp:
+            from .frame import curvature_values_many
+            _, S, _ = curvature_values_many(spec, pts)
+            want = np.diag(exp["ricci_diag"])
+            add("ricci_diag", np.max(np.abs(S - want)), 1e-9)
+        if "ricci_xi_xi" in exp:
+            from .frame import curvature_values_many
+            _, S, _ = curvature_values_many(spec, pts)
+            add("ricci_xi_xi", np.max(np.abs(S[:, 2, 2] - exp["ricci_xi_xi"])), 1e-9)
 
-    suites = run_suites(spec, "all", pts, tol=tol)
+        suites = run_suites(spec, "all", pts, tol=tol)
     passed = all(c["pass"] for c in checks) and suite_passed(suites)
     return {
         "entry": name,

@@ -15,7 +15,7 @@ import numpy as np
 from . import expr as E
 from .expr import Expr
 
-__all__ = ["CExpr", "c_const", "as_cexpr"]
+__all__ = ["CExpr", "c_const", "as_cexpr", "parts", "eval_parts"]
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,23 @@ class CExpr:
         return E.add(E.mul(self.re, self.re), E.mul(self.im, self.im))
 
     def evaluate(self, point, params=None) -> complex:
-        return complex(E.evaluate(self.re, point, params),
-                       E.evaluate(self.im, point, params))
+        ((re, im),) = eval_parts([self], np.asarray([point], dtype=float), params)
+        return complex(re[0], im[0])
 
     def evaluate_many(self, points, params=None) -> np.ndarray:
-        return (E.evaluate_many(self.re, points, params)
-                + 1j * E.evaluate_many(self.im, points, params))
+        ((re, im),) = eval_parts([self], points, params)
+        return re + 1j * im
+
+
+def parts(zs) -> list[Expr]:
+    """The real expressions behind complex ones: re, im, re, im, ..."""
+    return [x for z in zs for x in (z.re, z.im)]
+
+
+def eval_parts(zs, points, params=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(re, im) value columns of several complex expressions, from one eval_batch."""
+    cols = E.eval_batch(parts(zs), points, params)
+    return list(zip(cols[0::2], cols[1::2]))
 
 
 def c_const(z) -> CExpr:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
+from .cexpr import eval_parts
 from .expr import Expr
 from .frame import (ManifoldSpec, connection_table, curvature_values_many,
                     default_samples)
@@ -89,10 +90,8 @@ def induced_structure(spec: ManifoldSpec) -> InducedStructure:
 def spin_samples(spec: ManifoldSpec, points):
     """(kappa, sigma, rho) complex arrays over sample points."""
     co = spin_coefficients(spec)
-    k = co.kappa.evaluate_many(points, spec.params)
-    s = co.sigma.evaluate_many(points, spec.params)
-    r = co.rho.evaluate_many(points, spec.params)
-    return k, s, r
+    return tuple(re + 1j * im
+                 for re, im in eval_parts((co.kappa, co.sigma, co.rho), points, spec.params))
 
 
 def verdict_from_samples(kappa, sigma, rho, tol=DEFAULT_TOL,

@@ -12,6 +12,7 @@ used for independent suite sweeps.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import os
 import sys
@@ -22,13 +23,13 @@ import numpy as np
 from . import catalog
 from .classify import classify
 from .ektau import ektau_params, rigidity_obstruction, rigidity_sweep
-from .expr import DomainError, ParseError, UnboundParameter
+from .expr import DomainError, ParseError, UnboundParameter, shared
 from .frame import (DegenerateFrame, ManifoldSpec, SchemaError,
                     default_samples, load_manifold)
 from .npcore import kinematics, spin_coefficients
 from .report import base_report, render_json, render_table
 from .sampling import InsufficientSamples
-from .suites import SUITE_NAMES, run_suite, suite_passed
+from .suites import SUITE_NAMES, run_suite, suite_passed, suite_roots
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -146,13 +147,16 @@ def cmd_verify(args) -> int:
     try:
         pts = default_samples(spec, args.samples, seed=args.seed)
         threads = _threads()
-        if threads > 1 and len(suites) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = dict(zip(suites, pool.map(
-                    lambda n: run_suite(spec, n, pts, tol=args.tol), suites)))
-        else:
-            results = {n: run_suite(spec, n, pts, tol=args.tol) for n in suites}
+        with shared(pts, spec.params, suite_roots(spec, suites)):
+            if threads > 1 and len(suites) > 1:
+                from concurrent.futures import ThreadPoolExecutor
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    # each worker runs inside this block: a copy of the context per task
+                    futures = [pool.submit(contextvars.copy_context().run,
+                                           run_suite, spec, n, pts, args.tol) for n in suites]
+                    results = {n: f.result() for n, f in zip(suites, futures)}
+            else:
+                results = {n: run_suite(spec, n, pts, tol=args.tol) for n in suites}
     except InsufficientSamples as exc:
         raise _CliError(EXIT_DOMAIN, str(exc)) from exc
     except (DomainError, UnboundParameter) as exc:
@@ -174,14 +178,15 @@ def cmd_ektau(args) -> int:
         taus = np.linspace(-2.0, 2.0, 50)
         us = np.linspace(0.0, np.pi, 52)[1:-1]
         obstruction, expected_zero = rigidity_sweep(kappas, taus, us)
+        kappas_s, taus_s, us_s = ([repr(v) for v in a.tolist()] for a in (kappas, taus, us))
         writer = sys.stdout
-        print("kappa,tau,u,obstruction,expected_zero", file=writer)
-        for i, k in enumerate(kappas):
-            for j, t in enumerate(taus):
-                for m, u in enumerate(us):
-                    print(f"{float(k)!r},{float(t)!r},{float(u)!r},"
-                          f"{float(obstruction[i, j, m])!r},"
-                          f"{int(expected_zero[i, j, m])}", file=writer)
+        writer.write("kappa,tau,u,obstruction,expected_zero\n")
+        # one block per kappa: 2,500 rows, about 150 KB
+        for k, obs_k, zero_k in zip(kappas_s, obstruction.tolist(), expected_zero.tolist()):
+            writer.write("".join(
+                f"{k},{t},{u},{o!r},{int(z)}\n"
+                for t, obs_kt, zero_kt in zip(taus_s, obs_k, zero_k)
+                for u, o, z in zip(us_s, obs_kt, zero_kt)))
         return EXIT_OK
     rep = rigidity_obstruction(params, args.u)
     report = base_report(None)

@@ -31,16 +31,26 @@ exponent via ``a^b = exp(b*log(a))``.
 
 Expressions are immutable, hashable and freely shared.  All construction
 paths intern nodes (hash-consing), so structurally equal subterms are the
-*same* object; repeated differentiation then produces compact DAGs, and
-the evaluators memoize on node identity so each distinct subterm is
-computed once per point set.  The caches only ever deduplicate work; under
-concurrent use they may recompute, never corrupt.
+*same* object, and repeated differentiation produces compact DAGs.  The
+intern and derivative tables only ever deduplicate work; under concurrent
+use they may recompute, never corrupt.
+
+Evaluation (:func:`eval_batch`) compiles the distinct nodes of the
+requested expressions into a tape and runs it over the points in chunks of
+``CHUNK`` points: each distinct subterm is computed once per call, and
+memory holds the result columns plus one chunk of the values still live.
+Work shared *across* calls is the caller's to declare: a request opens
+``with shared(points, params, roots):``, the union of its roots is
+evaluated once, and later calls on the same points array read those
+columns.  Nothing is cached past the block.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +62,7 @@ __all__ = [
     "sin", "cos", "tan", "exp", "log", "sqrt",
     "const", "coord", "param", "as_expr",
     "parse", "unparse", "differentiate", "evaluate", "evaluate_many",
-    "eval_batch", "simplify", "parameters_of",
+    "eval_batch", "shared", "Shared", "CHUNK", "simplify", "parameters_of",
 ]
 
 FUNCTIONS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
@@ -422,6 +432,9 @@ def _diff_node(e: Expr, i: int, d) -> Expr:
 # --------------------------------------------------------------------------
 # evaluation
 
+CHUNK = 4096  # points per pass over a tape
+
+
 def evaluate(f: Expr, point, params=None) -> float:
     """IEEE double value of f at a 3-point, with domain checking."""
     out = evaluate_many(f, np.asarray([point], dtype=float), params)
@@ -437,122 +450,222 @@ def evaluate_many(f: Expr, points: np.ndarray, params=None) -> np.ndarray:
     return eval_batch([f], points, params)[0]
 
 
-# evaluation sessions: node values are cached per points-array so that the
-# many residual sweeps over one sample set share work.  Arrays are not
-# hashable, so sessions are keyed by id with a weakref guard: an entry is
-# only reused while its array is alive and identical, and it is dropped
-# when the array dies.  The memo pins every node it has seen (entries keep
-# a strong reference), so node ids stay valid for the session's lifetime.
-_EVAL_SESSIONS: dict = {}
-
-
-def _session_memo(pts: np.ndarray, params: dict) -> dict:
-    key = id(pts)
-    entry = _EVAL_SESSIONS.get(key)
-    if entry is None or entry[0]() is not pts:
-        def _drop(ref, key=key):
-            cur = _EVAL_SESSIONS.get(key)
-            if cur is not None and cur[0] is ref:
-                del _EVAL_SESSIONS[key]
-        try:
-            entry = (weakref.ref(pts, _drop), {})
-        except TypeError:
-            return {}
-        _EVAL_SESSIONS[key] = entry
-    per_params = entry[1]
-    pkey = tuple(sorted(params.items()))
-    memo = per_params.get(pkey)
-    if memo is None:
-        memo = per_params[pkey] = {}
-    return memo
-
-
 def eval_batch(exprs, points, params=None) -> list[np.ndarray]:
-    """Evaluate many expressions over the same points with a shared memo.
+    """Evaluate many expressions over the same points, sharing their subterms.
 
-    Derived tables (connection, curvature, spin coefficients) share most of
-    their subtrees; the shared memo makes sweeps over them linear in the
-    number of distinct nodes rather than in the number of table entries,
-    and persists for the lifetime of the points array.
+    The distinct nodes reachable from ``exprs`` are compiled into one tape,
+    which runs over the points in chunks of ``CHUNK``: each distinct
+    subterm is computed once, and memory holds the result columns plus one
+    chunk of the values still live.  Inside a :func:`shared` block on the
+    same points array and params, expressions the block holds are read
+    from it instead of computed.  Nothing is kept after the call returns.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (N, 3)")
     params = params or {}
-    n = pts.shape[0]
-    memo = _session_memo(pts, params)
+    scope = _SCOPE.get()
+    if scope is not None and (scope.points is not pts or scope.params != params):
+        scope = None
+    tape = _Tape(exprs, params, scope.table if scope is not None else {})
+    if scope is not None and tape.computed:
+        scope.missed.append(tape.computed)
+    return tape.run(pts)
 
-    def lookup(e):
-        hit = memo.get(id(e))
-        return hit[1] if hit is not None else None
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f in exprs:
+class Shared:
+    """The root columns of one :func:`shared` block.
+
+    ``missed`` gets one entry per ``eval_batch`` call the block served that
+    still had to compute nodes: the number of nodes it computed.
+    """
+
+    def __init__(self, points, params, table):
+        self.points = points
+        self.params = params
+        self.table = table  # id(root) -> (root, column); the root pins its id
+        self.missed: list[int] = []
+
+
+# The innermost open shared() block of the running thread or task.  A
+# context variable, not a plain global, so that worker threads can run
+# inside their caller's block through contextvars.copy_context().run.
+_SCOPE: contextvars.ContextVar = contextvars.ContextVar("np3kit_shared", default=None)
+
+
+@contextlib.contextmanager
+def shared(points, params, roots):
+    """Evaluate ``roots`` once and serve them to ``eval_batch`` inside the block.
+
+    The union of ``roots`` runs as one tape and only the root columns are
+    kept.  ``eval_batch`` calls in the block on the same points array (the
+    same object) and equal params read those columns as leaves of their
+    own tapes.  The columns are dropped when the block exits.  A block
+    opened on the points and params of the enclosing block reuses it.  A
+    prefetch that raises DomainError or UnboundParameter is discarded:
+    every call then computes what it needs and raises where it would
+    without the block.
+    """
+    pts = np.asarray(points, dtype=float)
+    params = params or {}
+    outer = _SCOPE.get()
+    if outer is not None and outer.points is pts and outer.params == params:
+        yield outer
+        return
+    roots = list(roots)
+    try:
+        cols = eval_batch(roots, pts, params)
+    except (DomainError, UnboundParameter):
+        table = {}
+    else:
+        for col in cols:
+            col.flags.writeable = False  # one column goes to many callers
+        table = {id(f): (f, col) for f, col in zip(roots, cols)}
+    scope = Shared(pts, params, table)
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+
+
+def _log(u):
+    if np.any(u <= 0.0):
+        raise DomainError("log of non-positive value")
+    return np.log(u)
+
+
+def _sqrt(u):
+    if np.any(u < 0.0):
+        raise DomainError("sqrt of negative value")
+    return np.sqrt(u)
+
+
+def _div(a, b):
+    if np.any(b == 0.0):
+        raise DomainError("division by zero")
+    return np.true_divide(a, b)
+
+
+def _pow(a, b):
+    frac = b != np.floor(b)
+    if np.any((a < 0.0) & frac):
+        raise DomainError("negative base with non-integer exponent")
+    if np.any((a == 0.0) & (b < 0.0)):
+        raise DomainError("zero base with negative exponent")
+    return np.power(a, b)
+
+
+_UNARY = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "tan": np.tan,
+          "exp": np.exp, "log": _log, "sqrt": _sqrt}
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div, "pow": _pow}
+
+
+class _Tape:
+    """The distinct nodes reachable from some roots, as a straight-line program.
+
+    Nodes are numbered in a depth-first post-order walk (right operand
+    first), the order their domain checks run in.  Each value gets a slot,
+    and a slot is reused once its value has had its last use, so a pass
+    holds only live values; roots stay live to the end of the pass.
+    Constants and parameters are Python floats; coordinates and table hits
+    are leaves, sliced per chunk.
+    """
+
+    def __init__(self, exprs, params, table):
+        roots = list(exprs)
+        num: dict[int, int] = {}  # id(node) -> value number
+        hits, consts, coords = [], [], []  # (value, column | float | index)
+        code = []  # (routine, out, a, b) over values; b is None for unary nodes
+        for f in roots:
             stack = [f]
             while stack:
                 e = stack[-1]
-                if id(e) in memo:
+                key = id(e)
+                if key in num:
                     stack.pop()
                     continue
-                pending = [k for k in _children(e) if id(k) not in memo]
-                if pending:
-                    stack.extend(pending)
-                    continue
+                v = len(num)
+                hit = table.get(key) if table else None
+                kind = type(e)
+                if hit is not None:
+                    hits.append((v, hit[1]))
+                elif kind is Binary:
+                    a, b = num.get(id(e.left)), num.get(id(e.right))
+                    if a is None or b is None:
+                        if a is None:
+                            stack.append(e.left)
+                        if b is None:
+                            stack.append(e.right)
+                        continue
+                    code.append((_BINARY[e.op], v, a, b))
+                elif kind is Unary:
+                    a = num.get(id(e.arg))
+                    if a is None:
+                        stack.append(e.arg)
+                        continue
+                    code.append((_UNARY[e.op], v, a, None))
+                elif kind is Const:
+                    consts.append((v, float(e.value)))
+                elif kind is Coord:
+                    coords.append((v, e.index - 1))
+                else:
+                    try:
+                        consts.append((v, float(params[e.name])))
+                    except KeyError:
+                        raise UnboundParameter(e.name) from None
                 stack.pop()
-                memo[id(e)] = (e, _eval_node(e, pts, params, n, lookup))
-    return [memo[id(f)][1] for f in exprs]
+                num[key] = v
+        self.computed = len(num) - len(hits)
 
+        last = {}
+        for pos, (_, _, a, b) in enumerate(code):
+            last[a] = last[b] = pos
+        for f in roots:
+            last[num[id(f)]] = len(code)
+        slot, free, fresh = {}, [], itertools.count()
+        for v, _ in consts + coords + hits:
+            slot[v] = next(fresh)
+        self.code = []
+        for pos, (fn, out, a, b) in enumerate(code):
+            sa, sb = slot[a], None if b is None else slot[b]
+            if last[a] == pos:
+                free.append(sa)
+            if b is not None and b != a and last[b] == pos:
+                free.append(sb)
+            slot[out] = so = free.pop() if free else next(fresh)
+            self.code.append((fn, so, sa, sb))
 
-def _eval_node(e, pts, params, n, ev) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.full(n, e.value)
-    if isinstance(e, Coord):
-        return pts[:, e.index - 1]
-    if isinstance(e, Param):
+        self.template = [None] * next(fresh)
+        for v, value in consts:
+            self.template[slot[v]] = value
+        self.coords = [(slot[v], k) for v, k in coords]
+        self.hits = [(slot[v], col) for v, col in hits]
+        # a root read from the table is returned as it is, the others by slot
+        held = dict(hits)
+        self.outputs = [held.get(v, slot[v]) for v in (num[id(f)] for f in roots)]
+
+    def run(self, pts: np.ndarray, chunk: int = CHUNK) -> list[np.ndarray]:
+        n = len(pts)
+        xyz = pts.T.copy()  # contiguous coordinate columns
+        leaves = [(s, xyz[k]) for s, k in self.coords] + self.hits
+        cols = {s: np.empty(n) for s in self.outputs if isinstance(s, int)}
         try:
-            return np.full(n, float(params[e.name]))
-        except KeyError:
-            raise UnboundParameter(e.name) from None
-    if isinstance(e, Unary):
-        u = ev(e.arg)
-        if e.op == "neg":
-            return -u
-        if e.op == "sin":
-            return np.sin(u)
-        if e.op == "cos":
-            return np.cos(u)
-        if e.op == "tan":
-            return np.tan(u)
-        if e.op == "exp":
-            return np.exp(u)
-        if e.op == "log":
-            if np.any(u <= 0.0):
-                raise DomainError("log of non-positive value")
-            return np.log(u)
-        if e.op == "sqrt":
-            if np.any(u < 0.0):
-                raise DomainError("sqrt of negative value")
-            return np.sqrt(u)
-        raise AssertionError(e.op)
-    a, b = ev(e.left), ev(e.right)
-    if e.op == "add":
-        return a + b
-    if e.op == "sub":
-        return a - b
-    if e.op == "mul":
-        return a * b
-    if e.op == "div":
-        if np.any(b == 0.0):
-            raise DomainError("division by zero")
-        return a / b
-    if e.op == "pow":
-        frac = b != np.floor(b)
-        if np.any((a < 0.0) & frac):
-            raise DomainError("negative base with non-integer exponent")
-        if np.any((a == 0.0) & (b < 0.0)):
-            raise DomainError("zero base with negative exponent")
-        return np.power(a, b)
-    raise AssertionError(e.op)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in range(0, n, chunk):
+                    hi = lo + chunk
+                    vals = self.template.copy()
+                    for s, src in leaves:
+                        vals[s] = src[lo:hi]
+                    for fn, out, a, b in self.code:
+                        vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+                    for s, col in cols.items():
+                        col[lo:hi] = vals[s]
+        except DomainError:
+            if chunk < n:
+                self.run(pts, n)  # one pass raises at the first failing node
+            raise
+        return [cols[s] if isinstance(s, int) else s for s in self.outputs]
 
 
 # --------------------------------------------------------------------------

@@ -177,12 +177,7 @@ def default_samples(spec: ManifoldSpec, count: int, seed: int = 0) -> np.ndarray
 
 def _check_nondegenerate(spec: ManifoldSpec, probes: int = 8):
     pts = default_samples(spec, probes, seed=0)
-    F = frame_matrix(spec)
-    vals = np.empty((len(pts), 3, 3))
-    for i in range(3):
-        for l in range(3):
-            vals[:, i, l] = E.evaluate_many(F[i][l], pts, spec.params)
-    dets = np.linalg.det(vals)
+    dets = np.linalg.det(eval_table_many(frame_matrix(spec), pts, spec.params, 2))
     worst = float(np.min(np.abs(dets)))
     if worst <= DET_THRESHOLD:
         raise DegenerateFrame(
@@ -365,11 +360,15 @@ def eval_table_many(table, points, params, depth) -> np.ndarray:
     return np.stack(cols, axis=-1).reshape(n, *shape)
 
 
+def curvature_roots(spec: ManifoldSpec) -> list:
+    """The 81 Riemann, 9 Ricci and 1 scalar expressions, flattened in order."""
+    data = riemann(spec)
+    return _flatten(data.riemann, 4) + _flatten(data.ricci, 2) + [data.scalar]
+
+
 def curvature_values_many(spec: ManifoldSpec, points):
     """(R, S, tau) numeric arrays at (N,3) points: shapes (N,3,3,3,3), (N,3,3), (N,)."""
-    data = riemann(spec)
-    flat = _flatten(data.riemann, 4) + _flatten(data.ricci, 2) + [data.scalar]
-    cols = E.eval_batch(flat, points, spec.params)
+    cols = E.eval_batch(curvature_roots(spec), points, spec.params)
     n = len(np.asarray(points))
     R = np.stack(cols[:81], axis=-1).reshape(n, 3, 3, 3, 3)
     S = np.stack(cols[81:90], axis=-1).reshape(n, 3, 3)

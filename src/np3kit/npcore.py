@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .cexpr import CExpr, as_cexpr, c_const
+from .cexpr import CExpr, as_cexpr, c_const, eval_parts
 from .expr import Expr
-from .frame import (ManifoldSpec, connection_table, frame_directional,
-                    riemann)
+from .frame import (ManifoldSpec, connection_table, eval_table_many,
+                    frame_directional, riemann)
 
 __all__ = [
     "SpinCoefficients", "KinematicDecomposition", "GaugeAngle",
@@ -64,13 +64,10 @@ class SpinCoefficients:
     epsilon_np: CExpr
 
     def evaluate(self, point, params=None) -> dict:
-        return {
-            "kappa": self.kappa.evaluate(point, params),
-            "sigma": self.sigma.evaluate(point, params),
-            "rho": self.rho.evaluate(point, params),
-            "beta_np": self.beta_np.evaluate(point, params),
-            "epsilon_np": self.epsilon_np.evaluate(point, params),
-        }
+        names = ("kappa", "sigma", "rho", "beta_np", "epsilon_np")
+        cols = eval_parts([getattr(self, name) for name in names],
+                          np.asarray([point], dtype=float), params)
+        return {name: complex(re[0], im[0]) for name, (re, im) in zip(names, cols)}
 
 
 @dataclass(frozen=True)
@@ -109,12 +106,7 @@ def np_metric_residuals(spec: ManifoldSpec, points) -> dict:
     The coordinate metric is reconstructed numerically from the frame:
     F G F^T = I.
     """
-    pts = np.asarray(points, dtype=float)
-    F = spec.frame
-    vals = np.empty((len(pts), 3, 3))
-    for i in range(3):
-        for l in range(3):
-            vals[:, i, l] = E.evaluate_many(F[i][l], pts, spec.params)
+    vals = eval_table_many(spec.frame, points, spec.params, 2)
     G = np.linalg.inv(np.swapaxes(vals, 1, 2) @ vals)  # coordinate metric (F^T F)^-1
     G = np.einsum("nil,nlm,njm->nij", vals, G, vals)   # frame metric: identity
     # complex frame in frame components is constant; metric relations follow
@@ -372,15 +364,8 @@ def sachs_residuals(spec: ManifoldSpec, point) -> list[complex]:
 
 
 def sachs_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
-    res = _sachs_exprs(spec)
-    flat = []
-    for r in res:
-        flat.extend([r.re, r.im])
-    cols = E.eval_batch(flat, points, spec.params)
-    out = np.empty((len(np.asarray(points)), 5), dtype=complex)
-    for i in range(5):
-        out[:, i] = cols[2 * i] + 1j * cols[2 * i + 1]
-    return out
+    cols = eval_parts(_sachs_exprs(spec), points, spec.params)
+    return np.stack([re + 1j * im for re, im in cols], axis=1)
 
 
 def _bianchi_exprs(spec: ManifoldSpec):
@@ -410,15 +395,8 @@ def bianchi_residuals(spec: ManifoldSpec, point) -> list[complex]:
 
 
 def bianchi_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
-    res = _bianchi_exprs(spec)
-    flat = []
-    for r in res:
-        flat.extend([r.re, r.im])
-    cols = E.eval_batch(flat, points, spec.params)
-    out = np.empty((len(np.asarray(points)), 2), dtype=complex)
-    for i in range(2):
-        out[:, i] = cols[2 * i] + 1j * cols[2 * i + 1]
-    return out
+    cols = eval_parts(_bianchi_exprs(spec), points, spec.params)
+    return np.stack([re + 1j * im for re, im in cols], axis=1)
 
 
 def _sachs_ricci_exprs(spec: ManifoldSpec) -> dict:
@@ -442,13 +420,9 @@ def ricci_from_sachs_many(spec: ManifoldSpec, points) -> np.ndarray:
     for the curvature terms; independent of riemann() except through the
     connection."""
     ex = _sachs_ricci_exprs(spec)
-    p = spec.params
-    pts = np.asarray(points, dtype=float)
-    v_dd = ex["dd"].evaluate_many(pts, p)
-    v_dx = ex["dx"].evaluate_many(pts, p)
-    v_xx = ex["xx"].evaluate_many(pts, p)
-    v_ddb = ex["ddb"].evaluate_many(pts, p)
-    out = np.empty((len(pts), 3, 3))
+    v_dd, v_dx, v_xx, v_ddb = (re + 1j * im for re, im in eval_parts(
+        [ex[k] for k in ("dd", "dx", "xx", "ddb")], points, spec.params))
+    out = np.empty((len(v_dd), 3, 3))
     out[:, 0, 0] = v_dd.real + v_ddb.real
     out[:, 1, 1] = -v_dd.real + v_ddb.real
     out[:, 0, 1] = out[:, 1, 0] = -v_dd.imag

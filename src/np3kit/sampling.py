@@ -21,15 +21,20 @@ class InsufficientSamples(RuntimeError):
 
 
 def _van_der_corput(n: int, base: int, start: int = 1) -> np.ndarray:
-    out = np.empty(n)
-    for i in range(n):
-        k, f, x = start + i, 1.0, 0.0
-        while k > 0:
-            f /= base
-            k, r = divmod(k, base)
-            x += r * f
-        out[i] = x
-    return out
+    """Radical inverses of start .. start+n-1, one digit of every index per step.
+
+    The digit weights f and the sums x are formed by the same operations,
+    in the same order, as for one index at a time, so the values are
+    bit-identical to the scalar loop; finished indices add 0.0.
+    """
+    k = np.arange(start, start + n, dtype=np.int64)
+    x = np.zeros(n)
+    f = 1.0
+    while np.any(k > 0):
+        f /= base
+        k, r = np.divmod(k, base)
+        x += r * f
+    return x
 
 
 def _seed_shift(seed: int) -> np.ndarray:

@@ -11,17 +11,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr as E
-from .classify import (NotTransSasakian, spin_samples, ts_identity_residuals_many)
-from .frame import (ManifoldSpec, connection_table, curvature_values_many,
-                    eval_table_many, kulkarni_nomizu_residual_many,
-                    structure_functions)
-from .npcore import (bianchi_residuals_many, epsilon_realness, grad_xi_norm_sq,
-                     np_metric_residuals, ricci_from_sachs_many,
+from .cexpr import parts
+from .classify import (NotTransSasakian, _ts_closed_forms, spin_samples,
+                       ts_identity_residuals_many)
+from .frame import (ManifoldSpec, _flatten, connection_table, curvature_roots,
+                    curvature_values_many, eval_table_many,
+                    kulkarni_nomizu_residual_many, structure_functions)
+from .npcore import (_bianchi_exprs, _sachs_exprs, _sachs_ricci_exprs,
+                     bianchi_residuals_many, epsilon_realness, grad_xi_norm_sq,
+                     np_metric_residuals, ricci_complex, ricci_from_sachs_many,
                      sachs_residuals_many, spin_coefficients,
                      spin_coefficients_from_f)
 from .xi import divergence_xi, parallel_and_collinearity, rough_laplacian_xi
 
-__all__ = ["SUITE_NAMES", "run_suite", "run_suites", "suite_passed"]
+__all__ = ["SUITE_NAMES", "run_suite", "run_suites", "suite_passed", "suite_roots"]
 
 SUITE_NAMES = ("sachs", "bianchi", "kn", "ts", "xi")
 
@@ -72,7 +75,7 @@ def _suite_sachs(spec: ManifoldSpec, pts, tol) -> list:
     # the two routes to the spin coefficients must agree
     a, b = spin_coefficients(spec), spin_coefficients_from_f(spec)
     worst = 0.0
-    for name in ("kappa", "sigma", "rho", "beta_np", "epsilon_np"):
+    for name in _SPIN_NAMES:
         va = getattr(a, name).evaluate_many(pts, spec.params)
         vb = getattr(b, name).evaluate_many(pts, spec.params)
         worst = max(worst, float(np.max(np.abs(va - vb))))
@@ -129,19 +132,74 @@ def _suite_xi(spec: ManifoldSpec, pts, tol) -> list:
     return checks
 
 
+_SPIN_NAMES = ("kappa", "sigma", "rho", "beta_np", "epsilon_np")
+
+
+# the expressions each suite evaluates over its full sample array, so that
+# one shared() prefetch serves the whole suite
+def _roots_kn(spec):
+    return (_flatten(connection_table(spec).gamma, 3) + _flatten(structure_functions(spec).c, 3)
+            + curvature_roots(spec) + _flatten(spec.frame, 2))
+
+
+def _roots_sachs(spec):
+    routes = (spin_coefficients(spec), spin_coefficients_from_f(spec))
+    return (parts(_sachs_exprs(spec)) + curvature_roots(spec)
+            + parts(_sachs_ricci_exprs(spec).values())
+            + parts((getattr(co, name) for co in routes for name in _SPIN_NAMES)))
+
+
+def _roots_bianchi(spec):
+    return parts(_bianchi_exprs(spec))
+
+
+def _roots_ts(spec):
+    co, forms, S = spin_coefficients(spec), _ts_closed_forms(spec), ricci_complex(spec)
+    lap = rough_laplacian_xi(spec)
+    return (parts((co.kappa, co.sigma, co.rho)) + curvature_roots(spec)
+            + _flatten(connection_table(spec).gamma, 3)
+            + parts((forms[k] for k in ("xi_rho", "d_rho", "db_rhobar", "S_dx", "S_xx",
+                                        "S_ddb", "scalar")))
+            + parts((S[k] for k in ("dd", "dx", "xx", "ddb")))
+            + [divergence_xi(spec).direct, grad_xi_norm_sq(spec)]
+            + list(lap.generic) + list(lap.np_closed))
+
+
+def _roots_xi(spec):
+    co, lap, div = spin_coefficients(spec), rough_laplacian_xi(spec), divergence_xi(spec)
+    return (list(lap.generic) + list(lap.np_closed) + [div.direct, div.np_form]
+            + [grad_xi_norm_sq(spec)] + parts((co.kappa, co.sigma, co.rho))
+            + [co.epsilon_np.re])
+
+
 _SUITES = {
-    "kn": _suite_kn,
-    "sachs": _suite_sachs,
-    "bianchi": _suite_bianchi,
-    "ts": _suite_ts,
-    "xi": _suite_xi,
+    "kn": (_suite_kn, _roots_kn),
+    "sachs": (_suite_sachs, _roots_sachs),
+    "bianchi": (_suite_bianchi, _roots_bianchi),
+    "ts": (_suite_ts, _roots_ts),
+    "xi": (_suite_xi, _roots_xi),
 }
 
 
-def run_suite(spec: ManifoldSpec, name: str, pts, tol=DEFAULT_TOL) -> list:
+def _suite(name: str):
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(SUITE_NAMES)} or all")
-    return _SUITES[name](spec, np.asarray(pts, dtype=float), tol)
+    return _SUITES[name]
+
+
+def suite_roots(spec: ManifoldSpec, names) -> list:
+    """The expressions the named suites evaluate over their sample array.
+
+    Drivers prefetch their union in one ``expr.shared`` block before any
+    suite runs, so subterms shared across suites are computed once.
+    """
+    return [r for name in names for r in _suite(name)[1](spec)]
+
+
+def run_suite(spec: ManifoldSpec, name: str, pts, tol=DEFAULT_TOL) -> list:
+    pts = np.asarray(pts, dtype=float)
+    with E.shared(pts, spec.params, suite_roots(spec, [name])):
+        return _suite(name)[0](spec, pts, tol)
 
 
 def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL) -> dict:
@@ -149,7 +207,9 @@ def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL) -> dict:
         names = list(SUITE_NAMES)
     if isinstance(names, str):
         names = [names]
-    return {n: run_suite(spec, n, pts, tol) for n in names}
+    pts = np.asarray(pts, dtype=float)
+    with E.shared(pts, spec.params, suite_roots(spec, names)):
+        return {n: run_suite(spec, n, pts, tol) for n in names}
 
 
 def suite_passed(results: dict) -> bool:

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from np3kit import catalog
-from np3kit.frame import load_manifold, spec_to_document
+from np3kit import expr as E
+from np3kit.frame import default_samples, load_manifold, spec_to_document
+from np3kit.suites import SUITE_NAMES, run_suite, suite_roots
 
 
 def test_names_complete():
@@ -26,12 +28,26 @@ def test_entries_serialize_and_reload():
 
 
 @pytest.mark.parametrize("name", catalog.names())
-def test_every_entry_runs_green(name):
+def test_every_entry_runs_green(name, shared_blocks):
     rep = catalog.run(name, count=100, seed=0)
     failing = [c["name"] for c in rep["checks"] if not c["pass"]]
     failing += [f"{s}:{c['name']}" for s, checks in rep["suites"].items()
                 for c in checks if not c["pass"]]
     assert rep["pass"], failing
+    # one block served every full-size evaluation of the run
+    block = shared_blocks[0]
+    assert block.table and block.missed == []
+    assert all(b is block for b in shared_blocks)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_suite_roots_cover_each_suite(name):
+    spec = catalog.get_spec(name)
+    pts = default_samples(spec, 40, seed=2)
+    for suite in SUITE_NAMES:
+        with E.shared(pts, spec.params, suite_roots(spec, [suite])) as block:
+            run_suite(spec, suite, pts)
+        assert block.table and block.missed == [], suite
 
 
 def test_run_is_deterministic():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -158,6 +159,9 @@ def test_ektau_sweep_csv(capsys):
     k, t, u, val, flag = lines[1].split(",")
     assert math.isfinite(float(val))
     assert flag in ("0", "1")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "459b54c328d74198bf4109392e86b52508409a1a443f78e6d44082744f99d419"
+    assert len(out.encode()) == 9_765_609
 
 
 def test_threads_env_does_not_change_results(capsys, monkeypatch):
@@ -167,3 +171,14 @@ def test_threads_env_does_not_change_results(capsys, monkeypatch):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_threaded_verify_runs_in_the_callers_block(capsys, monkeypatch, shared_blocks):
+    monkeypatch.setenv("NP3KIT_THREADS", "4")
+    code, _, _ = run_cli(capsys, "verify", "flat_radial", "--suite", "all", "--samples", "200",
+                         "--format", "json")
+    assert code == 0
+    block = shared_blocks[0]
+    assert len(shared_blocks) == 1 + 5  # each worker's suite reused the caller's block
+    assert all(b is block for b in shared_blocks)
+    assert block.table and block.missed == []

@@ -1,5 +1,10 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -221,3 +226,181 @@ _ast = st.recursive(
 @given(_ast)
 def test_parse_unparse_roundtrip(ast):
     assert parse(unparse(ast)) == ast
+
+
+# ---------------------------------------------------------------------------
+# the chunked tape against a direct recursive evaluator
+
+_SIZES = (1, E.CHUNK - 1, E.CHUNK, E.CHUNK + 1, 3 * E.CHUNK + 5)
+_REF_OPS = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+            "log": np.log, "sqrt": np.sqrt, "add": np.add, "sub": np.subtract,
+            "mul": np.multiply, "div": np.true_divide, "pow": np.power}
+
+
+def _reference_eval(roots, pts):
+    """All points at once, right operand before left, each node once: the
+    order in which the unchunked evaluator ran its domain checks."""
+    memo = {}
+
+    def ev(e):
+        if id(e) in memo:
+            return memo[id(e)]
+        if isinstance(e, Const):
+            r = e.value
+        elif isinstance(e, Coord):
+            r = pts[:, e.index - 1]
+        elif isinstance(e, Unary):
+            u = ev(e.arg)
+            if e.op == "log" and np.any(u <= 0.0):
+                raise DomainError("log of non-positive value")
+            if e.op == "sqrt" and np.any(u < 0.0):
+                raise DomainError("sqrt of negative value")
+            r = _REF_OPS[e.op](u)
+        else:
+            b = ev(e.right)
+            a = ev(e.left)
+            if e.op == "div" and np.any(b == 0.0):
+                raise DomainError("division by zero")
+            if e.op == "pow":
+                frac = b != np.floor(b)
+                if np.any((a < 0.0) & frac):
+                    raise DomainError("negative base with non-integer exponent")
+                if np.any((a == 0.0) & (b < 0.0)):
+                    raise DomainError("zero base with negative exponent")
+            r = _REF_OPS[e.op](a, b)
+        memo[id(e)] = r
+        return r
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [np.broadcast_to(ev(f), (len(pts),)) for f in roots]
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(_SIZES))
+def test_tape_matches_recursive_evaluator(seed, n):
+    rng = random.Random(seed)
+    f, g = _random_expr(rng, rng.randint(1, 6)), _random_expr(rng, rng.randint(1, 6))
+    roots = [f, g, Binary("mul", f, g), f]  # shared subterms and a repeated root
+    pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, 3))
+    got, got_err = _outcome(lambda: E.eval_batch(roots, pts))
+    want, want_err = _outcome(lambda: _reference_eval(roots, pts))
+    assert got_err == want_err
+    if want is not None:
+        for a, b in zip(got, want):
+            assert a.shape == (n,)
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+
+
+def test_singular_point_in_last_chunk_raises():
+    pts = np.ones((3 * E.CHUNK + 5, 3))
+    pts[-1, 0] = 0.0
+    with pytest.raises(DomainError, match="division by zero"):
+        evaluate_many(parse("x2/x1"), pts)
+    assert np.all(evaluate_many(parse("x2/x1"), pts[:-1]) == 1.0)
+
+
+def test_first_failing_node_wins_across_chunks():
+    # log fails only in the last chunk, 1/x2 in the first; log comes first
+    # in evaluation order, so its error is the one raised
+    pts = np.ones((2 * E.CHUNK, 3))
+    pts[-1, 0] = 0.0
+    pts[0, 1] = 0.0
+    with pytest.raises(DomainError, match="log of non-positive value"):
+        E.eval_batch([parse("log(x1)"), parse("1/x2")], pts)
+
+
+@pytest.mark.parametrize("f,point,message", [
+    (E.power(0.0, -1.0), (0, 0, 0), "zero base with negative exponent"),
+    (E.power(-1.0, 0.5), (0, 0, 0), "negative base with non-integer exponent"),
+    (E.log(0.0), (0, 0, 0), "log of non-positive value"),
+    (E.div(Coord(1), 0.0), (1, 0, 0), "division by zero"),
+    (parse("x1^-1"), (0, 0, 0), "zero base with negative exponent"),
+    (parse("x1^0.5"), (-1, 0, 0), "negative base with non-integer exponent"),
+    (parse("x1^-0.5"), (-1, 0, 0), "negative base with non-integer exponent"),
+    (parse("x1^-0.5"), (0, 0, 0), "zero base with negative exponent"),
+    (parse("x1^x2"), (-1, 0.5, 0), "negative base with non-integer exponent"),
+    (parse("x1^x2"), (0, -2, 0), "zero base with negative exponent"),
+    (parse("sqrt(x1)"), (-1, 0, 0), "sqrt of negative value"),
+])
+def test_domain_error_messages(f, point, message):
+    with pytest.raises(DomainError) as exc:
+        evaluate(f, point)
+    assert str(exc.value) == message
+
+
+def test_constant_exponents_and_divisors():
+    pts = np.array([[-2.0, 0.5, 4.0], [3.0, 2.0, 0.25]])
+    np.testing.assert_array_equal(evaluate_many(parse("x1^3"), pts), [-8.0, 27.0])
+    np.testing.assert_array_equal(evaluate_many(parse("x3^0.5"), pts), [2.0, 0.5])
+    np.testing.assert_array_equal(evaluate_many(parse("x2^-1"), pts), [2.0, 0.5])
+    np.testing.assert_array_equal(evaluate_many(parse("x1/4"), pts), [-0.5, 0.75])
+
+
+def test_shared_block_serves_its_roots():
+    f, g = parse("exp(x1)*sin(x2)"), parse("x3^2 + 1")
+    h = parse("exp(x1)*sin(x2)/(x3^2 + 1)")  # interned: contains f and g
+    pts = np.random.default_rng(0).uniform(-1, 1, size=(E.CHUNK + 7, 3))
+    (plain,) = E.eval_batch([h], pts)
+    with E.shared(pts, None, [f, g]) as scope:
+        (served,) = E.eval_batch([h], pts)
+        assert scope.missed == [1]  # only the division was computed
+        assert evaluate_many(f, pts) is scope.table[id(f)][1]
+        assert scope.missed == [1]
+        E.eval_batch([h], pts.copy())  # another array: not served, not counted
+        E.eval_batch([h], pts, {"a": 1.0})  # other params: likewise
+        assert scope.missed == [1]
+        with E.shared(pts, {}, [h]) as inner:
+            assert inner is scope
+    np.testing.assert_array_equal(served, plain)
+    with pytest.raises(ValueError):
+        scope.table[id(f)][1][0] = 0.0  # columns are read-only
+
+
+def test_shared_block_discards_a_failing_prefetch():
+    pts = np.ones((10, 3))
+    pts[3, 0] = 0.0
+    with E.shared(pts, None, [parse("x2/x1"), parse("x2 + x3")]) as scope:
+        assert scope.table == {}
+        with pytest.raises(DomainError, match="division by zero"):
+            evaluate_many(parse("x2/x1"), pts)
+        np.testing.assert_array_equal(evaluate_many(parse("x2 + x3"), pts), 2.0)
+    with E.shared(pts, None, [parse("a*x1")]) as scope:
+        assert scope.table == {}
+        with pytest.raises(UnboundParameter):
+            evaluate_many(parse("a*x1"), pts)
+
+
+def test_no_module_level_evaluation_cache():
+    assert not hasattr(E, "_EVAL_SESSIONS")
+    assert not hasattr(E, "_session_memo")
+
+
+def test_point_evaluations_do_not_accumulate_memory():
+    code = textwrap.dedent("""
+        import tracemalloc
+        from np3kit import catalog
+        from np3kit.npcore import spin_coefficients
+        spec = catalog.get_spec("example1")
+        co = spin_coefficients(spec)
+        co.evaluate((0.1, 0.2, 0.3), spec.params)
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(2000):
+            co.evaluate((0.1, 0.2, 0.3 + 1e-4 * i), spec.params)
+        print(tracemalloc.get_traced_memory()[0] - before)
+    """)
+    src = str(pathlib.Path(E.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # nothing printed at interpreter exit either
+    assert int(proc.stdout) < 256 * 1024
