@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .cexpr import eval_parts
+from .cexpr import eval_parts, parts
 from .expr import Expr
-from .frame import (ManifoldSpec, connection_table, curvature_values_many,
-                    default_samples)
+from .frame import (ManifoldSpec, _flatten, connection_table, curvature_roots,
+                    curvature_values_many, default_samples, eval_table_many)
 from .npcore import d_del, d_delbar, d_xi, ricci_complex, spin_coefficients
 from .sampling import InsufficientSamples
 
@@ -53,7 +53,14 @@ PHI_MATRIX = ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 class NotTransSasakian(RuntimeError):
-    """Operation requires kappa = sigma = 0 and the spec is not of that kind."""
+    """Operation requires kappa = sigma = 0 and the spec is not of that kind.
+
+    ``worst`` is max(|kappa|, |sigma|) over the points that were checked.
+    """
+
+    def __init__(self, spec_name: str, worst: float):
+        super().__init__(f"{spec_name!r} has max(|kappa|,|sigma|) = {worst:.3e} over the samples")
+        self.worst = worst
 
 
 @dataclass(frozen=True)
@@ -176,16 +183,33 @@ def ts_identity_residuals_many(spec: ManifoldSpec, points, tol=DEFAULT_TOL) -> d
     the points.
     """
     pts = np.asarray(points, dtype=float)
-    p = spec.params
+    _require_trans_sasakian(spec, pts, tol)
+    with E.shared(pts, spec.params, _ts_identity_roots(spec)):
+        return _ts_identity_residuals(spec, pts)
+
+
+def _require_trans_sasakian(spec: ManifoldSpec, pts, tol):
     kappa, sigma, _ = spin_samples(spec, pts)
     worst = max(np.max(np.abs(kappa)), np.max(np.abs(sigma)))
     if worst > tol:
-        raise NotTransSasakian(
-            f"{spec.name!r} has max(|kappa|,|sigma|) = {worst:.3e} over the samples")
+        raise NotTransSasakian(spec.name, worst)
 
+
+def _ts_identity_roots(spec: ManifoldSpec) -> list:
+    """The expressions :func:`ts_identity_residuals_many` evaluates once
+    kappa and sigma are known to vanish."""
+    co, forms, S = spin_coefficients(spec), _ts_closed_forms(spec), ricci_complex(spec)
+    return (parts((co.kappa, co.sigma, co.rho)) + curvature_roots(spec)
+            + _flatten(connection_table(spec).gamma, 3)
+            + parts((forms[k] for k in ("xi_rho", "d_rho", "db_rhobar", "S_dx", "S_xx",
+                                        "S_ddb", "scalar")))
+            + parts((S[k] for k in ("dd", "dx", "xx", "ddb"))))
+
+
+def _ts_identity_residuals(spec: ManifoldSpec, pts) -> dict:
+    p = spec.params
     forms = _ts_closed_forms(spec)
     S = ricci_complex(spec)
-    from .frame import eval_table_many
     R, _, tau = curvature_values_many(spec, pts)
     R = R.astype(complex)
     gamma_vals = eval_table_many(connection_table(spec).gamma, pts, p, 3)
@@ -275,17 +299,19 @@ def einstein_check(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL,
                    count=100, seed=0) -> EinsteinVerdict:
     """Is S = a g?  a is estimated as the mean of S(xi, xi) over samples."""
     pts = np.asarray(samples) if samples is not None else default_samples(spec, count, seed)
-    _, S, _ = curvature_values_many(spec, pts)
-    a = float(np.mean(S[:, 2, 2]))
-    dev = float(np.max(np.abs(S - a * np.eye(3))))
-    residuals = {"max_abs_S_minus_a_g": dev}
-    kappa, sigma, rho = spin_samples(spec, pts)
-    if max(np.max(np.abs(kappa)), np.max(np.abs(sigma))) <= tol:
-        forms = _ts_closed_forms(spec)
-        d_rho_vals = forms["d_rho"].evaluate_many(pts, spec.params)
-        residuals["max_abs_d_rho"] = float(np.max(np.abs(d_rho_vals)))
-        lhs = forms["S_ddb"].evaluate_many(pts, spec.params)
-        rhs = forms["S_xx"].evaluate_many(pts, spec.params)
-        residuals["einstein_closed_form"] = float(np.max(np.abs(lhs - rhs)))
+    co, forms = spin_coefficients(spec), _ts_closed_forms(spec)
+    closed = (forms["d_rho"], forms["S_ddb"], forms["S_xx"])
+    roots = curvature_roots(spec) + parts((co.kappa, co.sigma, co.rho)) + parts(closed)
+    with E.shared(pts, spec.params, roots):
+        _, S, _ = curvature_values_many(spec, pts)
+        a = float(np.mean(S[:, 2, 2]))
+        dev = float(np.max(np.abs(S - a * np.eye(3))))
+        residuals = {"max_abs_S_minus_a_g": dev}
+        kappa, sigma, rho = spin_samples(spec, pts)
+        if max(np.max(np.abs(kappa)), np.max(np.abs(sigma))) <= tol:
+            d_rho_vals, lhs, rhs = (re + 1j * im for re, im in
+                                    eval_parts(closed, pts, spec.params))
+            residuals["max_abs_d_rho"] = float(np.max(np.abs(d_rho_vals)))
+            residuals["einstein_closed_form"] = float(np.max(np.abs(lhs - rhs)))
     return EinsteinVerdict(is_einstein=dev <= max(tol, tol * (1 + abs(a))), a=a,
                            residuals=residuals)

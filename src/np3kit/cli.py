@@ -6,13 +6,12 @@ not exit status, unless --strict is given.
 
 A SPEC argument is either a path to a manifold-spec JSON document or the
 name of a built-in catalog entry.  NP3KIT_THREADS caps the worker threads
-used for independent suite sweeps.
+that run the suites of each chunk of a verify request.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextvars
 import json
 import os
 import sys
@@ -23,13 +22,13 @@ import numpy as np
 from . import catalog
 from .classify import classify
 from .ektau import ektau_params, rigidity_obstruction, rigidity_sweep
-from .expr import DomainError, ParseError, UnboundParameter, shared
+from .expr import DomainError, ParseError, UnboundParameter
 from .frame import (DegenerateFrame, ManifoldSpec, SchemaError,
                     default_samples, load_manifold)
 from .npcore import kinematics, spin_coefficients
 from .report import base_report, render_json, render_table
 from .sampling import InsufficientSamples
-from .suites import SUITE_NAMES, run_suite, suite_passed, suite_roots
+from .suites import SUITE_NAMES, run_suites, suite_passed
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -146,17 +145,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     try:
         pts = default_samples(spec, args.samples, seed=args.seed)
-        threads = _threads()
-        with shared(pts, spec.params, suite_roots(spec, suites)):
-            if threads > 1 and len(suites) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    # each worker runs inside this block: a copy of the context per task
-                    futures = [pool.submit(contextvars.copy_context().run,
-                                           run_suite, spec, n, pts, args.tol) for n in suites]
-                    results = {n: f.result() for n, f in zip(suites, futures)}
-            else:
-                results = {n: run_suite(spec, n, pts, tol=args.tol) for n in suites}
+        results = run_suites(spec, suites, pts, tol=args.tol, threads=_threads())
     except InsufficientSamples as exc:
         raise _CliError(EXIT_DOMAIN, str(exc)) from exc
     except (DomainError, UnboundParameter) as exc:

@@ -42,7 +42,12 @@ memory holds the result columns plus one chunk of the values still live.
 Work shared *across* calls is the caller's to declare: a request opens
 ``with shared(points, params, roots):``, the union of its roots is
 evaluated once, and later calls on the same points array read those
-columns.  Nothing is cached past the block.
+columns.  Nothing is cached past the block.  A request over many points
+streams with :func:`map_chunks`: its roots compile into one tape, and its
+body runs once per ``CHUNK``-point slice inside a block over that slice,
+so the root columns and every temporary built from them stay one chunk
+long.  Peak memory is then set by ``CHUNK`` and the width of the DAG (the
+values live at once), not by the number of points.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ __all__ = [
     "sin", "cos", "tan", "exp", "log", "sqrt",
     "const", "coord", "param", "as_expr",
     "parse", "unparse", "differentiate", "evaluate", "evaluate_many",
-    "eval_batch", "shared", "Shared", "CHUNK", "simplify", "parameters_of",
+    "eval_batch", "shared", "Shared", "map_chunks", "CHUNK", "simplify",
 ]
 
 FUNCTIONS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
@@ -432,7 +437,9 @@ def _diff_node(e: Expr, i: int, d) -> Expr:
 # --------------------------------------------------------------------------
 # evaluation
 
-CHUNK = 4096  # points per pass over a tape
+# points per pass over a tape, and per slice of a streamed request: at 2,048
+# points flat_radial's 1,377 live tape values take 22 MB
+CHUNK = 2048
 
 
 def evaluate(f: Expr, point, params=None) -> float:
@@ -460,9 +467,7 @@ def eval_batch(exprs, points, params=None) -> list[np.ndarray]:
     same points array and params, expressions the block holds are read
     from it instead of computed.  Nothing is kept after the call returns.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must have shape (N, 3)")
+    pts = _points(points)
     params = params or {}
     scope = _SCOPE.get()
     if scope is not None and (scope.points is not pts or scope.params != params):
@@ -471,6 +476,13 @@ def eval_batch(exprs, points, params=None) -> list[np.ndarray]:
     if scope is not None and tape.computed:
         scope.missed.append(tape.computed)
     return tape.run(pts)
+
+
+def _points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must have shape (N, 3)")
+    return pts
 
 
 class Shared:
@@ -497,7 +509,8 @@ _SCOPE: contextvars.ContextVar = contextvars.ContextVar("np3kit_shared", default
 def shared(points, params, roots):
     """Evaluate ``roots`` once and serve them to ``eval_batch`` inside the block.
 
-    The union of ``roots`` runs as one tape and only the root columns are
+    The union of ``roots`` (expressions, or a tape :func:`map_chunks`
+    compiled from them) runs as one tape and only the root columns are
     kept.  ``eval_batch`` calls in the block on the same points array (the
     same object) and equal params read those columns as leaves of their
     own tapes.  The columns are dropped when the block exits.  A block
@@ -506,27 +519,63 @@ def shared(points, params, roots):
     every call then computes what it needs and raises where it would
     without the block.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _points(points)
     params = params or {}
     outer = _SCOPE.get()
     if outer is not None and outer.points is pts and outer.params == params:
         yield outer
         return
-    roots = list(roots)
-    try:
-        cols = eval_batch(roots, pts, params)
-    except (DomainError, UnboundParameter):
-        table = {}
-    else:
-        for col in cols:
-            col.flags.writeable = False  # one column goes to many callers
-        table = {id(f): (f, col) for f, col in zip(roots, cols)}
-    scope = Shared(pts, params, table)
+    scope = Shared(pts, params, _prefetch(pts, params, roots))
     token = _SCOPE.set(scope)
     try:
         yield scope
     finally:
         _SCOPE.reset(token)
+
+
+def _prefetch(pts, params, roots) -> dict:
+    """id(root) -> (root, read-only column), or {} if evaluation raises.
+
+    A function of its own so that the tape, which can be large, is freed
+    before the block's body runs.
+    """
+    try:
+        tape = roots if isinstance(roots, _Tape) else _Tape(roots, params, {})
+        cols = tape.run(pts)
+    except (DomainError, UnboundParameter):
+        return {}
+    for col in cols:
+        col.flags.writeable = False  # one column goes to many callers
+    return {id(f): (f, col) for f, col in zip(tape.roots, cols)}
+
+
+def map_chunks(fn, points, params, roots) -> list:
+    """``fn(part)`` for each ``CHUNK``-point slice of ``points``, each call
+    inside a :func:`shared` block over ``roots`` on that slice.
+
+    The roots are compiled into one tape, which every slice reuses, so the
+    root columns and whatever ``fn`` builds from them never grow past one
+    chunk.  Points that fit in one chunk are passed as they are, the same
+    array object, so blocks already open on them are reused.  Returns the
+    results in order.  If a slice raises DomainError or UnboundParameter,
+    the whole request runs again as one block over all points, which
+    raises (or not) exactly as an unchunked request would.
+    """
+    pts = _points(points)
+    roots = list(roots)
+    if len(pts) > CHUNK:
+        try:
+            tape = _Tape(roots, params or {}, {})
+            out = []
+            for lo in range(0, len(pts), CHUNK):
+                part = pts[lo:lo + CHUNK]
+                with shared(part, params, tape):
+                    out.append(fn(part))
+            return out
+        except (DomainError, UnboundParameter):
+            pass  # which error, and where, is decided over all points
+    with shared(pts, params, roots):
+        return [fn(pts)]
 
 
 def _log(u):
@@ -573,7 +622,7 @@ class _Tape:
     """
 
     def __init__(self, exprs, params, table):
-        roots = list(exprs)
+        self.roots = roots = list(exprs)
         num: dict[int, int] = {}  # id(node) -> value number
         hits, consts, coords = [], [], []  # (value, column | float | index)
         code = []  # (routine, out, a, b) over values; b is None for unary nodes
@@ -695,25 +744,6 @@ def simplify(f: Expr) -> Expr:
         return r
 
     return s(f)
-
-
-def parameters_of(f: Expr) -> set[str]:
-    seen: set[int] = set()
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        e = stack.pop()
-        if id(e) in seen:
-            continue
-        seen.add(id(e))
-        if isinstance(e, Param):
-            out.add(e.name)
-        elif isinstance(e, Unary):
-            stack.append(e.arg)
-        elif isinstance(e, Binary):
-            stack.append(e.left)
-            stack.append(e.right)
-    return out
 
 
 # --------------------------------------------------------------------------

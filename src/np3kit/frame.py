@@ -216,12 +216,8 @@ def frame_matrix(spec: ManifoldSpec):
     return (spec.e1, spec.e2, spec.xi)
 
 
-def _geom(spec: ManifoldSpec) -> dict:
-    return spec._cache
-
-
 def _frame_inverse(spec):
-    g = _geom(spec)
+    g = spec._cache
     if "finv" not in g:
         F = [list(row) for row in frame_matrix(spec)]
         g["finv"], g["det"] = _inv3(F)
@@ -238,7 +234,7 @@ def frame_directional(spec: ManifoldSpec, f: Expr, i: int) -> Expr:
 
 
 def structure_functions(spec: ManifoldSpec) -> StructureFunctions:
-    g = _geom(spec)
+    g = spec._cache
     if "struct" in g:
         return g["struct"]
     F = frame_matrix(spec)
@@ -268,7 +264,7 @@ def structure_functions(spec: ManifoldSpec) -> StructureFunctions:
 
 
 def connection_table(spec: ManifoldSpec) -> ConnectionTable:
-    g = _geom(spec)
+    g = spec._cache
     if "conn" in g:
         return g["conn"]
     c = structure_functions(spec).c
@@ -302,7 +298,7 @@ def covariant_derivative(spec: ManifoldSpec, X, Y):
 
 
 def riemann(spec: ManifoldSpec) -> CurvatureData:
-    g = _geom(spec)
+    g = spec._cache
     if "curv" in g:
         return g["curv"]
     gamma = connection_table(spec).gamma
@@ -390,11 +386,21 @@ def kulkarni_nomizu_residual_many(spec: ManifoldSpec, points) -> np.ndarray:
     in three dimensions the curvature tensor is exactly g (*) (S - (tau/2) g)
     with tau the half-trace scalar.
     """
-    R, S, tau = curvature_values_many(spec, points)
-    gmat = np.broadcast_to(np.eye(3), S.shape)
-    T = S - 0.5 * tau[:, None, None] * gmat
-    kn = (np.einsum("njk,nil->nijkl", gmat, T) - np.einsum("nik,njl->nijkl", gmat, T)
-          + np.einsum("njk,nil->nijkl", T, gmat) - np.einsum("nik,njl->nijkl", T, gmat))
+    return _kulkarni_nomizu_residual(*curvature_values_many(spec, points))
+
+
+def _kulkarni_nomizu_residual(R, S, tau) -> np.ndarray:
+    """:func:`kulkarni_nomizu_residual_many` from evaluated curvature arrays.
+
+    g is the identity in frame components, so each term of g (*) T is a
+    broadcast product of T by exact zeros and ones, with no index summed.
+    """
+    g = np.eye(3)
+    T = S - 0.5 * tau[:, None, None] * g
+    kn = (g[None, None, :, :, None] * T[:, :, None, None, :]
+          - g[None, :, None, :, None] * T[:, None, :, None, :]
+          + T[:, None, :, :, None] * g[None, :, None, None, :]
+          - T[:, :, None, :, None] * g[None, None, :, None, :])
     return np.max(np.abs(R - kn), axis=(1, 2, 3, 4))
 
 

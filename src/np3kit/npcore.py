@@ -42,7 +42,7 @@ __all__ = [
     "np_frame", "np_metric_residuals", "phi_apply",
     "spin_coefficients", "spin_coefficients_from_f", "kinematics",
     "gauge_transform", "weighted_derivative",
-    "sachs_residuals", "bianchi_residuals", "ricci_from_sachs",
+    "sachs_residuals", "bianchi_residuals",
     "d_del", "d_delbar", "d_xi", "ricci_complex", "grad_xi_norm_sq",
     "epsilon_realness",
 ]
@@ -431,6 +431,3 @@ def ricci_from_sachs_many(spec: ManifoldSpec, points) -> np.ndarray:
     out[:, 2, 2] = v_xx.real
     return out
 
-
-def ricci_from_sachs(spec: ManifoldSpec, point) -> np.ndarray:
-    return ricci_from_sachs_many(spec, np.asarray([point], dtype=float))[0]

@@ -4,25 +4,41 @@ Each check is a dict {name, max_residual, tolerance, pass}; a suite is a
 list of checks.  These identities hold exactly for the Levi-Civita
 connection, so with exact symbolic differentiation the only residual is
 floating-point roundoff; the default tolerance is absolute 1e-8.
+
+:func:`run_suites` runs a whole request, and it streams.  The union of
+the suites' roots is compiled into one tape, which runs over
+``expr.CHUNK``-point slices of the samples (``expr.map_chunks``); every
+suite runs on each slice inside that slice's block, and each check folds
+into a running max from which ``pass`` is recomputed.  So neither the root
+columns nor any suite temporary grows past one chunk: peak memory is set
+by the chunk size and the width of the DAG, not by the sample count.  Two
+outcomes are decided over all points: the ts suite's NotTransSasakian skip
+reports the worst max(|kappa|, |sigma|) of the whole sample, and a
+DomainError reruns the request unchunked, so it names the node it would
+name unchunked.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import functools
 
 import numpy as np
 
 from . import expr as E
 from .cexpr import parts
-from .classify import (NotTransSasakian, _ts_closed_forms, spin_samples,
-                       ts_identity_residuals_many)
-from .frame import (ManifoldSpec, _flatten, connection_table, curvature_roots,
-                    curvature_values_many, eval_table_many,
-                    kulkarni_nomizu_residual_many, structure_functions)
+from .classify import (NotTransSasakian, _require_trans_sasakian,
+                       _ts_identity_residuals, _ts_identity_roots, spin_samples)
+from .frame import (ManifoldSpec, _flatten, _kulkarni_nomizu_residual,
+                    connection_table, curvature_roots, curvature_values_many,
+                    eval_table_many, structure_functions)
 from .npcore import (_bianchi_exprs, _sachs_exprs, _sachs_ricci_exprs,
                      bianchi_residuals_many, epsilon_realness, grad_xi_norm_sq,
-                     np_metric_residuals, ricci_complex, ricci_from_sachs_many,
+                     np_metric_residuals, ricci_from_sachs_many,
                      sachs_residuals_many, spin_coefficients,
                      spin_coefficients_from_f)
-from .xi import divergence_xi, parallel_and_collinearity, rough_laplacian_xi
+from .xi import divergence_xi, rough_laplacian_xi
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_suites", "suite_passed", "suite_roots"]
 
@@ -56,8 +72,7 @@ def _suite_kn(spec: ManifoldSpec, pts, tol) -> list:
     checks.append(_check("riemann_first_bianchi", np.max(np.abs(first_b)), tol))
     checks.append(_check("ricci_symmetric",
                          np.max(np.abs(S - np.swapaxes(S, 1, 2))), tol))
-    checks.append(_check("kulkarni_nomizu",
-                         np.max(kulkarni_nomizu_residual_many(spec, pts)), tol))
+    checks.append(_check("kulkarni_nomizu", np.max(_kulkarni_nomizu_residual(R, S, tau)), tol))
     half_trace = 0.5 * (S[:, 0, 0] + S[:, 1, 1] + S[:, 2, 2])
     checks.append(_check("scalar_convention", np.max(np.abs(tau - half_trace)), tol))
     checks.append(_check("np_metric", max(np_metric_residuals(spec, pts).values()), tol))
@@ -92,11 +107,9 @@ def _suite_bianchi(spec: ManifoldSpec, pts, tol) -> list:
 
 
 def _suite_ts(spec: ManifoldSpec, pts, tol) -> list:
-    try:
-        res = ts_identity_residuals_many(spec, pts, tol=max(tol, 1e-8))
-    except NotTransSasakian as exc:
-        return [{"name": "ts_suite", "skipped": True,
-                 "reason": f"NotTransSasakian: {exc}", "pass": True}]
+    # NotTransSasakian propagates: run_suites decides the skip over all points
+    _require_trans_sasakian(spec, pts, max(tol, 1e-8))
+    res = _ts_identity_residuals(spec, pts)
     checks = [_check(f"ts_{name}", np.max(vals), tol) for name, vals in res.items()]
     p = spec.params
     co = spin_coefficients(spec)
@@ -154,14 +167,8 @@ def _roots_bianchi(spec):
 
 
 def _roots_ts(spec):
-    co, forms, S = spin_coefficients(spec), _ts_closed_forms(spec), ricci_complex(spec)
     lap = rough_laplacian_xi(spec)
-    return (parts((co.kappa, co.sigma, co.rho)) + curvature_roots(spec)
-            + _flatten(connection_table(spec).gamma, 3)
-            + parts((forms[k] for k in ("xi_rho", "d_rho", "db_rhobar", "S_dx", "S_xx",
-                                        "S_ddb", "scalar")))
-            + parts((S[k] for k in ("dd", "dx", "xx", "ddb")))
-            + [divergence_xi(spec).direct, grad_xi_norm_sq(spec)]
+    return (_ts_identity_roots(spec) + [divergence_xi(spec).direct, grad_xi_norm_sq(spec)]
             + list(lap.generic) + list(lap.np_closed))
 
 
@@ -197,19 +204,63 @@ def suite_roots(spec: ManifoldSpec, names) -> list:
 
 
 def run_suite(spec: ManifoldSpec, name: str, pts, tol=DEFAULT_TOL) -> list:
-    pts = np.asarray(pts, dtype=float)
-    with E.shared(pts, spec.params, suite_roots(spec, [name])):
-        return _suite(name)[0](spec, pts, tol)
+    return run_suites(spec, [name], pts, tol)[name]
 
 
-def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL) -> dict:
+def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL, threads=1) -> dict:
+    """Run the named suites over ``pts`` as one streamed request.
+
+    With ``threads`` > 1 the suites of each chunk run in a thread pool,
+    every worker inside the chunk's block.
+    """
     if names == "all" or names == ["all"]:
         names = list(SUITE_NAMES)
     if isinstance(names, str):
         names = [names]
-    pts = np.asarray(pts, dtype=float)
-    with E.shared(pts, spec.params, suite_roots(spec, names)):
-        return {n: run_suite(spec, n, pts, tol) for n in names}
+    parallel = threads > 1 and len(names) > 1
+    if parallel:  # imported here: concurrent.futures adds ~10 ms to every start-up
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(threads) if parallel else contextlib.nullcontext() as pool:
+
+        def chunk(part):
+            if pool is None:
+                return {n: _run_one(spec, n, part, tol) for n in names}
+            futures = {n: pool.submit(contextvars.copy_context().run,
+                                      _run_one, spec, n, part, tol) for n in names}
+            return {n: f.result() for n, f in futures.items()}
+
+        results = E.map_chunks(chunk, pts, spec.params, suite_roots(spec, names))
+    folded = functools.reduce(_fold, results)
+    return {n: _skipped(r) if isinstance(r, NotTransSasakian) else r for n, r in folded.items()}
+
+
+def _run_one(spec, name, pts, tol):
+    """One suite's checks on one chunk, or the NotTransSasakian it raised."""
+    try:
+        with E.shared(pts, spec.params, suite_roots(spec, [name])):
+            return _suite(name)[0](spec, pts, tol)
+    except NotTransSasakian as exc:
+        return exc
+
+
+def _fold(a: dict, b: dict) -> dict:
+    """Two chunks' results as one: each check's max residual, ``pass``
+    recomputed from it; a NotTransSasakian skip wins, with the larger worst."""
+    out = {}
+    for name, x in a.items():
+        y = b[name]
+        if isinstance(x, NotTransSasakian) or isinstance(y, NotTransSasakian):
+            raised = [r for r in (x, y) if isinstance(r, NotTransSasakian)]
+            out[name] = max(raised, key=lambda exc: exc.worst)
+        else:
+            out[name] = [_check(c["name"], np.maximum(c["max_residual"], d["max_residual"]),
+                                c["tolerance"]) for c, d in zip(x, y)]
+    return out
+
+
+def _skipped(exc: NotTransSasakian) -> list:
+    return [{"name": "ts_suite", "skipped": True, "reason": f"NotTransSasakian: {exc}",
+             "pass": True}]
 
 
 def suite_passed(results: dict) -> bool:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .cexpr import CExpr, as_cexpr, c_const
+from .cexpr import CExpr, as_cexpr, c_const, parts
 from .expr import Expr
 from .frame import (ManifoldSpec, connection_table, covariant_derivative,
                     default_samples, eval_table_many)
@@ -155,16 +155,19 @@ def parallel_and_collinearity(spec: ManifoldSpec, samples=None, tol=1e-8,
     if len(pts) < 20:
         raise InsufficientSamples(f"congruence analysis needs >= 20 points, got {len(pts)}")
     p = spec.params
-    co = spin_coefficients(spec)
-    kv = co.kappa.evaluate_many(pts, p)
-    sv = co.sigma.evaluate_many(pts, p)
-    rv = co.rho.evaluate_many(pts, p)
-    theta, omega = rv.real, rv.imag
-
-    lap = rough_laplacian_xi(spec)
-    lap_vals = eval_table_many(lap.generic, pts, p, 1)
+    co, lap, div = spin_coefficients(spec), rough_laplacian_xi(spec), divergence_xi(spec)
     grad_sq = grad_xi_norm_sq(spec)
-    grad_vals = E.evaluate_many(grad_sq, pts, p)
+    roots = (parts((co.kappa, co.sigma, co.rho)) + list(lap.generic) + [grad_sq]
+             + list(lap.np_closed) + [div.direct, div.np_form])
+    with E.shared(pts, p, roots):
+        kv = co.kappa.evaluate_many(pts, p)
+        sv = co.sigma.evaluate_many(pts, p)
+        rv = co.rho.evaluate_many(pts, p)
+        lap_vals = eval_table_many(lap.generic, pts, p, 1)
+        grad_vals = E.evaluate_many(grad_sq, pts, p)
+        lap_discrepancy = lap.max_discrepancy(pts, p)
+        div_discrepancy = div.max_discrepancy(pts, p)
+    theta, omega = rv.real, rv.imag
 
     max_k = float(np.max(np.abs(kv)))
     max_s = float(np.max(np.abs(sv)))
@@ -186,7 +189,7 @@ def parallel_and_collinearity(spec: ManifoldSpec, samples=None, tol=1e-8,
     return CongruenceReport(
         laplacian_xi=lap.generic,
         grad_xi_norm_sq=grad_sq,
-        divergence=divergence_xi(spec).direct,
+        divergence=div.direct,
         lam=lam,
         is_geodesic=max_k <= tol,
         is_shear_free=max_s <= tol,
@@ -202,8 +205,8 @@ def parallel_and_collinearity(spec: ManifoldSpec, samples=None, tol=1e-8,
             "max_abs_omega": max_omega,
             "max_transverse_laplacian": transverse,
             "bochner": bochner,
-            "laplacian_route_discrepancy": lap.max_discrepancy(pts, p),
-            "divergence_route_discrepancy": divergence_xi(spec).max_discrepancy(pts, p),
+            "laplacian_route_discrepancy": lap_discrepancy,
+            "divergence_route_discrepancy": div_discrepancy,
         },
         tol=tol,
         sample_count=len(pts),

@@ -2,7 +2,6 @@ import contextlib
 
 import pytest
 
-from np3kit import cli
 from np3kit import expr as E
 
 
@@ -20,5 +19,4 @@ def shared_blocks(monkeypatch):
             yield scope
 
     monkeypatch.setattr(E, "shared", recording)
-    monkeypatch.setattr(cli, "shared", recording)
     return blocks
