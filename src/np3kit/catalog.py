@@ -21,9 +21,9 @@ import numpy as np
 
 from . import expr as E
 from .classify import classify, einstein_check
-from .frame import ManifoldSpec, default_samples, load_manifold
+from .frame import ManifoldSpec, curvature_values_many, default_samples, load_manifold
 from .npcore import spin_coefficients
-from .suites import SUITE_NAMES, run_suites, suite_passed, suite_roots
+from .suites import SUITE_NAMES, _check, run_suites, suite_passed, suite_roots
 from .xi import divergence_xi, parallel_and_collinearity
 
 __all__ = ["CatalogEntry", "UnknownEntry", "names", "get", "get_spec", "run", "run_all"]
@@ -303,11 +303,6 @@ def run(name: str, count: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
     pts = default_samples(spec, count, seed)
     exp = entry.expected
     checks = []
-
-    def add(cname, value, tolerance=tol):
-        checks.append({"name": cname, "max_residual": float(value),
-                       "tolerance": tolerance, "pass": bool(value <= tolerance)})
-
     expected = [E.parse(exp[k]) for k in _EXPECTED_FORMS if k in exp]
     with E.shared(pts, spec.params, suite_roots(spec, SUITE_NAMES) + expected):
         cls = classify(spec, samples=pts, tol=tol)
@@ -317,24 +312,23 @@ def run(name: str, count: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
 
         co = spin_coefficients(spec)
         rho = co.rho.evaluate_many(pts, spec.params)
-        if "alpha" in exp:
-            add("alpha_matches", np.max(np.abs(rho.imag - _expected_values(exp["alpha"], pts))))
-        if "beta" in exp:
-            add("beta_matches", np.max(np.abs(rho.real - _expected_values(exp["beta"], pts))))
-        if "theta" in exp:
-            add("theta_matches", np.max(np.abs(rho.real - _expected_values(exp["theta"], pts))))
-        if "omega" in exp:
-            add("omega_matches", np.max(np.abs(rho.imag - _expected_values(exp["omega"], pts))))
-        if "div_xi" in exp:
-            div_vals = E.evaluate_many(divergence_xi(spec).direct, pts, spec.params)
-            add("div_matches", np.max(np.abs(div_vals - _expected_values(exp["div_xi"], pts))))
+        div_vals = E.evaluate_many(divergence_xi(spec).direct, pts, spec.params)
+        for key, cname, got in (("alpha", "alpha_matches", rho.imag),
+                                ("beta", "beta_matches", rho.real),
+                                ("theta", "theta_matches", rho.real),
+                                ("omega", "omega_matches", rho.imag),
+                                ("div_xi", "div_matches", div_vals)):
+            if key in exp:
+                error = np.max(np.abs(got - _expected_values(exp[key], pts)))
+                checks.append(_check(cname, error, tol))
 
         for spot in exp.get("spots", []):
             point = spot["point"]
             vals = co.evaluate(point, spec.params)
             for key in ("rho", "kappa", "sigma"):
                 if key in spot:
-                    add(f"spot_{key}_at_{point}", abs(vals[key] - spot[key]), 1e-9)
+                    checks.append(_check(f"spot_{key}_at_{point}",
+                                         abs(vals[key] - spot[key]), 1e-9))
 
         report = parallel_and_collinearity(spec, samples=pts, tol=tol)
         for fname, want in exp.get("flags", {}).items():
@@ -353,14 +347,13 @@ def run(name: str, count: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
                            "got": ev.a if ev.is_einstein else None, "pass": ok})
 
         if "ricci_diag" in exp:
-            from .frame import curvature_values_many
             _, S, _ = curvature_values_many(spec, pts)
             want = np.diag(exp["ricci_diag"])
-            add("ricci_diag", np.max(np.abs(S - want)), 1e-9)
+            checks.append(_check("ricci_diag", np.max(np.abs(S - want)), 1e-9))
         if "ricci_xi_xi" in exp:
-            from .frame import curvature_values_many
             _, S, _ = curvature_values_many(spec, pts)
-            add("ricci_xi_xi", np.max(np.abs(S[:, 2, 2] - exp["ricci_xi_xi"])), 1e-9)
+            checks.append(_check("ricci_xi_xi",
+                                 np.max(np.abs(S[:, 2, 2] - exp["ricci_xi_xi"])), 1e-9))
 
         suites = run_suites(spec, "all", pts, tol=tol)
     passed = all(c["pass"] for c in checks) and suite_passed(suites)
@@ -377,10 +370,5 @@ def run(name: str, count: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
     }
 
 
-def run_all(count: int = 100, seed: int = 0, tol: float = 1e-8, threads: int = 1) -> dict:
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda n: run(n, count, seed, tol), names()))
-        return {r["entry"]: r for r in results}
+def run_all(count: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
     return {n: run(n, count, seed, tol) for n in names()}

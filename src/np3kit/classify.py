@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .cexpr import eval_parts, parts
+from .cexpr import as_cexpr, c_const, eval_parts, parts
 from .expr import Expr
 from .frame import (ManifoldSpec, _flatten, connection_table, curvature_roots,
-                    curvature_values_many, default_samples, eval_table_many)
+                    curvature_values_many, default_samples, eval_table_many,
+                    spec_cached)
 from .npcore import d_del, d_delbar, d_xi, ricci_complex, spin_coefficients
 from .sampling import InsufficientSamples
 
@@ -38,7 +39,8 @@ __all__ = [
     "InducedStructure", "StructureClass", "EinsteinVerdict", "NotTransSasakian",
     "VERDICTS", "classify", "verdict_from_samples", "induced_structure",
     "ts_identity_residuals", "ts_identity_residuals_many",
-    "conformal_foliation_residual", "einstein_check", "spin_samples",
+    "conformal_foliation_residual", "conformal_foliation_residual_many",
+    "einstein_check", "spin_samples",
 ]
 
 VERDICTS = ("NotTransSasakian", "TransSasakian", "C6", "AlphaSasakian",
@@ -149,20 +151,17 @@ def classify(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL,
 # --------------------------------------------------------------------------
 # trans-Sasakian identity residuals
 
+@spec_cached
 def _ts_closed_forms(spec: ManifoldSpec) -> dict:
     """Closed-form expressions for curvature data of a trans-Sasakian spec."""
-    cache = spec._cache
-    if "ts_forms" in cache:
-        return cache["ts_forms"]
     co = spin_coefficients(spec)
     r, b, e = co.rho, co.beta_np, co.epsilon_np
     rb, bb = r.conj(), b.conj()
-    from .cexpr import as_cexpr, c_const
     xr = d_xi(spec, r)
     S_xx = c_const(-2) * (xr + r * r)
     S_ddb = (-as_cexpr(r.abs2()) - c_const(2) * as_cexpr(b.abs2()) - (r - rb) * e
              - xr - r * r - d_del(spec, bb) - d_delbar(spec, b))
-    forms = {
+    return {
         "rho": r, "beta_np": b, "eps": e,
         "d_rho": d_del(spec, r),
         "db_rhobar": d_delbar(spec, rb),
@@ -172,8 +171,6 @@ def _ts_closed_forms(spec: ManifoldSpec) -> dict:
         "S_ddb": S_ddb,
         "scalar": S_ddb + c_const(0.5) * S_xx,
     }
-    cache["ts_forms"] = forms
-    return forms
 
 
 def ts_identity_residuals_many(spec: ManifoldSpec, points, tol=DEFAULT_TOL) -> dict:
@@ -278,21 +275,23 @@ def ts_identity_residuals(spec: ManifoldSpec, point, tol=DEFAULT_TOL) -> dict:
     return {k: float(v[0]) for k, v in many.items()}
 
 
-def conformal_foliation_residual(spec: ManifoldSpec, point) -> float:
-    """Max over the transverse plane of |(Lie_xi g)(e_a, e_b) - 2 Theta delta_ab|.
+def conformal_foliation_residual_many(spec: ManifoldSpec, points) -> np.ndarray:
+    """Per-point max over the transverse plane of
+    |(Lie_xi g)(e_a, e_b) - 2 Theta delta_ab|.
 
-    Zero exactly when the congruence is shear-free at the point.
+    Zero exactly where the congruence is shear-free.
     """
-    gamma = connection_table(spec).gamma
-    p = spec.params
-    theta = E.evaluate(spin_coefficients(spec).rho.re, point, p)
-    worst = 0.0
-    for a in range(2):
-        for b in range(2):
-            lie = (E.evaluate(gamma[a][2][b], point, p)
-                   + E.evaluate(gamma[b][2][a], point, p))
-            worst = max(worst, abs(lie - 2.0 * theta * (1.0 if a == b else 0.0)))
-    return worst
+    g = connection_table(spec).gamma
+    # (Lie_xi g)(e_a, e_b) = f_ab + f_ba with f_ab = Gamma_{a,xi,b}
+    theta, f11, f12, f21, f22 = E.eval_batch(
+        [spin_coefficients(spec).rho.re, g[0][2][0], g[0][2][1], g[1][2][0], g[1][2][1]],
+        points, spec.params)
+    return np.max(np.abs([2.0 * f11 - 2.0 * theta, f12 + f21, 2.0 * f22 - 2.0 * theta]), axis=0)
+
+
+def conformal_foliation_residual(spec: ManifoldSpec, point) -> float:
+    """:func:`conformal_foliation_residual_many` at one point."""
+    return float(conformal_foliation_residual_many(spec, [point])[0])
 
 
 def einstein_check(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL,

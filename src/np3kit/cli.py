@@ -5,8 +5,7 @@ domain or numeric error, 3 input error.  Classification verdicts are data,
 not exit status, unless --strict is given.
 
 A SPEC argument is either a path to a manifold-spec JSON document or the
-name of a built-in catalog entry.  NP3KIT_THREADS caps the worker threads
-that run the suites of each chunk of a verify request.
+name of a built-in catalog entry.
 """
 
 from __future__ import annotations
@@ -40,13 +39,6 @@ class _CliError(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NP3KIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_spec(ref: str) -> ManifoldSpec:
@@ -145,7 +137,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     try:
         pts = default_samples(spec, args.samples, seed=args.seed)
-        results = run_suites(spec, suites, pts, tol=args.tol, threads=_threads())
+        results = run_suites(spec, suites, pts, tol=args.tol)
     except InsufficientSamples as exc:
         raise _CliError(EXIT_DOMAIN, str(exc)) from exc
     except (DomainError, UnboundParameter) as exc:

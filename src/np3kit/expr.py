@@ -500,8 +500,8 @@ class Shared:
 
 
 # The innermost open shared() block of the running thread or task.  A
-# context variable, not a plain global, so that worker threads can run
-# inside their caller's block through contextvars.copy_context().run.
+# context variable, not a plain global, so that callers that run requests
+# on threads of their own each see only their own block.
 _SCOPE: contextvars.ContextVar = contextvars.ContextVar("np3kit_shared", default=None)
 
 

@@ -23,6 +23,7 @@ flips the sign of the twist.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -37,8 +38,8 @@ __all__ = [
     "SchemaError", "DegenerateFrame",
     "load_manifold", "spec_from_document", "spec_to_document",
     "structure_functions", "connection_table", "covariant_derivative",
-    "riemann", "kulkarni_nomizu_residual",
-    "frame_matrix", "frame_directional", "default_samples", "spec_hash",
+    "riemann", "kulkarni_nomizu_residual", "spec_cached",
+    "frame_directional", "default_samples", "spec_hash",
 ]
 
 DET_THRESHOLD = 1e-8
@@ -177,7 +178,7 @@ def default_samples(spec: ManifoldSpec, count: int, seed: int = 0) -> np.ndarray
 
 def _check_nondegenerate(spec: ManifoldSpec, probes: int = 8):
     pts = default_samples(spec, probes, seed=0)
-    dets = np.linalg.det(eval_table_many(frame_matrix(spec), pts, spec.params, 2))
+    dets = np.linalg.det(eval_table_many(spec.frame, pts, spec.params, 2))
     worst = float(np.min(np.abs(dets)))
     if worst <= DET_THRESHOLD:
         raise DegenerateFrame(
@@ -211,33 +212,39 @@ def _inv3(M):
 # --------------------------------------------------------------------------
 # geometry cache
 
-def frame_matrix(spec: ManifoldSpec):
-    """Rows = coordinate components of (e1, e2, xi)."""
-    return (spec.e1, spec.e2, spec.xi)
+def spec_cached(build):
+    """Memoize ``build(spec)`` in the spec itself, so it lives and dies with it.
+
+    This is the one cache of symbolic forms: every derived table of a spec
+    (connection, curvature, spin coefficients, identity forms) is built at
+    most once per spec and is freed with the spec.
+    """
+    @functools.wraps(build)
+    def cached(spec):
+        memo = spec._cache
+        if build not in memo:
+            memo[build] = build(spec)
+        return memo[build]
+    return cached
 
 
+@spec_cached
 def _frame_inverse(spec):
-    g = spec._cache
-    if "finv" not in g:
-        F = [list(row) for row in frame_matrix(spec)]
-        g["finv"], g["det"] = _inv3(F)
-    return g["finv"]
+    return _inv3([list(row) for row in spec.frame])[0]
 
 
 def frame_directional(spec: ManifoldSpec, f: Expr, i: int) -> Expr:
     """E_i(f) = sum_l F[i][l] df/dx_l for frame index i in 0..2."""
-    F = frame_matrix(spec)
+    F = spec.frame
     out = E.const(0.0)
     for l in range(3):
         out = E.add(out, E.mul(F[i][l], E.differentiate(f, l + 1)))
     return out
 
 
+@spec_cached
 def structure_functions(spec: ManifoldSpec) -> StructureFunctions:
-    g = spec._cache
-    if "struct" in g:
-        return g["struct"]
-    F = frame_matrix(spec)
+    F = spec.frame
     finv = _frame_inverse(spec)
     c = [[[E.const(0.0)] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(3):
@@ -258,15 +265,11 @@ def structure_functions(spec: ManifoldSpec) -> StructureFunctions:
                     a = E.add(a, E.mul(comps[l], finv[l][k]))
                 c[i][j][k] = a
                 c[j][i][k] = E.neg(a)
-    out = StructureFunctions(tuple(tuple(tuple(row) for row in plane) for plane in c))
-    g["struct"] = out
-    return out
+    return StructureFunctions(tuple(tuple(tuple(row) for row in plane) for plane in c))
 
 
+@spec_cached
 def connection_table(spec: ManifoldSpec) -> ConnectionTable:
-    g = spec._cache
-    if "conn" in g:
-        return g["conn"]
     c = structure_functions(spec).c
     gamma = [[[None] * 3 for _ in range(3)] for _ in range(3)]
     half = E.const(0.5)
@@ -275,9 +278,7 @@ def connection_table(spec: ManifoldSpec) -> ConnectionTable:
             for k in range(3):
                 # Koszul reduction for an orthonormal frame
                 gamma[i][j][k] = E.mul(half, E.add(E.sub(c[i][j][k], c[j][k][i]), c[k][i][j]))
-    out = ConnectionTable(tuple(tuple(tuple(row) for row in plane) for plane in gamma))
-    g["conn"] = out
-    return out
+    return ConnectionTable(tuple(tuple(tuple(row) for row in plane) for plane in gamma))
 
 
 def covariant_derivative(spec: ManifoldSpec, X, Y):
@@ -297,10 +298,8 @@ def covariant_derivative(spec: ManifoldSpec, X, Y):
     return tuple(out)
 
 
+@spec_cached
 def riemann(spec: ManifoldSpec) -> CurvatureData:
-    g = spec._cache
-    if "curv" in g:
-        return g["curv"]
     gamma = connection_table(spec).gamma
     c = structure_functions(spec).c
     # E_i(Gamma[j][k][l]) table
@@ -325,13 +324,11 @@ def riemann(spec: ManifoldSpec) -> CurvatureData:
                 acc = E.add(acc, R[i][j][k][i])
             S[j][k] = acc
     scalar = E.mul(0.5, E.add(E.add(S[0][0], S[1][1]), S[2][2]))
-    out = CurvatureData(
+    return CurvatureData(
         tuple(tuple(tuple(tuple(r) for r in plane) for plane in block) for block in R),
         tuple(tuple(row) for row in S),
         scalar,
     )
-    g["curv"] = out
-    return out
 
 
 def _flatten(table, depth):
@@ -378,22 +375,16 @@ def curvature_values(spec: ManifoldSpec, point):
     return R[0], S[0], tau[0]
 
 
-def kulkarni_nomizu_residual_many(spec: ManifoldSpec, points) -> np.ndarray:
-    """Per-point max over all 81 index tuples of |R - g (*) (S - (tau/2) g)|.
+def _kulkarni_nomizu_residual(R, S, tau) -> np.ndarray:
+    """Per-point max over all 81 index tuples of |R - g (*) (S - (tau/2) g)|,
+    from evaluated curvature arrays.
 
     (T1 (*) T2)(X,Y,Z,W) = T1(Y,Z)T2(X,W) - T1(X,Z)T2(Y,W)
                          + T2(Y,Z)T1(X,W) - T2(X,Z)T1(Y,W);
     in three dimensions the curvature tensor is exactly g (*) (S - (tau/2) g)
-    with tau the half-trace scalar.
-    """
-    return _kulkarni_nomizu_residual(*curvature_values_many(spec, points))
-
-
-def _kulkarni_nomizu_residual(R, S, tau) -> np.ndarray:
-    """:func:`kulkarni_nomizu_residual_many` from evaluated curvature arrays.
-
-    g is the identity in frame components, so each term of g (*) T is a
-    broadcast product of T by exact zeros and ones, with no index summed.
+    with tau the half-trace scalar.  g is the identity in frame components,
+    so each term of g (*) T is a broadcast product of T by exact zeros and
+    ones, with no index summed.
     """
     g = np.eye(3)
     T = S - 0.5 * tau[:, None, None] * g
@@ -405,4 +396,4 @@ def _kulkarni_nomizu_residual(R, S, tau) -> np.ndarray:
 
 
 def kulkarni_nomizu_residual(spec: ManifoldSpec, point) -> float:
-    return float(kulkarni_nomizu_residual_many(spec, np.asarray([point], dtype=float))[0])
+    return float(_kulkarni_nomizu_residual(*curvature_values_many(spec, [point]))[0])

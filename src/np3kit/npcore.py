@@ -35,7 +35,7 @@ from . import expr as E
 from .cexpr import CExpr, as_cexpr, c_const, eval_parts
 from .expr import Expr
 from .frame import (ManifoldSpec, connection_table, eval_table_many,
-                    frame_directional, riemann)
+                    frame_directional, riemann, spec_cached)
 
 __all__ = [
     "SpinCoefficients", "KinematicDecomposition", "GaugeAngle",
@@ -80,13 +80,6 @@ class KinematicDecomposition:
 @dataclass(frozen=True)
 class GaugeAngle:
     theta_fn: Expr
-
-
-def _cached(spec: ManifoldSpec, key, build):
-    cache = spec._cache
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
 
 
 # --------------------------------------------------------------------------
@@ -182,22 +175,21 @@ def d_xi(spec: ManifoldSpec, q) -> CExpr:
 # --------------------------------------------------------------------------
 # spin coefficients
 
+@spec_cached
 def spin_coefficients(spec: ManifoldSpec) -> SpinCoefficients:
     """The five coefficients from their defining inner products."""
-    def build():
-        ddxi = cov_complex(spec, W_DEL, W_XI)
-        dbxi = cov_complex(spec, W_DELBAR, W_XI)
-        xixi = cov_complex(spec, W_XI, W_XI)
-        dd = cov_complex(spec, W_DEL, W_DEL)
-        xid = cov_complex(spec, W_XI, W_DEL)
-        return SpinCoefficients(
-            kappa=-g_complex(W_DEL, xixi),
-            sigma=-g_complex(W_DEL, ddxi),
-            rho=g_complex(W_DEL, dbxi),
-            beta_np=g_complex(W_DELBAR, dd),
-            epsilon_np=g_complex(W_DELBAR, xid),
-        )
-    return _cached(spec, "spin", build)
+    ddxi = cov_complex(spec, W_DEL, W_XI)
+    dbxi = cov_complex(spec, W_DELBAR, W_XI)
+    xixi = cov_complex(spec, W_XI, W_XI)
+    dd = cov_complex(spec, W_DEL, W_DEL)
+    xid = cov_complex(spec, W_XI, W_DEL)
+    return SpinCoefficients(
+        kappa=-g_complex(W_DEL, xixi),
+        sigma=-g_complex(W_DEL, ddxi),
+        rho=g_complex(W_DEL, dbxi),
+        beta_np=g_complex(W_DELBAR, dd),
+        epsilon_np=g_complex(W_DELBAR, xid),
+    )
 
 
 def spin_coefficients_from_f(spec: ManifoldSpec) -> SpinCoefficients:
@@ -299,68 +291,65 @@ def weighted_derivative(q, s: int, direction: str, spec: ManifoldSpec,
 # --------------------------------------------------------------------------
 # Ricci components in the complex frame
 
+@spec_cached
 def ricci_complex(spec: ManifoldSpec) -> dict:
     """Complex-bilinear Ricci entries keyed by frame pair."""
-    def build():
-        S = riemann(spec).ricci
+    S = riemann(spec).ricci
 
-        def sc(Vw, Ww):
-            acc = c_const(0)
-            for j in range(3):
-                for k in range(3):
-                    acc = acc + Vw[j] * Ww[k] * as_cexpr(S[j][k])
-            return acc
+    def sc(Vw, Ww):
+        acc = c_const(0)
+        for j in range(3):
+            for k in range(3):
+                acc = acc + Vw[j] * Ww[k] * as_cexpr(S[j][k])
+        return acc
 
-        return {
-            "dd": sc(W_DEL, W_DEL),
-            "dx": sc(W_DEL, W_XI),
-            "ddb": sc(W_DEL, W_DELBAR),
-            "xx": sc(W_XI, W_XI),
-            "dbx": sc(W_DELBAR, W_XI),
-            "dbdb": sc(W_DELBAR, W_DELBAR),
-        }
-    return _cached(spec, "ricci_c", build)
+    return {
+        "dd": sc(W_DEL, W_DEL),
+        "dx": sc(W_DEL, W_XI),
+        "ddb": sc(W_DEL, W_DELBAR),
+        "xx": sc(W_XI, W_XI),
+        "dbx": sc(W_DELBAR, W_XI),
+        "dbdb": sc(W_DELBAR, W_DELBAR),
+    }
 
 
 # --------------------------------------------------------------------------
 # Sachs and Bianchi residuals
 
+@spec_cached
 def _sachs_exprs(spec: ManifoldSpec):
-    def build():
-        co = spin_coefficients(spec)
-        k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
-        kb, sb, rb, bb = k.conj(), s.conj(), r.conj(), b.conj()
-        S = ricci_complex(spec)
-        half = c_const(0.5)
-        res = [
-            # xi(sigma) - D(kappa) = kappa^2 + 2 sigma eps - sigma(rho+conj rho)
-            #                        - kappa beta + S(D,D)
-            d_xi(spec, s) - d_del(spec, k)
-            - (k * k + c_const(2) * s * e - s * (r + rb) - k * b + S["dd"]),
-            # -D(rho) - Dbar(sigma) = 2 sigma conj(beta) + (rho - conj rho) kappa + S(D,xi)
-            -d_del(spec, r) - d_delbar(spec, s)
-            - (c_const(2) * s * bb + (r - rb) * k + S["dx"]),
-            # xi(beta) - D(eps) = sigma(conj kappa - conj beta) + kappa(eps + conj rho)
-            #                     + beta(eps - conj rho) - S(D,xi)
-            d_xi(spec, b) - d_del(spec, e)
-            - (s * (kb - bb) + k * (e + rb) + b * (e - rb) - S["dx"]),
-            # D(conj beta) + Dbar(beta) = |sigma|^2 - |rho|^2 - 2|beta|^2
-            #                             - (rho - conj rho) eps - S(D,Dbar) + S(xi,xi)/2
-            d_del(spec, bb) + d_delbar(spec, b)
-            - (as_cexpr(s.abs2()) - as_cexpr(r.abs2()) - c_const(2) * as_cexpr(b.abs2())
-               - (r - rb) * e - S["ddb"] + half * S["xx"]),
-            # -xi(rho) - Dbar(kappa) = |kappa|^2 + |sigma|^2 + rho^2
-            #                          + kappa conj(beta) + S(xi,xi)/2
-            -d_xi(spec, r) - d_delbar(spec, k)
-            - (as_cexpr(k.abs2()) + as_cexpr(s.abs2()) + r * r + k * bb + half * S["xx"]),
-        ]
-        return res
-    return _cached(spec, "sachs", build)
+    co = spin_coefficients(spec)
+    k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
+    kb, sb, rb, bb = k.conj(), s.conj(), r.conj(), b.conj()
+    S = ricci_complex(spec)
+    half = c_const(0.5)
+    return [
+        # xi(sigma) - D(kappa) = kappa^2 + 2 sigma eps - sigma(rho+conj rho)
+        #                        - kappa beta + S(D,D)
+        d_xi(spec, s) - d_del(spec, k)
+        - (k * k + c_const(2) * s * e - s * (r + rb) - k * b + S["dd"]),
+        # -D(rho) - Dbar(sigma) = 2 sigma conj(beta) + (rho - conj rho) kappa + S(D,xi)
+        -d_del(spec, r) - d_delbar(spec, s)
+        - (c_const(2) * s * bb + (r - rb) * k + S["dx"]),
+        # xi(beta) - D(eps) = sigma(conj kappa - conj beta) + kappa(eps + conj rho)
+        #                     + beta(eps - conj rho) - S(D,xi)
+        d_xi(spec, b) - d_del(spec, e)
+        - (s * (kb - bb) + k * (e + rb) + b * (e - rb) - S["dx"]),
+        # D(conj beta) + Dbar(beta) = |sigma|^2 - |rho|^2 - 2|beta|^2
+        #                             - (rho - conj rho) eps - S(D,Dbar) + S(xi,xi)/2
+        d_del(spec, bb) + d_delbar(spec, b)
+        - (as_cexpr(s.abs2()) - as_cexpr(r.abs2()) - c_const(2) * as_cexpr(b.abs2())
+           - (r - rb) * e - S["ddb"] + half * S["xx"]),
+        # -xi(rho) - Dbar(kappa) = |kappa|^2 + |sigma|^2 + rho^2
+        #                          + kappa conj(beta) + S(xi,xi)/2
+        -d_xi(spec, r) - d_delbar(spec, k)
+        - (as_cexpr(k.abs2()) + as_cexpr(s.abs2()) + r * r + k * bb + half * S["xx"]),
+    ]
 
 
 def sachs_residuals(spec: ManifoldSpec, point) -> list[complex]:
     """LHS - RHS of the five generalized Sachs equations at a point."""
-    return [r.evaluate(point, spec.params) for r in _sachs_exprs(spec)]
+    return [complex(z) for z in sachs_residuals_many(spec, [point])[0]]
 
 
 def sachs_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
@@ -368,30 +357,29 @@ def sachs_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
     return np.stack([re + 1j * im for re, im in cols], axis=1)
 
 
+@spec_cached
 def _bianchi_exprs(spec: ManifoldSpec):
-    def build():
-        co = spin_coefficients(spec)
-        k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
-        kb, sb, rb, bb = k.conj(), s.conj(), r.conj(), b.conj()
-        S = ricci_complex(spec)
-        half = c_const(0.5)
-        two = c_const(2)
-        # xi-component of the contracted second Bianchi identity
-        res_xi = (d_del(spec, S["dbx"]) + d_delbar(spec, S["dx"])
-                  - d_xi(spec, S["ddb"]) + half * d_xi(spec, S["xx"])
-                  - (-(r + rb) * (S["xx"] - S["ddb"]) - sb * S["dd"] - s * S["dbdb"]
-                     - (two * kb + bb) * S["dx"] - (two * k + b) * S["dbx"]))
-        # D-component
-        res_d = (d_xi(spec, S["dx"]) - half * d_del(spec, S["xx"]) + d_delbar(spec, S["dd"])
-                 - (k * S["xx"] + (e - rb - two * r) * S["dx"] + s * S["dbx"]
-                    - (kb + two * bb) * S["dd"] - k * S["ddb"]))
-        return [res_xi, res_d]
-    return _cached(spec, "bianchi", build)
+    co = spin_coefficients(spec)
+    k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
+    kb, sb, rb, bb = k.conj(), s.conj(), r.conj(), b.conj()
+    S = ricci_complex(spec)
+    half = c_const(0.5)
+    two = c_const(2)
+    # xi-component of the contracted second Bianchi identity
+    res_xi = (d_del(spec, S["dbx"]) + d_delbar(spec, S["dx"])
+              - d_xi(spec, S["ddb"]) + half * d_xi(spec, S["xx"])
+              - (-(r + rb) * (S["xx"] - S["ddb"]) - sb * S["dd"] - s * S["dbdb"]
+                 - (two * kb + bb) * S["dx"] - (two * k + b) * S["dbx"]))
+    # D-component
+    res_d = (d_xi(spec, S["dx"]) - half * d_del(spec, S["xx"]) + d_delbar(spec, S["dd"])
+             - (k * S["xx"] + (e - rb - two * r) * S["dx"] + s * S["dbx"]
+                - (kb + two * bb) * S["dd"] - k * S["ddb"]))
+    return [res_xi, res_d]
 
 
 def bianchi_residuals(spec: ManifoldSpec, point) -> list[complex]:
     """LHS - RHS of the two second-Bianchi identities at a point."""
-    return [r.evaluate(point, spec.params) for r in _bianchi_exprs(spec)]
+    return [complex(z) for z in bianchi_residuals_many(spec, [point])[0]]
 
 
 def bianchi_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
@@ -399,20 +387,19 @@ def bianchi_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
     return np.stack([re + 1j * im for re, im in cols], axis=1)
 
 
+@spec_cached
 def _sachs_ricci_exprs(spec: ManifoldSpec) -> dict:
-    def build():
-        co = spin_coefficients(spec)
-        k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
-        kb, rb, bb = k.conj(), r.conj(), b.conj()
-        S_dd = (d_xi(spec, s) - d_del(spec, k)
-                - (k * k + c_const(2) * s * e - s * (r + rb) - k * b))
-        S_dx = -d_del(spec, r) - d_delbar(spec, s) - (c_const(2) * s * bb + (r - rb) * k)
-        S_xx = c_const(-2) * (d_xi(spec, r) + d_delbar(spec, k)
-                              + as_cexpr(k.abs2()) + as_cexpr(s.abs2()) + r * r + k * bb)
-        S_ddb = (as_cexpr(s.abs2()) - as_cexpr(r.abs2()) - c_const(2) * as_cexpr(b.abs2())
-                 - (r - rb) * e - d_del(spec, bb) - d_delbar(spec, b) + c_const(0.5) * S_xx)
-        return {"dd": S_dd, "dx": S_dx, "xx": S_xx, "ddb": S_ddb}
-    return _cached(spec, "sachs_ricci", build)
+    co = spin_coefficients(spec)
+    k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
+    kb, rb, bb = k.conj(), r.conj(), b.conj()
+    S_dd = (d_xi(spec, s) - d_del(spec, k)
+            - (k * k + c_const(2) * s * e - s * (r + rb) - k * b))
+    S_dx = -d_del(spec, r) - d_delbar(spec, s) - (c_const(2) * s * bb + (r - rb) * k)
+    S_xx = c_const(-2) * (d_xi(spec, r) + d_delbar(spec, k)
+                          + as_cexpr(k.abs2()) + as_cexpr(s.abs2()) + r * r + k * bb)
+    S_ddb = (as_cexpr(s.abs2()) - as_cexpr(r.abs2()) - c_const(2) * as_cexpr(b.abs2())
+             - (r - rb) * e - d_del(spec, bb) - d_delbar(spec, b) + c_const(0.5) * S_xx)
+    return {"dd": S_dd, "dx": S_dx, "xx": S_xx, "ddb": S_ddb}
 
 
 def ricci_from_sachs_many(spec: ManifoldSpec, points) -> np.ndarray:

@@ -20,8 +20,6 @@ name unchunked.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 
 import numpy as np
@@ -48,6 +46,7 @@ DEFAULT_TOL = 1e-8
 
 
 def _check(name, value, tol):
+    """The record of one residual check: it passes when ``value`` <= ``tol``."""
     value = float(value)
     return {"name": name, "max_residual": value, "tolerance": tol, "pass": bool(value <= tol)}
 
@@ -207,29 +206,14 @@ def run_suite(spec: ManifoldSpec, name: str, pts, tol=DEFAULT_TOL) -> list:
     return run_suites(spec, [name], pts, tol)[name]
 
 
-def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL, threads=1) -> dict:
-    """Run the named suites over ``pts`` as one streamed request.
-
-    With ``threads`` > 1 the suites of each chunk run in a thread pool,
-    every worker inside the chunk's block.
-    """
+def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL) -> dict:
+    """Run the named suites over ``pts`` as one streamed request."""
     if names == "all" or names == ["all"]:
         names = list(SUITE_NAMES)
     if isinstance(names, str):
         names = [names]
-    parallel = threads > 1 and len(names) > 1
-    if parallel:  # imported here: concurrent.futures adds ~10 ms to every start-up
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(threads) if parallel else contextlib.nullcontext() as pool:
-
-        def chunk(part):
-            if pool is None:
-                return {n: _run_one(spec, n, part, tol) for n in names}
-            futures = {n: pool.submit(contextvars.copy_context().run,
-                                      _run_one, spec, n, part, tol) for n in names}
-            return {n: f.result() for n, f in futures.items()}
-
-        results = E.map_chunks(chunk, pts, spec.params, suite_roots(spec, names))
+    results = E.map_chunks(lambda part: {n: _run_one(spec, n, part, tol) for n in names},
+                           pts, spec.params, suite_roots(spec, names))
     folded = functools.reduce(_fold, results)
     return {n: _skipped(r) if isinstance(r, NotTransSasakian) else r for n, r in folded.items()}
 
@@ -237,8 +221,7 @@ def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL, threads=1) -> di
 def _run_one(spec, name, pts, tol):
     """One suite's checks on one chunk, or the NotTransSasakian it raised."""
     try:
-        with E.shared(pts, spec.params, suite_roots(spec, [name])):
-            return _suite(name)[0](spec, pts, tol)
+        return _suite(name)[0](spec, pts, tol)
     except NotTransSasakian as exc:
         return exc
 

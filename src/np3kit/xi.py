@@ -25,7 +25,7 @@ from . import expr as E
 from .cexpr import CExpr, as_cexpr, c_const, parts
 from .expr import Expr
 from .frame import (ManifoldSpec, connection_table, covariant_derivative,
-                    default_samples, eval_table_many)
+                    default_samples, eval_table_many, spec_cached)
 from .npcore import (d_del, d_delbar, d_xi, grad_xi_norm_sq, spin_coefficients)
 from .sampling import InsufficientSamples
 
@@ -95,10 +95,8 @@ class CongruenceReport:
         }
 
 
+@spec_cached
 def rough_laplacian_xi(spec: ManifoldSpec) -> RoughLaplacian:
-    cache = spec._cache
-    if "laplacian" in cache:
-        return cache["laplacian"]
     gamma = connection_table(spec).gamma
     total = [E.const(0.0)] * 3
     for i in range(3):
@@ -117,9 +115,7 @@ def rough_laplacian_xi(spec: ManifoldSpec) -> RoughLaplacian:
          + r * kb + d_xi(spec, kb) + kb * e + k * sb)
     xi_coeff = E.mul(2.0, E.add(E.add(k.abs2(), r.abs2()), s.abs2()))
     np_closed = (E.mul(_SQ2, a.re), E.mul(_SQ2, a.im), xi_coeff)
-    out = RoughLaplacian(generic=generic, np_closed=np_closed)
-    cache["laplacian"] = out
-    return out
+    return RoughLaplacian(generic=generic, np_closed=np_closed)
 
 
 def divergence_xi(spec: ManifoldSpec) -> DivergenceResult:
@@ -129,15 +125,13 @@ def divergence_xi(spec: ManifoldSpec) -> DivergenceResult:
     return DivergenceResult(direct=direct, np_form=np_form)
 
 
+@spec_cached
 def _harmonicity_expr(spec: ManifoldSpec) -> CExpr:
-    cache = spec._cache
-    if "harmonic" not in cache:
-        co = spin_coefficients(spec)
-        k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
-        cache["harmonic"] = (d_del(spec, r) - d_delbar(spec, s)
-                             - c_const(2) * s * b.conj() - r.conj() * k
-                             - d_xi(spec, k) - k * e.conj() - k.conj() * s)
-    return cache["harmonic"]
+    co = spin_coefficients(spec)
+    k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
+    return (d_del(spec, r) - d_delbar(spec, s)
+            - c_const(2) * s * b.conj() - r.conj() * k
+            - d_xi(spec, k) - k * e.conj() - k.conj() * s)
 
 
 def harmonicity_residual(spec: ManifoldSpec, point) -> complex:

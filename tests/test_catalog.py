@@ -54,9 +54,3 @@ def test_run_is_deterministic():
     a = catalog.run("example1", count=50, seed=7)
     b = catalog.run("example1", count=50, seed=7)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_run_all_threaded_matches_serial():
-    serial = catalog.run_all(count=30, seed=1)
-    threaded = catalog.run_all(count=30, seed=1, threads=4)
-    assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)

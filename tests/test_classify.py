@@ -7,11 +7,12 @@ import pytest
 from np3kit import catalog
 from np3kit import expr as E
 from np3kit.classify import (NotTransSasakian, classify,
-                             conformal_foliation_residual, einstein_check,
+                             conformal_foliation_residual,
+                             conformal_foliation_residual_many, einstein_check,
                              induced_structure, spin_samples,
                              ts_identity_residuals,
                              ts_identity_residuals_many, verdict_from_samples)
-from np3kit.frame import default_samples, load_manifold
+from np3kit.frame import connection_table, default_samples, load_manifold
 from np3kit.npcore import GaugeAngle, gauge_transform, spin_coefficients
 from np3kit.sampling import InsufficientSamples
 
@@ -140,6 +141,29 @@ def test_conformal_foliation_residuals():
     for p in [(0.0, 0.0, 0.0), (0.7, -0.2, 0.4)]:
         assert conformal_foliation_residual(
             catalog.get_spec("sol"), p) == pytest.approx(2.0, abs=1e-10)
+
+
+def _conformal_foliation_pointwise(spec, point):
+    """The one-point form the array form replaced: nine E.evaluate calls."""
+    gamma = connection_table(spec).gamma
+    theta = E.evaluate(spin_coefficients(spec).rho.re, point, spec.params)
+    worst = 0.0
+    for a in range(2):
+        for b in range(2):
+            lie = (E.evaluate(gamma[a][2][b], point, spec.params)
+                   + E.evaluate(gamma[b][2][a], point, spec.params))
+            worst = max(worst, abs(lie - 2.0 * theta * (1.0 if a == b else 0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["example1", "c6", "sol"])
+def test_conformal_foliation_array_form_matches_pointwise(name):
+    spec = catalog.get_spec(name)
+    pts = default_samples(spec, 20, seed=4)
+    want = [_conformal_foliation_pointwise(spec, p) for p in pts]
+    assert np.allclose(conformal_foliation_residual_many(spec, pts), want, rtol=0, atol=1e-14)
+    assert np.allclose([conformal_foliation_residual(spec, p) for p in pts], want,
+                       rtol=0, atol=1e-14)
 
 
 def test_equivalence_theorem():

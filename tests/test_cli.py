@@ -164,21 +164,10 @@ def test_ektau_sweep_csv(capsys):
     assert len(out.encode()) == 9_765_609
 
 
-def test_threads_env_does_not_change_results(capsys, monkeypatch):
-    args = ("verify", "c6", "--suite", "all", "--seed", "3", "--format", "json")
-    code1, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("NP3KIT_THREADS", "4")
-    code2, out2, _ = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-def test_threaded_verify_runs_in_the_callers_block(capsys, monkeypatch, shared_blocks):
-    monkeypatch.setenv("NP3KIT_THREADS", "4")
+def test_verify_runs_in_one_block(capsys, shared_blocks):
     code, _, _ = run_cli(capsys, "verify", "flat_radial", "--suite", "all", "--samples", "200",
                          "--format", "json")
     assert code == 0
+    assert len(shared_blocks) == 1
     block = shared_blocks[0]
-    assert len(shared_blocks) == 1 + 5  # each worker's suite reused the caller's block
-    assert all(b is block for b in shared_blocks)
     assert block.table and block.missed == []

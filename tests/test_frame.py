@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from np3kit import expr as E
 from np3kit.frame import (
     DegenerateFrame, SchemaError, connection_table, covariant_derivative,
     curvature_values, default_samples, eval_table_many,
-    kulkarni_nomizu_residual, load_manifold, riemann, spec_from_document,
-    spec_to_document, structure_functions,
+    kulkarni_nomizu_residual, load_manifold, riemann, spec_cached,
+    spec_from_document, spec_to_document, structure_functions,
 )
 
 EXAMPLE1 = {
@@ -246,3 +248,38 @@ def test_scalar_curvature_conventions_agree(example1):
     _, S, tau = curvature_values(example1, (0.3, 0.4, -0.2))
     s_ddbar = 0.5 * (S[0, 0] + S[1, 1])
     assert tau == pytest.approx(s_ddbar + 0.5 * S[2, 2], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the per-spec memo
+
+def test_spec_cached_returns_the_identical_object():
+    spec = load_manifold(EXAMPLE1)
+    assert riemann(spec) is riemann(spec)
+    assert connection_table(spec) is connection_table(spec)
+
+    calls = []
+
+    @spec_cached
+    def build(spec):
+        calls.append(spec)
+        return object()
+
+    assert build(spec) is build(spec)
+    assert calls == [spec]
+
+
+def test_spec_cached_entries_are_not_shared_between_specs():
+    a, b = load_manifold(EXAMPLE1), load_manifold(EXAMPLE1)
+    assert riemann(a) is not riemann(b)
+    assert structure_functions(a) is not structure_functions(b)
+    assert riemann(a) is riemann(a)
+
+
+def test_spec_cached_memo_is_freed_with_its_spec():
+    spec = load_manifold(EXAMPLE1)
+    curvature = weakref.ref(riemann(spec))
+    assert curvature() is not None
+    del spec
+    gc.collect()
+    assert curvature() is None

@@ -9,7 +9,8 @@ from np3kit import expr as E
 from np3kit.cexpr import CExpr, c_const
 from np3kit.frame import (curvature_values_many, default_samples,
                           load_manifold, spec_from_document, spec_to_document)
-from np3kit.npcore import (GaugeAngle, W_DEL, bianchi_residuals,
+from np3kit.npcore import (GaugeAngle, W_DEL, _bianchi_exprs, _sachs_exprs,
+                           bianchi_residuals,
                            bianchi_residuals_many, d_del, epsilon_realness,
                            gauge_transform, grad_xi_norm_sq, kinematics,
                            np_frame, np_metric_residuals, phi_apply,
@@ -245,6 +246,15 @@ def test_bianchi_residuals_small(example2, sol, flat):
         assert abs(r) <= 1e-8
     for r in bianchi_residuals(sol, (0.0, 0.0, 0.0)):
         assert abs(r) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["example1", "c6", "sol"])
+def test_single_point_residuals_match_per_expression_evaluation(name):
+    spec = catalog.get_spec(name)
+    for point in default_samples(spec, 20, seed=4):
+        for alias, forms in ((sachs_residuals, _sachs_exprs), (bianchi_residuals, _bianchi_exprs)):
+            want = [z.evaluate(point, spec.params) for z in forms(spec)]
+            assert np.allclose(alias(spec, point), want, rtol=0, atol=1e-14), alias.__name__
 
 
 def test_sachs_bianchi_sweeps(example1, example2):
