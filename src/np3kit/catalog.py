@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .classify import classify, einstein_check
-from .frame import ManifoldSpec, curvature_values_many, default_samples, load_manifold
+from .classify import (DEFAULT_COUNT, DEFAULT_TOL, _einstein_forms, _einstein_verdict,
+                       _structure_class)
+from .frame import ManifoldSpec, default_samples, load_manifold
 from .npcore import spin_coefficients
-from .suites import SUITE_NAMES, _check, run_suites, suite_passed, suite_roots
-from .xi import divergence_xi, parallel_and_collinearity
+from .suites import _check, run_request, suite_passed
+from .xi import _congruence_forms, _congruence_report
 
 __all__ = ["CatalogEntry", "UnknownEntry", "names", "get", "get_spec", "run", "run_all"]
 
@@ -291,71 +292,65 @@ def get_spec(name: str) -> ManifoldSpec:
 _EXPECTED_FORMS = ("alpha", "beta", "theta", "omega", "div_xi")
 
 
-def _expected_values(expr_text, pts):
-    f = E.parse(expr_text)
-    return E.evaluate_many(f, pts)
-
-
-def run(name: str, count: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+def run(name: str, count: int = DEFAULT_COUNT, seed: int = 0, tol: float = DEFAULT_TOL) -> dict:
     """Run the full pipeline on an entry and compare against its record."""
     entry = get(name)
     spec = get_spec(name)
     pts = default_samples(spec, count, seed)
     exp = entry.expected
     checks = []
-    expected = [E.parse(exp[k]) for k in _EXPECTED_FORMS if k in exp]
-    with E.shared(pts, spec.params, suite_roots(spec, SUITE_NAMES) + expected):
-        cls = classify(spec, samples=pts, tol=tol)
-        verdict_ok = cls.verdict == exp["verdict"]
-        checks.append({"name": "verdict", "expected": exp["verdict"], "got": cls.verdict,
-                       "pass": verdict_ok})
+    # the whole-sample checks' forms ride in the suites' streamed request
+    whole = {"congruence": _congruence_forms(spec), "einstein": _einstein_forms(spec),
+             "expected": {k: E.parse(exp[k]) for k in _EXPECTED_FORMS if k in exp}}
+    suites, values = run_request(spec, "all", pts, whole, tol)
+    cong, expected = values["congruence"], values["expected"]
 
-        co = spin_coefficients(spec)
-        rho = co.rho.evaluate_many(pts, spec.params)
-        div_vals = E.evaluate_many(divergence_xi(spec).direct, pts, spec.params)
-        for key, cname, got in (("alpha", "alpha_matches", rho.imag),
-                                ("beta", "beta_matches", rho.real),
-                                ("theta", "theta_matches", rho.real),
-                                ("omega", "omega_matches", rho.imag),
-                                ("div_xi", "div_matches", div_vals)):
-            if key in exp:
-                error = np.max(np.abs(got - _expected_values(exp[key], pts)))
-                checks.append(_check(cname, error, tol))
+    cls = _structure_class(cong["kappa"], cong["sigma"], cong["rho"], tol)
+    verdict_ok = cls.verdict == exp["verdict"]
+    checks.append({"name": "verdict", "expected": exp["verdict"], "got": cls.verdict,
+                   "pass": verdict_ok})
 
-        for spot in exp.get("spots", []):
-            point = spot["point"]
-            vals = co.evaluate(point, spec.params)
-            for key in ("rho", "kappa", "sigma"):
-                if key in spot:
-                    checks.append(_check(f"spot_{key}_at_{point}",
-                                         abs(vals[key] - spot[key]), 1e-9))
+    rho = cong["rho"]
+    for key, cname, got in (("alpha", "alpha_matches", rho.imag),
+                            ("beta", "beta_matches", rho.real),
+                            ("theta", "theta_matches", rho.real),
+                            ("omega", "omega_matches", rho.imag),
+                            ("div_xi", "div_matches", cong["div"])):
+        if key in exp:
+            checks.append(_check(cname, np.max(np.abs(got - expected[key])), tol))
 
-        report = parallel_and_collinearity(spec, samples=pts, tol=tol)
-        for fname, want in exp.get("flags", {}).items():
-            got = getattr(report, fname) if fname != "expansion" else report.expansion
-            checks.append({"name": f"flag_{fname}", "expected": want, "got": got,
-                           "pass": got == want})
+    co = spin_coefficients(spec)
+    for spot in exp.get("spots", []):
+        point = spot["point"]
+        vals = co.evaluate(point, spec.params)
+        for key in ("rho", "kappa", "sigma"):
+            if key in spot:
+                checks.append(_check(f"spot_{key}_at_{point}",
+                                     abs(vals[key] - spot[key]), 1e-9))
 
-        ev = einstein_check(spec, samples=pts, tol=tol)
-        want_einstein = exp.get("einstein", None)
-        if want_einstein is False:
-            checks.append({"name": "einstein", "expected": False, "got": ev.is_einstein,
-                           "pass": not ev.is_einstein})
-        elif want_einstein is not None:
-            ok = ev.is_einstein and abs(ev.a - float(want_einstein)) <= 1e-8
-            checks.append({"name": "einstein", "expected": float(want_einstein),
-                           "got": ev.a if ev.is_einstein else None, "pass": ok})
+    report = _congruence_report(spec, cong, tol)
+    for fname, want in exp.get("flags", {}).items():
+        got = getattr(report, fname) if fname != "expansion" else report.expansion
+        checks.append({"name": f"flag_{fname}", "expected": want, "got": got,
+                       "pass": got == want})
 
-        if "ricci_diag" in exp:
-            _, S, _ = curvature_values_many(spec, pts)
-            want = np.diag(exp["ricci_diag"])
-            checks.append(_check("ricci_diag", np.max(np.abs(S - want)), 1e-9))
-        if "ricci_xi_xi" in exp:
-            _, S, _ = curvature_values_many(spec, pts)
-            checks.append(_check("ricci_xi_xi",
-                                 np.max(np.abs(S[:, 2, 2] - exp["ricci_xi_xi"])), 1e-9))
+    ev = _einstein_verdict(values["einstein"], tol)
+    want_einstein = exp.get("einstein", None)
+    if want_einstein is False:
+        checks.append({"name": "einstein", "expected": False, "got": ev.is_einstein,
+                       "pass": not ev.is_einstein})
+    elif want_einstein is not None:
+        ok = ev.is_einstein and abs(ev.a - float(want_einstein)) <= 1e-8
+        checks.append({"name": "einstein", "expected": float(want_einstein),
+                       "got": ev.a if ev.is_einstein else None, "pass": ok})
 
-        suites = run_suites(spec, "all", pts, tol=tol)
+    S = values["einstein"]["S"]
+    if "ricci_diag" in exp:
+        want = np.diag(exp["ricci_diag"])
+        checks.append(_check("ricci_diag", np.max(np.abs(S - want)), 1e-9))
+    if "ricci_xi_xi" in exp:
+        checks.append(_check("ricci_xi_xi", np.max(np.abs(S[:, 2, 2] - exp["ricci_xi_xi"])), 1e-9))
+
     passed = all(c["pass"] for c in checks) and suite_passed(suites)
     return {
         "entry": name,
@@ -370,5 +365,5 @@ def run(name: str, count: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
     }
 
 
-def run_all(count: int = 100, seed: int = 0, tol: float = 1e-8) -> dict:
+def run_all(count: int = DEFAULT_COUNT, seed: int = 0, tol: float = DEFAULT_TOL) -> dict:
     return {n: run(n, count, seed, tol) for n in names()}

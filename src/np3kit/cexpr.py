@@ -1,9 +1,16 @@
-"""Complex-valued symbolic scalars: pairs of real expressions.
+"""Complex-valued symbolic scalars, and the evaluation of trees of forms.
 
 The metric of an orthonormal frame extends complex-BILINEARLY (not
 sesquilinearly) to the complexified tangent space; that convention is what
 makes g(D, D) = 0 and g(D, Dbar) = 1 for D = (e1 - i e2)/sqrt(2).  All
 arithmetic here is plain complex-bilinear algebra over the real Expr layer.
+
+The geometry layers evaluate through :func:`eval_forms`, or its streamed
+form :func:`map_chunks`.  A sweep names everything it evaluates once, as a
+tree of forms: dicts and lists of ``Expr``, ``CExpr`` and tables (nested
+tuples) of them.  The distinct leaves compile into one tape, and the same
+tree comes back with arrays in place of forms, so each check reads its
+values by name from the tree it declared.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 from . import expr as E
 from .expr import Expr
 
-__all__ = ["CExpr", "c_const", "as_cexpr", "parts", "eval_parts"]
+__all__ = ["CExpr", "c_const", "as_cexpr", "eval_parts", "eval_forms", "map_chunks"]
 
 
 @dataclass(frozen=True)
@@ -60,19 +67,95 @@ class CExpr:
         return complex(re[0], im[0])
 
     def evaluate_many(self, points, params=None) -> np.ndarray:
-        ((re, im),) = eval_parts([self], points, params)
-        return re + 1j * im
-
-
-def parts(zs) -> list[Expr]:
-    """The real expressions behind complex ones: re, im, re, im, ..."""
-    return [x for z in zs for x in (z.re, z.im)]
+        return eval_forms(self, points, params)
 
 
 def eval_parts(zs, points, params=None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(re, im) value columns of several complex expressions, from one eval_batch."""
-    cols = E.eval_batch(parts(zs), points, params)
-    return list(zip(cols[0::2], cols[1::2]))
+    """(re, im) value columns of several complex expressions, from one tape."""
+    return [tuple(pair) for pair in eval_forms([[z.re, z.im] for z in zs], points, params)]
+
+
+def eval_forms(forms, points, params=None):
+    """The values of a tree of forms at (N,3) points, from one tape.
+
+    ``forms`` nests dicts and lists, which keep their shape.  Its leaves
+    become arrays: an ``Expr`` an (N,) column, a ``CExpr`` an (N,) complex
+    column ``re + 1j*im``, and a nested tuple of them (a table) one
+    (N, *shape) array, complex if its entries are.  The distinct nodes
+    under all leaves are computed once, in one ``expr.eval_batch`` call,
+    and a form that occurs more than once (the same object) gets one
+    array, shared by all its places.
+    """
+    cols = E.eval_batch(_leaves(forms, [], set()), points, params)
+    return _values(forms, iter(cols), {})
+
+
+def map_chunks(fn, forms, points, params=None) -> list:
+    """``fn(values)`` for the values of ``forms`` on each ``expr.CHUNK``-point
+    slice of ``points``, in order.
+
+    ``forms`` compiles into one tape, which every slice reuses, so the
+    values and whatever ``fn`` builds from them never grow past one chunk.
+    If a slice raises DomainError or UnboundParameter, the tree is
+    evaluated once over all points, which raises (or not) exactly as an
+    unchunked request would.
+    """
+    pts = E._points(points)
+    if len(pts) > E.CHUNK:
+        try:
+            tape = E._Tape(_leaves(forms, [], set()), params or {})
+            return [fn(_values(forms, iter(tape.run(pts[lo:lo + E.CHUNK])), {}))
+                    for lo in range(0, len(pts), E.CHUNK)]
+        except (E.DomainError, E.UnboundParameter):
+            pass  # which error, and where, is decided over all points
+    return [fn(eval_forms(forms, pts, params))]
+
+
+def _table(node: tuple):
+    """(shape, entries) of a nested tuple, its entries in row-major order."""
+    shape, entries = [], [node]
+    while isinstance(entries[0], tuple):
+        shape.append(len(entries[0]))
+        entries = [x for t in entries for x in t]
+    return shape, entries
+
+
+def _leaves(node, out: list, seen: set) -> list:
+    """The real expressions of the forms in a tree not in ``seen``, in order."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            _leaves(child, out, seen)
+    elif id(node) not in seen:
+        seen.add(id(node))
+        if isinstance(node, tuple):
+            for entry in _table(node)[1]:
+                _leaves(entry, out, seen)
+        else:
+            out += (node.re, node.im) if isinstance(node, CExpr) else (node,)
+    return out
+
+
+def _values(node, cols, memo: dict):
+    """``node`` with each form replaced by its values, read from ``cols`` in
+    the order of :func:`_leaves`; ``memo`` holds the forms already read."""
+    if isinstance(node, dict):
+        return {k: _values(v, cols, memo) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_values(v, cols, memo) for v in node]
+    key = id(node)
+    if key not in memo:
+        if isinstance(node, tuple):
+            shape, entries = _table(node)
+            memo[key] = np.stack([_values(x, cols, memo) for x in entries],
+                                 axis=-1).reshape(-1, *shape)
+        elif isinstance(node, CExpr):
+            re, im = next(cols), next(cols)
+            memo[key] = re + 1j * im
+        else:
+            memo[key] = next(cols)
+    return memo[key]
 
 
 def c_const(z) -> CExpr:

@@ -26,11 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as E
-from .cexpr import as_cexpr, c_const, eval_parts, parts
+from .cexpr import as_cexpr, c_const, eval_forms
 from .expr import Expr
-from .frame import (ManifoldSpec, _flatten, connection_table, curvature_roots,
-                    curvature_values_many, default_samples, eval_table_many,
+from .frame import (ManifoldSpec, connection_table, default_samples, riemann,
                     spec_cached)
 from .npcore import d_del, d_delbar, d_xi, ricci_complex, spin_coefficients
 from .sampling import InsufficientSamples
@@ -49,6 +47,7 @@ VERDICTS = ("NotTransSasakian", "TransSasakian", "C6", "AlphaSasakian",
 DEFAULT_TOL = 1e-8
 DEFAULT_TOL_CONST = 1e-6
 MIN_SAMPLES = 20
+DEFAULT_COUNT = 100  # points drawn (seed 0) when a sweep is given no samples
 
 # phi on frame components: rows are the images of (e1, e2, xi)
 PHI_MATRIX = ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
@@ -96,11 +95,20 @@ def induced_structure(spec: ManifoldSpec) -> InducedStructure:
     return InducedStructure(alpha=rho.im, beta=rho.re)
 
 
+def _spin_forms(spec: ManifoldSpec) -> list:
+    """[kappa, sigma, rho]: the forms that :func:`classify` evaluates."""
+    co = spin_coefficients(spec)
+    return [co.kappa, co.sigma, co.rho]
+
+
 def spin_samples(spec: ManifoldSpec, points):
     """(kappa, sigma, rho) complex arrays over sample points."""
-    co = spin_coefficients(spec)
-    return tuple(re + 1j * im
-                 for re, im in eval_parts((co.kappa, co.sigma, co.rho), points, spec.params))
+    return tuple(eval_forms(_spin_forms(spec), points, spec.params))
+
+
+def _samples(spec: ManifoldSpec, samples) -> np.ndarray:
+    """``samples`` as an array, or DEFAULT_COUNT seed-0 points of the spec's box."""
+    return default_samples(spec, DEFAULT_COUNT) if samples is None else np.asarray(samples)
 
 
 def verdict_from_samples(kappa, sigma, rho, tol=DEFAULT_TOL,
@@ -125,11 +133,16 @@ def verdict_from_samples(kappa, sigma, rho, tol=DEFAULT_TOL,
 
 
 def classify(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL,
-             tol_const=DEFAULT_TOL_CONST, count=100, seed=0) -> StructureClass:
-    pts = np.asarray(samples) if samples is not None else default_samples(spec, count, seed)
-    if len(pts) < MIN_SAMPLES:
-        raise InsufficientSamples(f"classification needs >= {MIN_SAMPLES} points, got {len(pts)}")
-    kappa, sigma, rho = spin_samples(spec, pts)
+             tol_const=DEFAULT_TOL_CONST) -> StructureClass:
+    pts = _samples(spec, samples)
+    return _structure_class(*spin_samples(spec, pts), tol, tol_const)
+
+
+def _structure_class(kappa, sigma, rho, tol=DEFAULT_TOL,
+                    tol_const=DEFAULT_TOL_CONST) -> StructureClass:
+    """:func:`classify` from the sampled kappa, sigma and rho."""
+    if len(rho) < MIN_SAMPLES:
+        raise InsufficientSamples(f"classification needs >= {MIN_SAMPLES} points, got {len(rho)}")
     verdict = verdict_from_samples(kappa, sigma, rho, tol, tol_const)
     alpha, beta = np.imag(rho), np.real(rho)
     am, bm = float(np.mean(alpha)), float(np.mean(beta))
@@ -144,7 +157,7 @@ def classify(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL,
         },
         tol=tol,
         tol_const=tol_const,
-        sample_count=len(pts),
+        sample_count=len(rho),
     )
 
 
@@ -173,49 +186,45 @@ def _ts_closed_forms(spec: ManifoldSpec) -> dict:
     }
 
 
+def _ts_identity_forms(spec: ManifoldSpec) -> dict:
+    """The forms :func:`ts_identity_residuals_many` evaluates."""
+    co, data, forms, S = (spin_coefficients(spec), riemann(spec), _ts_closed_forms(spec),
+                          ricci_complex(spec))
+    return {"kappa": co.kappa, "sigma": co.sigma, "R": data.riemann, "tau": data.scalar,
+            "gamma": connection_table(spec).gamma,
+            "closed": {k: forms[k] for k in ("rho", "xi_rho", "d_rho", "db_rhobar", "S_dx",
+                                             "S_xx", "S_ddb", "scalar")},
+            "ricci": {k: S[k] for k in ("dd", "dx", "xx", "ddb")}}
+
+
 def ts_identity_residuals_many(spec: ManifoldSpec, points, tol=DEFAULT_TOL) -> dict:
     """Per-point residual arrays of the trans-Sasakian curvature identities.
 
     Raises NotTransSasakian when kappa or sigma fails to vanish at any of
     the points.
     """
-    pts = np.asarray(points, dtype=float)
-    _require_trans_sasakian(spec, pts, tol)
-    with E.shared(pts, spec.params, _ts_identity_roots(spec)):
-        return _ts_identity_residuals(spec, pts)
+    values = eval_forms(_ts_identity_forms(spec), points, spec.params)
+    _require_trans_sasakian(spec.name, values, tol)
+    return _ts_identity_residuals(values)
 
 
-def _require_trans_sasakian(spec: ManifoldSpec, pts, tol):
-    kappa, sigma, _ = spin_samples(spec, pts)
-    worst = max(np.max(np.abs(kappa)), np.max(np.abs(sigma)))
+def _require_trans_sasakian(spec_name: str, values: dict, tol):
+    """Raise NotTransSasakian unless the sampled ``values["kappa"]`` and
+    ``values["sigma"]`` vanish to ``tol``."""
+    worst = max(np.max(np.abs(values["kappa"])), np.max(np.abs(values["sigma"])))
     if worst > tol:
-        raise NotTransSasakian(spec.name, worst)
+        raise NotTransSasakian(spec_name, worst)
 
 
-def _ts_identity_roots(spec: ManifoldSpec) -> list:
-    """The expressions :func:`ts_identity_residuals_many` evaluates once
-    kappa and sigma are known to vanish."""
-    co, forms, S = spin_coefficients(spec), _ts_closed_forms(spec), ricci_complex(spec)
-    return (parts((co.kappa, co.sigma, co.rho)) + curvature_roots(spec)
-            + _flatten(connection_table(spec).gamma, 3)
-            + parts((forms[k] for k in ("xi_rho", "d_rho", "db_rhobar", "S_dx", "S_xx",
-                                        "S_ddb", "scalar")))
-            + parts((S[k] for k in ("dd", "dx", "xx", "ddb"))))
+def _ts_identity_residuals(values: dict) -> dict:
+    """:func:`ts_identity_residuals_many` from the values of :func:`_ts_identity_forms`."""
+    forms, S = values["closed"], values["ricci"]
+    R, tau = values["R"].astype(complex), values["tau"]
+    gamma_vals = values["gamma"]
 
-
-def _ts_identity_residuals(spec: ManifoldSpec, pts) -> dict:
-    p = spec.params
-    forms = _ts_closed_forms(spec)
-    S = ricci_complex(spec)
-    R, _, tau = curvature_values_many(spec, pts)
-    R = R.astype(complex)
-    gamma_vals = eval_table_many(connection_table(spec).gamma, pts, p, 3)
-
-    rho = forms["rho"].evaluate_many(pts, p)
+    rho = forms["rho"]
     alpha, beta = rho.imag, rho.real
-    xi_rho = forms["xi_rho"].evaluate_many(pts, p)
-    d_rho = forms["d_rho"].evaluate_many(pts, p)
-    db_rhobar = forms["db_rhobar"].evaluate_many(pts, p)
+    xi_rho, d_rho, db_rhobar = forms["xi_rho"], forms["d_rho"], forms["db_rhobar"]
 
     out = {}
     # 2 alpha beta + d alpha(xi) = 0, in its complex form
@@ -248,14 +257,11 @@ def _ts_identity_residuals(spec: ManifoldSpec, pts) -> dict:
     out["R_delbar_xi_xi"] = np.max(np.abs(got - want), axis=1)
 
     # Ricci displays
-    out["ricci_del_del"] = np.abs(S["dd"].evaluate_many(pts, p))
-    out["ricci_del_xi"] = np.abs(S["dx"].evaluate_many(pts, p)
-                                 - forms["S_dx"].evaluate_many(pts, p))
-    out["ricci_xi_xi"] = np.abs(S["xx"].evaluate_many(pts, p)
-                                - forms["S_xx"].evaluate_many(pts, p))
-    out["ricci_del_delbar"] = np.abs(S["ddb"].evaluate_many(pts, p)
-                                     - forms["S_ddb"].evaluate_many(pts, p))
-    out["scalar_curvature"] = np.abs(tau - forms["scalar"].evaluate_many(pts, p))
+    out["ricci_del_del"] = np.abs(S["dd"])
+    out["ricci_del_xi"] = np.abs(S["dx"] - forms["S_dx"])
+    out["ricci_xi_xi"] = np.abs(S["xx"] - forms["S_xx"])
+    out["ricci_del_delbar"] = np.abs(S["ddb"] - forms["S_ddb"])
+    out["scalar_curvature"] = np.abs(tau - forms["scalar"])
 
     # nabla_X xi = -alpha phi X + beta (X - eta(X) xi)
     f = gamma_vals[:, :, 2, :]  # f[n][i][j] = Gamma_{i,xi,j}
@@ -283,7 +289,7 @@ def conformal_foliation_residual_many(spec: ManifoldSpec, points) -> np.ndarray:
     """
     g = connection_table(spec).gamma
     # (Lie_xi g)(e_a, e_b) = f_ab + f_ba with f_ab = Gamma_{a,xi,b}
-    theta, f11, f12, f21, f22 = E.eval_batch(
+    theta, f11, f12, f21, f22 = eval_forms(
         [spin_coefficients(spec).rho.re, g[0][2][0], g[0][2][1], g[1][2][0], g[1][2][1]],
         points, spec.params)
     return np.max(np.abs([2.0 * f11 - 2.0 * theta, f12 + f21, 2.0 * f22 - 2.0 * theta]), axis=0)
@@ -294,23 +300,29 @@ def conformal_foliation_residual(spec: ManifoldSpec, point) -> float:
     return float(conformal_foliation_residual_many(spec, [point])[0])
 
 
-def einstein_check(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL,
-                   count=100, seed=0) -> EinsteinVerdict:
+def _einstein_forms(spec: ManifoldSpec) -> dict:
+    """The forms :func:`einstein_check` evaluates."""
+    forms = _ts_closed_forms(spec)
+    return {"S": riemann(spec).ricci, "spin": _spin_forms(spec),
+            "closed": [forms["d_rho"], forms["S_ddb"], forms["S_xx"]]}
+
+
+def einstein_check(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL) -> EinsteinVerdict:
     """Is S = a g?  a is estimated as the mean of S(xi, xi) over samples."""
-    pts = np.asarray(samples) if samples is not None else default_samples(spec, count, seed)
-    co, forms = spin_coefficients(spec), _ts_closed_forms(spec)
-    closed = (forms["d_rho"], forms["S_ddb"], forms["S_xx"])
-    roots = curvature_roots(spec) + parts((co.kappa, co.sigma, co.rho)) + parts(closed)
-    with E.shared(pts, spec.params, roots):
-        _, S, _ = curvature_values_many(spec, pts)
-        a = float(np.mean(S[:, 2, 2]))
-        dev = float(np.max(np.abs(S - a * np.eye(3))))
-        residuals = {"max_abs_S_minus_a_g": dev}
-        kappa, sigma, rho = spin_samples(spec, pts)
-        if max(np.max(np.abs(kappa)), np.max(np.abs(sigma))) <= tol:
-            d_rho_vals, lhs, rhs = (re + 1j * im for re, im in
-                                    eval_parts(closed, pts, spec.params))
-            residuals["max_abs_d_rho"] = float(np.max(np.abs(d_rho_vals)))
-            residuals["einstein_closed_form"] = float(np.max(np.abs(lhs - rhs)))
+    pts = _samples(spec, samples)
+    return _einstein_verdict(eval_forms(_einstein_forms(spec), pts, spec.params), tol)
+
+
+def _einstein_verdict(values: dict, tol=DEFAULT_TOL) -> EinsteinVerdict:
+    """:func:`einstein_check` from the values of :func:`_einstein_forms`."""
+    S = values["S"]
+    a = float(np.mean(S[:, 2, 2]))
+    dev = float(np.max(np.abs(S - a * np.eye(3))))
+    residuals = {"max_abs_S_minus_a_g": dev}
+    kappa, sigma, _ = values["spin"]
+    if max(np.max(np.abs(kappa)), np.max(np.abs(sigma))) <= tol:
+        d_rho_vals, lhs, rhs = values["closed"]
+        residuals["max_abs_d_rho"] = float(np.max(np.abs(d_rho_vals)))
+        residuals["einstein_closed_form"] = float(np.max(np.abs(lhs - rhs)))
     return EinsteinVerdict(is_einstein=dev <= max(tol, tol * (1 + abs(a))), a=a,
                            residuals=residuals)

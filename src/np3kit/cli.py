@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from . import catalog
-from .classify import classify
+from .classify import (DEFAULT_COUNT, DEFAULT_TOL, DEFAULT_TOL_CONST, MIN_SAMPLES,
+                       classify)
 from .ektau import ektau_params, rigidity_obstruction, rigidity_sweep
 from .expr import DomainError, ParseError, UnboundParameter
 from .frame import (DegenerateFrame, ManifoldSpec, SchemaError,
@@ -105,8 +106,8 @@ def cmd_spin(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = _load_spec(args.spec)
-    if args.samples < 20:
-        raise _CliError(EXIT_INPUT, "--samples must be at least 20")
+    if args.samples < MIN_SAMPLES:
+        raise _CliError(EXIT_INPUT, f"--samples must be at least {MIN_SAMPLES}")
     t0 = time.perf_counter()
     try:
         pts = default_samples(spec, args.samples, seed=args.seed)
@@ -198,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing (breaks byte-stable output)")
         if sampled:
-            p.add_argument("--samples", type=int, default=100)
+            p.add_argument("--samples", type=int, default=DEFAULT_COUNT)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("spin", help="spin coefficients at a point")
     p.add_argument("spec", help="manifold-spec JSON file or catalog entry name")
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="structure classification over samples")
     p.add_argument("spec")
-    p.add_argument("--tol-const", type=float, default=1e-6)
+    p.add_argument("--tol-const", type=float, default=DEFAULT_TOL_CONST)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the verdict is NotTransSasakian")
     common(p)

@@ -71,10 +71,6 @@ class EkTauParams:
     def is_space_form(self) -> bool:
         return self.kappa == 4.0 * self.tau * self.tau and self.tau != 0.0
 
-    @property
-    def is_flat(self) -> bool:
-        return self.kappa == 0.0 and self.tau == 0.0
-
 
 def ektau_params(kappa: float, tau: float) -> EkTauParams:
     return EkTauParams(float(kappa), float(tau))

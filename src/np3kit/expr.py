@@ -39,21 +39,13 @@ Evaluation (:func:`eval_batch`) compiles the distinct nodes of the
 requested expressions into a tape and runs it over the points in chunks of
 ``CHUNK`` points: each distinct subterm is computed once per call, and
 memory holds the result columns plus one chunk of the values still live.
-Work shared *across* calls is the caller's to declare: a request opens
-``with shared(points, params, roots):``, the union of its roots is
-evaluated once, and later calls on the same points array read those
-columns.  Nothing is cached past the block.  A request over many points
-streams with :func:`map_chunks`: its roots compile into one tape, and its
-body runs once per ``CHUNK``-point slice inside a block over that slice,
-so the root columns and every temporary built from them stay one chunk
-long.  Peak memory is then set by ``CHUNK`` and the width of the DAG (the
-values live at once), not by the number of points.
+Nothing is kept after the call returns.  A request declares everything it
+evaluates up front, as one tree of forms (``cexpr.eval_forms``), so work
+shared across its checks is shared inside one tape.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,7 +59,7 @@ __all__ = [
     "sin", "cos", "tan", "exp", "log", "sqrt",
     "const", "coord", "param", "as_expr",
     "parse", "unparse", "differentiate", "evaluate", "evaluate_many",
-    "eval_batch", "shared", "Shared", "map_chunks", "CHUNK", "simplify",
+    "eval_batch", "CHUNK", "simplify",
 ]
 
 FUNCTIONS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
@@ -463,19 +455,9 @@ def eval_batch(exprs, points, params=None) -> list[np.ndarray]:
     The distinct nodes reachable from ``exprs`` are compiled into one tape,
     which runs over the points in chunks of ``CHUNK``: each distinct
     subterm is computed once, and memory holds the result columns plus one
-    chunk of the values still live.  Inside a :func:`shared` block on the
-    same points array and params, expressions the block holds are read
-    from it instead of computed.  Nothing is kept after the call returns.
+    chunk of the values still live.
     """
-    pts = _points(points)
-    params = params or {}
-    scope = _SCOPE.get()
-    if scope is not None and (scope.points is not pts or scope.params != params):
-        scope = None
-    tape = _Tape(exprs, params, scope.table if scope is not None else {})
-    if scope is not None and tape.computed:
-        scope.missed.append(tape.computed)
-    return tape.run(pts)
+    return _Tape(exprs, params or {}).run(_points(points))
 
 
 def _points(points) -> np.ndarray:
@@ -483,99 +465,6 @@ def _points(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (N, 3)")
     return pts
-
-
-class Shared:
-    """The root columns of one :func:`shared` block.
-
-    ``missed`` gets one entry per ``eval_batch`` call the block served that
-    still had to compute nodes: the number of nodes it computed.
-    """
-
-    def __init__(self, points, params, table):
-        self.points = points
-        self.params = params
-        self.table = table  # id(root) -> (root, column); the root pins its id
-        self.missed: list[int] = []
-
-
-# The innermost open shared() block of the running thread or task.  A
-# context variable, not a plain global, so that callers that run requests
-# on threads of their own each see only their own block.
-_SCOPE: contextvars.ContextVar = contextvars.ContextVar("np3kit_shared", default=None)
-
-
-@contextlib.contextmanager
-def shared(points, params, roots):
-    """Evaluate ``roots`` once and serve them to ``eval_batch`` inside the block.
-
-    The union of ``roots`` (expressions, or a tape :func:`map_chunks`
-    compiled from them) runs as one tape and only the root columns are
-    kept.  ``eval_batch`` calls in the block on the same points array (the
-    same object) and equal params read those columns as leaves of their
-    own tapes.  The columns are dropped when the block exits.  A block
-    opened on the points and params of the enclosing block reuses it.  A
-    prefetch that raises DomainError or UnboundParameter is discarded:
-    every call then computes what it needs and raises where it would
-    without the block.
-    """
-    pts = _points(points)
-    params = params or {}
-    outer = _SCOPE.get()
-    if outer is not None and outer.points is pts and outer.params == params:
-        yield outer
-        return
-    scope = Shared(pts, params, _prefetch(pts, params, roots))
-    token = _SCOPE.set(scope)
-    try:
-        yield scope
-    finally:
-        _SCOPE.reset(token)
-
-
-def _prefetch(pts, params, roots) -> dict:
-    """id(root) -> (root, read-only column), or {} if evaluation raises.
-
-    A function of its own so that the tape, which can be large, is freed
-    before the block's body runs.
-    """
-    try:
-        tape = roots if isinstance(roots, _Tape) else _Tape(roots, params, {})
-        cols = tape.run(pts)
-    except (DomainError, UnboundParameter):
-        return {}
-    for col in cols:
-        col.flags.writeable = False  # one column goes to many callers
-    return {id(f): (f, col) for f, col in zip(tape.roots, cols)}
-
-
-def map_chunks(fn, points, params, roots) -> list:
-    """``fn(part)`` for each ``CHUNK``-point slice of ``points``, each call
-    inside a :func:`shared` block over ``roots`` on that slice.
-
-    The roots are compiled into one tape, which every slice reuses, so the
-    root columns and whatever ``fn`` builds from them never grow past one
-    chunk.  Points that fit in one chunk are passed as they are, the same
-    array object, so blocks already open on them are reused.  Returns the
-    results in order.  If a slice raises DomainError or UnboundParameter,
-    the whole request runs again as one block over all points, which
-    raises (or not) exactly as an unchunked request would.
-    """
-    pts = _points(points)
-    roots = list(roots)
-    if len(pts) > CHUNK:
-        try:
-            tape = _Tape(roots, params or {}, {})
-            out = []
-            for lo in range(0, len(pts), CHUNK):
-                part = pts[lo:lo + CHUNK]
-                with shared(part, params, tape):
-                    out.append(fn(part))
-            return out
-        except (DomainError, UnboundParameter):
-            pass  # which error, and where, is decided over all points
-    with shared(pts, params, roots):
-        return [fn(pts)]
 
 
 def _log(u):
@@ -617,14 +506,14 @@ class _Tape:
     first), the order their domain checks run in.  Each value gets a slot,
     and a slot is reused once its value has had its last use, so a pass
     holds only live values; roots stay live to the end of the pass.
-    Constants and parameters are Python floats; coordinates and table hits
-    are leaves, sliced per chunk.
+    Constants and parameters are Python floats; coordinates are leaves,
+    sliced per chunk.
     """
 
-    def __init__(self, exprs, params, table):
-        self.roots = roots = list(exprs)
+    def __init__(self, exprs, params):
+        roots = list(exprs)
         num: dict[int, int] = {}  # id(node) -> value number
-        hits, consts, coords = [], [], []  # (value, column | float | index)
+        consts, coords = [], []  # (value, float | index)
         code = []  # (routine, out, a, b) over values; b is None for unary nodes
         for f in roots:
             stack = [f]
@@ -635,11 +524,8 @@ class _Tape:
                     stack.pop()
                     continue
                 v = len(num)
-                hit = table.get(key) if table else None
                 kind = type(e)
-                if hit is not None:
-                    hits.append((v, hit[1]))
-                elif kind is Binary:
+                if kind is Binary:
                     a, b = num.get(id(e.left)), num.get(id(e.right))
                     if a is None or b is None:
                         if a is None:
@@ -665,7 +551,6 @@ class _Tape:
                         raise UnboundParameter(e.name) from None
                 stack.pop()
                 num[key] = v
-        self.computed = len(num) - len(hits)
 
         last = {}
         for pos, (_, _, a, b) in enumerate(code):
@@ -673,7 +558,7 @@ class _Tape:
         for f in roots:
             last[num[id(f)]] = len(code)
         slot, free, fresh = {}, [], itertools.count()
-        for v, _ in consts + coords + hits:
+        for v, _ in consts + coords:
             slot[v] = next(fresh)
         self.code = []
         for pos, (fn, out, a, b) in enumerate(code):
@@ -689,16 +574,13 @@ class _Tape:
         for v, value in consts:
             self.template[slot[v]] = value
         self.coords = [(slot[v], k) for v, k in coords]
-        self.hits = [(slot[v], col) for v, col in hits]
-        # a root read from the table is returned as it is, the others by slot
-        held = dict(hits)
-        self.outputs = [held.get(v, slot[v]) for v in (num[id(f)] for f in roots)]
+        self.outputs = [slot[num[id(f)]] for f in roots]
 
     def run(self, pts: np.ndarray, chunk: int = CHUNK) -> list[np.ndarray]:
         n = len(pts)
         xyz = pts.T.copy()  # contiguous coordinate columns
-        leaves = [(s, xyz[k]) for s, k in self.coords] + self.hits
-        cols = {s: np.empty(n) for s in self.outputs if isinstance(s, int)}
+        leaves = [(s, xyz[k]) for s, k in self.coords]
+        cols = {s: np.empty(n) for s in self.outputs}
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 for lo in range(0, n, chunk):
@@ -714,7 +596,7 @@ class _Tape:
             if chunk < n:
                 self.run(pts, n)  # one pass raises at the first failing node
             raise
-        return [cols[s] if isinstance(s, int) else s for s in self.outputs]
+        return [cols[s] for s in self.outputs]
 
 
 # --------------------------------------------------------------------------

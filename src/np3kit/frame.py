@@ -24,12 +24,14 @@ flips the sign of the twist.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as E
+from .cexpr import eval_forms
 from .expr import Expr
 from .sampling import sample_box
 
@@ -167,7 +169,6 @@ def spec_to_document(spec: ManifoldSpec) -> dict:
 
 
 def spec_hash(spec: ManifoldSpec) -> str:
-    import hashlib
     doc = json.dumps(spec_to_document(spec), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
@@ -178,7 +179,7 @@ def default_samples(spec: ManifoldSpec, count: int, seed: int = 0) -> np.ndarray
 
 def _check_nondegenerate(spec: ManifoldSpec, probes: int = 8):
     pts = default_samples(spec, probes, seed=0)
-    dets = np.linalg.det(eval_table_many(spec.frame, pts, spec.params, 2))
+    dets = np.linalg.det(eval_forms(spec.frame, pts, spec.params))
     worst = float(np.min(np.abs(dets)))
     if worst <= DET_THRESHOLD:
         raise DegenerateFrame(
@@ -331,42 +332,18 @@ def riemann(spec: ManifoldSpec) -> CurvatureData:
     )
 
 
-def _flatten(table, depth):
-    if depth == 0:
-        return [table]
-    out = []
-    for t in table:
-        out.extend(_flatten(t, depth - 1))
-    return out
+def eval_table_many(table, points, params, depth=None) -> np.ndarray:
+    """Evaluate a nested tuple of Exprs at (N,3) points -> array (N, *shape).
 
-
-def eval_table_many(table, points, params, depth) -> np.ndarray:
-    """Evaluate a nested tuple of Exprs at (N,3) points -> array (N, *shape)."""
-    flat = _flatten(table, depth)
-    cols = E.eval_batch(flat, points, params)
-    n = len(np.asarray(points))
-    shape = []
-    t = table
-    for _ in range(depth):
-        shape.append(len(t))
-        t = t[0]
-    return np.stack(cols, axis=-1).reshape(n, *shape)
-
-
-def curvature_roots(spec: ManifoldSpec) -> list:
-    """The 81 Riemann, 9 Ricci and 1 scalar expressions, flattened in order."""
-    data = riemann(spec)
-    return _flatten(data.riemann, 4) + _flatten(data.ricci, 2) + [data.scalar]
+    ``depth``, the number of tuple levels, is read off the table itself.
+    """
+    return eval_forms(table, points, params)
 
 
 def curvature_values_many(spec: ManifoldSpec, points):
     """(R, S, tau) numeric arrays at (N,3) points: shapes (N,3,3,3,3), (N,3,3), (N,)."""
-    cols = E.eval_batch(curvature_roots(spec), points, spec.params)
-    n = len(np.asarray(points))
-    R = np.stack(cols[:81], axis=-1).reshape(n, 3, 3, 3, 3)
-    S = np.stack(cols[81:90], axis=-1).reshape(n, 3, 3)
-    tau = cols[90]
-    return R, S, tau
+    data = riemann(spec)
+    return tuple(eval_forms([data.riemann, data.ricci, data.scalar], points, spec.params))
 
 
 def curvature_values(spec: ManifoldSpec, point):

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .cexpr import CExpr, as_cexpr, c_const, eval_parts
+from .cexpr import CExpr, as_cexpr, c_const, eval_forms, eval_parts
 from .expr import Expr
-from .frame import (ManifoldSpec, connection_table, eval_table_many,
-                    frame_directional, riemann, spec_cached)
+from .frame import (ManifoldSpec, connection_table, frame_directional, riemann,
+                    spec_cached)
 
 __all__ = [
     "SpinCoefficients", "KinematicDecomposition", "GaugeAngle",
@@ -99,7 +99,11 @@ def np_metric_residuals(spec: ManifoldSpec, points) -> dict:
     The coordinate metric is reconstructed numerically from the frame:
     F G F^T = I.
     """
-    vals = eval_table_many(spec.frame, points, spec.params, 2)
+    return _metric_relations(eval_forms(spec.frame, points, spec.params))
+
+
+def _metric_relations(vals) -> dict:
+    """:func:`np_metric_residuals` from the (N,3,3) frame values."""
     G = np.linalg.inv(np.swapaxes(vals, 1, 2) @ vals)  # coordinate metric (F^T F)^-1
     G = np.einsum("nil,nlm,njm->nij", vals, G, vals)   # frame metric: identity
     # complex frame in frame components is constant; metric relations follow
@@ -227,9 +231,8 @@ def kinematics(coeffs: SpinCoefficients) -> KinematicDecomposition:
 def epsilon_realness(spec: ManifoldSpec, points) -> float:
     """Max |Re eps| over samples: reported, not assumed (it vanishes
     identically for orthonormal frames since 2 Re eps = xi(g(D, Dbar)))."""
-    coeffs = spin_coefficients(spec)
-    vals = E.evaluate_many(coeffs.epsilon_np.re, points, spec.params)
-    return float(np.max(np.abs(vals)))
+    eps = eval_forms(spin_coefficients(spec).epsilon_np.re, points, spec.params)
+    return float(np.max(np.abs(eps)))
 
 
 def grad_xi_norm_sq(spec: ManifoldSpec) -> Expr:
@@ -323,7 +326,7 @@ def _sachs_exprs(spec: ManifoldSpec):
     kb, sb, rb, bb = k.conj(), s.conj(), r.conj(), b.conj()
     S = ricci_complex(spec)
     half = c_const(0.5)
-    return [
+    return (
         # xi(sigma) - D(kappa) = kappa^2 + 2 sigma eps - sigma(rho+conj rho)
         #                        - kappa beta + S(D,D)
         d_xi(spec, s) - d_del(spec, k)
@@ -344,7 +347,7 @@ def _sachs_exprs(spec: ManifoldSpec):
         #                          + kappa conj(beta) + S(xi,xi)/2
         -d_xi(spec, r) - d_delbar(spec, k)
         - (as_cexpr(k.abs2()) + as_cexpr(s.abs2()) + r * r + k * bb + half * S["xx"]),
-    ]
+    )
 
 
 def sachs_residuals(spec: ManifoldSpec, point) -> list[complex]:
@@ -353,8 +356,7 @@ def sachs_residuals(spec: ManifoldSpec, point) -> list[complex]:
 
 
 def sachs_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
-    cols = eval_parts(_sachs_exprs(spec), points, spec.params)
-    return np.stack([re + 1j * im for re, im in cols], axis=1)
+    return eval_forms(_sachs_exprs(spec), points, spec.params)
 
 
 @spec_cached
@@ -374,7 +376,7 @@ def _bianchi_exprs(spec: ManifoldSpec):
     res_d = (d_xi(spec, S["dx"]) - half * d_del(spec, S["xx"]) + d_delbar(spec, S["dd"])
              - (k * S["xx"] + (e - rb - two * r) * S["dx"] + s * S["dbx"]
                 - (kb + two * bb) * S["dd"] - k * S["ddb"]))
-    return [res_xi, res_d]
+    return (res_xi, res_d)
 
 
 def bianchi_residuals(spec: ManifoldSpec, point) -> list[complex]:
@@ -383,8 +385,7 @@ def bianchi_residuals(spec: ManifoldSpec, point) -> list[complex]:
 
 
 def bianchi_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
-    cols = eval_parts(_bianchi_exprs(spec), points, spec.params)
-    return np.stack([re + 1j * im for re, im in cols], axis=1)
+    return eval_forms(_bianchi_exprs(spec), points, spec.params)
 
 
 @spec_cached
@@ -406,9 +407,12 @@ def ricci_from_sachs_many(spec: ManifoldSpec, points) -> np.ndarray:
     """(N,3,3) real-frame Ricci reconstructed by solving the Sachs equations
     for the curvature terms; independent of riemann() except through the
     connection."""
-    ex = _sachs_ricci_exprs(spec)
-    v_dd, v_dx, v_xx, v_ddb = (re + 1j * im for re, im in eval_parts(
-        [ex[k] for k in ("dd", "dx", "xx", "ddb")], points, spec.params))
+    return _real_ricci(eval_forms(_sachs_ricci_exprs(spec), points, spec.params))
+
+
+def _real_ricci(v: dict) -> np.ndarray:
+    """(N,3,3) real-frame Ricci from its complex-frame columns dd, dx, xx, ddb."""
+    v_dd, v_dx, v_xx, v_ddb = v["dd"], v["dx"], v["xx"], v["ddb"]
     out = np.empty((len(v_dd), 3, 3))
     out[:, 0, 0] = v_dd.real + v_ddb.real
     out[:, 1, 1] = -v_dd.real + v_ddb.real
@@ -417,4 +421,3 @@ def ricci_from_sachs_many(spec: ManifoldSpec, points) -> np.ndarray:
     out[:, 1, 2] = out[:, 2, 1] = -_SQ2 * v_dx.imag
     out[:, 2, 2] = v_xx.real
     return out
-

@@ -5,17 +5,19 @@ list of checks.  These identities hold exactly for the Levi-Civita
 connection, so with exact symbolic differentiation the only residual is
 floating-point roundoff; the default tolerance is absolute 1e-8.
 
-:func:`run_suites` runs a whole request, and it streams.  The union of
-the suites' roots is compiled into one tape, which runs over
-``expr.CHUNK``-point slices of the samples (``expr.map_chunks``); every
-suite runs on each slice inside that slice's block, and each check folds
-into a running max from which ``pass`` is recomputed.  So neither the root
-columns nor any suite temporary grows past one chunk: peak memory is set
-by the chunk size and the width of the DAG, not by the sample count.  Two
-outcomes are decided over all points: the ts suite's NotTransSasakian skip
-reports the worst max(|kappa|, |sigma|) of the whole sample, and a
-DomainError reruns the request unchunked, so it names the node it would
-name unchunked.
+A suite is two functions: ``forms(spec)``, the tree of forms it reads
+(see ``cexpr.eval_forms``), and ``checks(spec, values, tol)``, numpy only,
+which turns that tree's values into check records; it reads ``spec`` only
+for its name.  :func:`run_suites` runs a whole request, and it streams.
+The union of the suites' trees is compiled into one tape, which runs over
+``expr.CHUNK``-point slices of the samples (``cexpr.map_chunks``); every
+suite checks each slice's values, and each check folds into a running max
+from which ``pass`` is recomputed.  So neither the values nor any suite
+temporary grows past one chunk: peak memory is set by the chunk size and
+the width of the DAG, not by the sample count.  Two outcomes are decided
+over all points: the ts suite's NotTransSasakian skip reports the worst
+max(|kappa|, |sigma|) of the whole sample, and a DomainError reruns the
+request unchunked, so it names the node it would name unchunked.
 """
 
 from __future__ import annotations
@@ -24,25 +26,19 @@ import functools
 
 import numpy as np
 
-from . import expr as E
-from .cexpr import parts
-from .classify import (NotTransSasakian, _require_trans_sasakian,
-                       _ts_identity_residuals, _ts_identity_roots, spin_samples)
-from .frame import (ManifoldSpec, _flatten, _kulkarni_nomizu_residual,
-                    connection_table, curvature_roots, curvature_values_many,
-                    eval_table_many, structure_functions)
-from .npcore import (_bianchi_exprs, _sachs_exprs, _sachs_ricci_exprs,
-                     bianchi_residuals_many, epsilon_realness, grad_xi_norm_sq,
-                     np_metric_residuals, ricci_from_sachs_many,
-                     sachs_residuals_many, spin_coefficients,
+from .cexpr import map_chunks
+from .classify import (DEFAULT_TOL, NotTransSasakian, _require_trans_sasakian,
+                       _ts_identity_forms, _ts_identity_residuals)
+from .frame import (ManifoldSpec, _kulkarni_nomizu_residual, connection_table, riemann,
+                    structure_functions)
+from .npcore import (_bianchi_exprs, _metric_relations, _real_ricci, _sachs_exprs,
+                     _sachs_ricci_exprs, grad_xi_norm_sq, spin_coefficients,
                      spin_coefficients_from_f)
-from .xi import divergence_xi, rough_laplacian_xi
+from .xi import _congruence_forms, divergence_xi, rough_laplacian_xi
 
-__all__ = ["SUITE_NAMES", "run_suite", "run_suites", "suite_passed", "suite_roots"]
+__all__ = ["SUITE_NAMES", "run_suite", "run_suites", "run_request", "suite_passed"]
 
 SUITE_NAMES = ("sachs", "bianchi", "kn", "ts", "xi")
-
-DEFAULT_TOL = 1e-8
 
 
 def _check(name, value, tol):
@@ -51,16 +47,19 @@ def _check(name, value, tol):
     return {"name": name, "max_residual": value, "tolerance": tol, "pass": bool(value <= tol)}
 
 
-def _suite_kn(spec: ManifoldSpec, pts, tol) -> list:
-    p = spec.params
+def _forms_kn(spec: ManifoldSpec) -> dict:
+    data = riemann(spec)
+    return {"gamma": connection_table(spec).gamma, "c": structure_functions(spec).c,
+            "R": data.riemann, "S": data.ricci, "tau": data.scalar, "frame": spec.frame}
+
+
+def _checks_kn(spec, v, tol) -> list:
+    gamma, c, R, S, tau = v["gamma"], v["c"], v["R"], v["S"], v["tau"]
     checks = []
-    gamma = eval_table_many(connection_table(spec).gamma, pts, p, 3)
-    c = eval_table_many(structure_functions(spec).c, pts, p, 3)
     checks.append(_check("metric_compatibility",
                          np.max(np.abs(gamma + np.swapaxes(gamma, 2, 3))), tol))
     checks.append(_check("torsion_free",
                          np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2) - c)), tol))
-    R, S, tau = curvature_values_many(spec, pts)
     checks.append(_check("riemann_antisym_first_pair",
                          np.max(np.abs(R + np.swapaxes(R, 1, 2))), tol))
     checks.append(_check("riemann_antisym_last_pair",
@@ -74,116 +73,93 @@ def _suite_kn(spec: ManifoldSpec, pts, tol) -> list:
     checks.append(_check("kulkarni_nomizu", np.max(_kulkarni_nomizu_residual(R, S, tau)), tol))
     half_trace = 0.5 * (S[:, 0, 0] + S[:, 1, 1] + S[:, 2, 2])
     checks.append(_check("scalar_convention", np.max(np.abs(tau - half_trace)), tol))
-    checks.append(_check("np_metric", max(np_metric_residuals(spec, pts).values()), tol))
-    return checks
-
-
-def _suite_sachs(spec: ManifoldSpec, pts, tol) -> list:
-    res = sachs_residuals_many(spec, pts)
-    names = ("sachs_shear", "sachs_del_rho", "sachs_beta_eps",
-             "sachs_transverse_ricci", "sachs_xi_rho")
-    checks = [_check(n, np.max(np.abs(res[:, i])), tol) for i, n in enumerate(names)]
-    _, S, _ = curvature_values_many(spec, pts)
-    rec = ricci_from_sachs_many(spec, pts)
-    checks.append(_check("ricci_from_sachs", np.max(np.abs(S - rec)), tol))
-    # the two routes to the spin coefficients must agree
-    a, b = spin_coefficients(spec), spin_coefficients_from_f(spec)
-    worst = 0.0
-    for name in _SPIN_NAMES:
-        va = getattr(a, name).evaluate_many(pts, spec.params)
-        vb = getattr(b, name).evaluate_many(pts, spec.params)
-        worst = max(worst, float(np.max(np.abs(va - vb))))
-    checks.append(_check("spin_coefficient_routes", worst, 1e-10))
-    return checks
-
-
-def _suite_bianchi(spec: ManifoldSpec, pts, tol) -> list:
-    res = bianchi_residuals_many(spec, pts)
-    return [
-        _check("bianchi_xi_component", np.max(np.abs(res[:, 0])), tol),
-        _check("bianchi_del_component", np.max(np.abs(res[:, 1])), tol),
-    ]
-
-
-def _suite_ts(spec: ManifoldSpec, pts, tol) -> list:
-    # NotTransSasakian propagates: run_suites decides the skip over all points
-    _require_trans_sasakian(spec, pts, max(tol, 1e-8))
-    res = _ts_identity_residuals(spec, pts)
-    checks = [_check(f"ts_{name}", np.max(vals), tol) for name, vals in res.items()]
-    p = spec.params
-    co = spin_coefficients(spec)
-    rho = co.rho.evaluate_many(pts, p)
-    div = divergence_xi(spec)
-    div_vals = E.evaluate_many(div.direct, pts, p)
-    checks.append(_check("ts_div_2theta", np.max(np.abs(div_vals - 2 * rho.real)), tol))
-    grad = E.evaluate_many(grad_xi_norm_sq(spec), pts, p)
-    checks.append(_check("ts_grad_norm_2rho2",
-                         np.max(np.abs(grad - 2 * np.abs(rho) ** 2)), tol))
-    lap = rough_laplacian_xi(spec)
-    checks.append(_check("ts_laplacian_closed_form", lap.max_discrepancy(pts, p), tol))
-    lap_vals = eval_table_many(lap.generic, pts, p, 1)
-    checks.append(_check("ts_bochner", np.max(np.abs(lap_vals[:, 2] - grad)), tol))
-    return checks
-
-
-def _suite_xi(spec: ManifoldSpec, pts, tol) -> list:
-    p = spec.params
-    lap = rough_laplacian_xi(spec)
-    div = divergence_xi(spec)
-    checks = [
-        _check("laplacian_routes", lap.max_discrepancy(pts, p), tol),
-        _check("divergence_routes", div.max_discrepancy(pts, p), tol),
-    ]
-    grad = E.evaluate_many(grad_xi_norm_sq(spec), pts, p)
-    lap_vals = eval_table_many(lap.generic, pts, p, 1)
-    checks.append(_check("bochner_reduction", np.max(np.abs(lap_vals[:, 2] - grad)), tol))
-    kappa, sigma, rho = spin_samples(spec, pts)
-    norm_np = 2 * (np.abs(kappa) ** 2 + np.abs(rho) ** 2 + np.abs(sigma) ** 2)
-    checks.append(_check("grad_norm_spin_identity", np.max(np.abs(grad - norm_np)), tol))
-    checks.append(_check("epsilon_purely_imaginary", epsilon_realness(spec, pts), tol))
+    checks.append(_check("np_metric", max(_metric_relations(v["frame"]).values()), tol))
     return checks
 
 
 _SPIN_NAMES = ("kappa", "sigma", "rho", "beta_np", "epsilon_np")
 
 
-# the expressions each suite evaluates over its full sample array, so that
-# one shared() prefetch serves the whole suite
-def _roots_kn(spec):
-    return (_flatten(connection_table(spec).gamma, 3) + _flatten(structure_functions(spec).c, 3)
-            + curvature_roots(spec) + _flatten(spec.frame, 2))
-
-
-def _roots_sachs(spec):
+def _forms_sachs(spec: ManifoldSpec) -> dict:
     routes = (spin_coefficients(spec), spin_coefficients_from_f(spec))
-    return (parts(_sachs_exprs(spec)) + curvature_roots(spec)
-            + parts(_sachs_ricci_exprs(spec).values())
-            + parts((getattr(co, name) for co in routes for name in _SPIN_NAMES)))
+    return {"res": _sachs_exprs(spec), "S": riemann(spec).ricci,
+            "rec": _sachs_ricci_exprs(spec),
+            "routes": [[getattr(co, name) for name in _SPIN_NAMES] for co in routes]}
 
 
-def _roots_bianchi(spec):
-    return parts(_bianchi_exprs(spec))
+def _checks_sachs(spec, v, tol) -> list:
+    res = v["res"]
+    names = ("sachs_shear", "sachs_del_rho", "sachs_beta_eps",
+             "sachs_transverse_ricci", "sachs_xi_rho")
+    checks = [_check(n, np.max(np.abs(res[:, i])), tol) for i, n in enumerate(names)]
+    checks.append(_check("ricci_from_sachs", np.max(np.abs(v["S"] - _real_ricci(v["rec"]))), tol))
+    # the two routes to the spin coefficients must agree
+    worst = 0.0
+    for va, vb in zip(*v["routes"]):
+        worst = max(worst, float(np.max(np.abs(va - vb))))
+    checks.append(_check("spin_coefficient_routes", worst, 1e-10))
+    return checks
 
 
-def _roots_ts(spec):
+def _forms_bianchi(spec: ManifoldSpec) -> dict:
+    return {"res": _bianchi_exprs(spec)}
+
+
+def _checks_bianchi(spec, v, tol) -> list:
+    res = v["res"]
+    return [
+        _check("bianchi_xi_component", np.max(np.abs(res[:, 0])), tol),
+        _check("bianchi_del_component", np.max(np.abs(res[:, 1])), tol),
+    ]
+
+
+def _forms_ts(spec: ManifoldSpec) -> dict:
     lap = rough_laplacian_xi(spec)
-    return (_ts_identity_roots(spec) + [divergence_xi(spec).direct, grad_xi_norm_sq(spec)]
-            + list(lap.generic) + list(lap.np_closed))
+    return {"ts": _ts_identity_forms(spec), "div": divergence_xi(spec).direct,
+            "grad": grad_xi_norm_sq(spec), "lap": lap.generic, "lap_np": lap.np_closed}
 
 
-def _roots_xi(spec):
-    co, lap, div = spin_coefficients(spec), rough_laplacian_xi(spec), divergence_xi(spec)
-    return (list(lap.generic) + list(lap.np_closed) + [div.direct, div.np_form]
-            + [grad_xi_norm_sq(spec)] + parts((co.kappa, co.sigma, co.rho))
-            + [co.epsilon_np.re])
+def _checks_ts(spec, v, tol) -> list:
+    # NotTransSasakian propagates: run_suites decides the skip over all points
+    _require_trans_sasakian(spec.name, v["ts"], max(tol, DEFAULT_TOL))
+    res = _ts_identity_residuals(v["ts"])
+    checks = [_check(f"ts_{name}", np.max(vals), tol) for name, vals in res.items()]
+    rho, grad, lap = v["ts"]["closed"]["rho"], v["grad"], v["lap"]
+    checks.append(_check("ts_div_2theta", np.max(np.abs(v["div"] - 2 * rho.real)), tol))
+    checks.append(_check("ts_grad_norm_2rho2",
+                         np.max(np.abs(grad - 2 * np.abs(rho) ** 2)), tol))
+    checks.append(_check("ts_laplacian_closed_form", np.max(np.abs(lap - v["lap_np"])), tol))
+    checks.append(_check("ts_bochner", np.max(np.abs(lap[:, 2] - grad)), tol))
+    return checks
 
 
+def _forms_xi(spec: ManifoldSpec) -> dict:
+    return {"congruence": _congruence_forms(spec),
+            "eps_re": spin_coefficients(spec).epsilon_np.re}
+
+
+def _checks_xi(spec, v, tol) -> list:
+    cong = v["congruence"]
+    grad, lap = cong["grad"], cong["lap"]
+    checks = [
+        _check("laplacian_routes", np.max(np.abs(lap - cong["lap_np"])), tol),
+        _check("divergence_routes", np.max(np.abs(cong["div"] - cong["div_np"])), tol),
+        _check("bochner_reduction", np.max(np.abs(lap[:, 2] - grad)), tol),
+    ]
+    kappa, sigma, rho = cong["kappa"], cong["sigma"], cong["rho"]
+    norm_np = 2 * (np.abs(kappa) ** 2 + np.abs(rho) ** 2 + np.abs(sigma) ** 2)
+    checks.append(_check("grad_norm_spin_identity", np.max(np.abs(grad - norm_np)), tol))
+    checks.append(_check("epsilon_purely_imaginary", np.max(np.abs(v["eps_re"])), tol))
+    return checks
+
+
+# name -> (forms, checks)
 _SUITES = {
-    "kn": (_suite_kn, _roots_kn),
-    "sachs": (_suite_sachs, _roots_sachs),
-    "bianchi": (_suite_bianchi, _roots_bianchi),
-    "ts": (_suite_ts, _roots_ts),
-    "xi": (_suite_xi, _roots_xi),
+    "kn": (_forms_kn, _checks_kn),
+    "sachs": (_forms_sachs, _checks_sachs),
+    "bianchi": (_forms_bianchi, _checks_bianchi),
+    "ts": (_forms_ts, _checks_ts),
+    "xi": (_forms_xi, _checks_xi),
 }
 
 
@@ -193,37 +169,55 @@ def _suite(name: str):
     return _SUITES[name]
 
 
-def suite_roots(spec: ManifoldSpec, names) -> list:
-    """The expressions the named suites evaluate over their sample array.
-
-    Drivers prefetch their union in one ``expr.shared`` block before any
-    suite runs, so subterms shared across suites are computed once.
-    """
-    return [r for name in names for r in _suite(name)[1](spec)]
-
-
 def run_suite(spec: ManifoldSpec, name: str, pts, tol=DEFAULT_TOL) -> list:
     return run_suites(spec, [name], pts, tol)[name]
 
 
 def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL) -> dict:
     """Run the named suites over ``pts`` as one streamed request."""
+    return run_request(spec, names, pts, {}, tol)[0]
+
+
+def run_request(spec: ManifoldSpec, names, pts, keep: dict, tol=DEFAULT_TOL) -> tuple:
+    """(:func:`run_suites`, the values of the tree of forms ``keep`` at every point).
+
+    ``keep`` rides in the same streamed request as the suites: the union of
+    all the trees is one tape, and only ``keep``'s values are kept beyond
+    their chunk.
+    """
     if names == "all" or names == ["all"]:
         names = list(SUITE_NAMES)
     if isinstance(names, str):
         names = [names]
-    results = E.map_chunks(lambda part: {n: _run_one(spec, n, part, tol) for n in names},
-                           pts, spec.params, suite_roots(spec, names))
+    forms = {"suites": {n: _suite(n)[0](spec) for n in names}, "keep": keep}
+
+    def chunk(values):
+        return ({n: _run_one(spec, n, values["suites"][n], tol) for n in names}, values["keep"])
+
+    results, kept = zip(*map_chunks(chunk, forms, pts, spec.params))
     folded = functools.reduce(_fold, results)
-    return {n: _skipped(r) if isinstance(r, NotTransSasakian) else r for n, r in folded.items()}
+    return ({n: _skipped(r) if isinstance(r, NotTransSasakian) else r for n, r in folded.items()},
+            _concat(kept))
 
 
-def _run_one(spec, name, pts, tol):
-    """One suite's checks on one chunk, or the NotTransSasakian it raised."""
+def _run_one(spec, name, values, tol):
+    """One suite's checks on one chunk's values, or the NotTransSasakian it raised."""
     try:
-        return _suite(name)[0](spec, pts, tol)
+        return _suite(name)[1](spec, values, tol)
     except NotTransSasakian as exc:
         return exc
+
+
+def _concat(trees):
+    """One tree of values from the trees of consecutive chunks."""
+    first = trees[0]
+    if len(trees) == 1:
+        return first
+    if isinstance(first, dict):
+        return {k: _concat([t[k] for t in trees]) for k in first}
+    if isinstance(first, list):
+        return [_concat(list(parts)) for parts in zip(*trees)]
+    return np.concatenate(trees)
 
 
 def _fold(a: dict, b: dict) -> dict:

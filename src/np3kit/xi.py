@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .cexpr import CExpr, as_cexpr, c_const, parts
+from .cexpr import CExpr, c_const, eval_forms
+from .classify import DEFAULT_TOL, MIN_SAMPLES, _samples
 from .expr import Expr
-from .frame import (ManifoldSpec, connection_table, covariant_derivative,
-                    default_samples, eval_table_many, spec_cached)
+from .frame import ManifoldSpec, connection_table, covariant_derivative, spec_cached
 from .npcore import (d_del, d_delbar, d_xi, grad_xi_norm_sq, spin_coefficients)
 from .sampling import InsufficientSamples
 
@@ -49,8 +49,7 @@ class RoughLaplacian:
     np_closed: tuple   # frame components from the spin-coefficient form
 
     def max_discrepancy(self, points, params=None) -> float:
-        a = eval_table_many(self.generic, points, params, 1)
-        b = eval_table_many(self.np_closed, points, params, 1)
+        a, b = eval_forms([self.generic, self.np_closed], points, params)
         return float(np.max(np.abs(a - b)))
 
 
@@ -60,8 +59,7 @@ class DivergenceResult:
     np_form: Expr   # rho + conj rho = 2 Theta
 
     def max_discrepancy(self, points, params=None) -> float:
-        a = E.evaluate_many(self.direct, points, params)
-        b = E.evaluate_many(self.np_form, points, params)
+        a, b = eval_forms([self.direct, self.np_form], points, params)
         return float(np.max(np.abs(a - b)))
 
 
@@ -143,24 +141,29 @@ def harmonicity_residual(spec: ManifoldSpec, point) -> complex:
     return _harmonicity_expr(spec).evaluate(point, spec.params)
 
 
-def parallel_and_collinearity(spec: ManifoldSpec, samples=None, tol=1e-8,
-                              count=100, seed=0) -> CongruenceReport:
-    pts = np.asarray(samples) if samples is not None else default_samples(spec, count, seed)
-    if len(pts) < 20:
-        raise InsufficientSamples(f"congruence analysis needs >= 20 points, got {len(pts)}")
-    p = spec.params
+def _congruence_forms(spec: ManifoldSpec) -> dict:
+    """The forms :func:`parallel_and_collinearity` evaluates."""
     co, lap, div = spin_coefficients(spec), rough_laplacian_xi(spec), divergence_xi(spec)
-    grad_sq = grad_xi_norm_sq(spec)
-    roots = (parts((co.kappa, co.sigma, co.rho)) + list(lap.generic) + [grad_sq]
-             + list(lap.np_closed) + [div.direct, div.np_form])
-    with E.shared(pts, p, roots):
-        kv = co.kappa.evaluate_many(pts, p)
-        sv = co.sigma.evaluate_many(pts, p)
-        rv = co.rho.evaluate_many(pts, p)
-        lap_vals = eval_table_many(lap.generic, pts, p, 1)
-        grad_vals = E.evaluate_many(grad_sq, pts, p)
-        lap_discrepancy = lap.max_discrepancy(pts, p)
-        div_discrepancy = div.max_discrepancy(pts, p)
+    return {"kappa": co.kappa, "sigma": co.sigma, "rho": co.rho,
+            "lap": lap.generic, "lap_np": lap.np_closed, "grad": grad_xi_norm_sq(spec),
+            "div": div.direct, "div_np": div.np_form}
+
+
+def parallel_and_collinearity(spec: ManifoldSpec, samples=None,
+                              tol=DEFAULT_TOL) -> CongruenceReport:
+    pts = _samples(spec, samples)
+    return _congruence_report(spec, eval_forms(_congruence_forms(spec), pts, spec.params), tol)
+
+
+def _congruence_report(spec: ManifoldSpec, values: dict, tol=DEFAULT_TOL) -> CongruenceReport:
+    """:func:`parallel_and_collinearity` from the values of :func:`_congruence_forms`."""
+    kv, sv, rv = values["kappa"], values["sigma"], values["rho"]
+    if len(rv) < MIN_SAMPLES:
+        raise InsufficientSamples(
+            f"congruence analysis needs >= {MIN_SAMPLES} points, got {len(rv)}")
+    lap_vals, grad_vals = values["lap"], values["grad"]
+    lap_discrepancy = float(np.max(np.abs(lap_vals - values["lap_np"])))
+    div_discrepancy = float(np.max(np.abs(values["div"] - values["div_np"])))
     theta, omega = rv.real, rv.imag
 
     max_k = float(np.max(np.abs(kv)))
@@ -179,11 +182,12 @@ def parallel_and_collinearity(spec: ManifoldSpec, samples=None, tol=1e-8,
     else:
         expansion = "mixed"
 
+    co = spin_coefficients(spec)
     lam = E.mul(2.0, E.add(E.add(co.kappa.abs2(), co.rho.abs2()), co.sigma.abs2()))
     return CongruenceReport(
-        laplacian_xi=lap.generic,
-        grad_xi_norm_sq=grad_sq,
-        divergence=div.direct,
+        laplacian_xi=rough_laplacian_xi(spec).generic,
+        grad_xi_norm_sq=grad_xi_norm_sq(spec),
+        divergence=divergence_xi(spec).direct,
         lam=lam,
         is_geodesic=max_k <= tol,
         is_shear_free=max_s <= tol,
@@ -203,5 +207,5 @@ def parallel_and_collinearity(spec: ManifoldSpec, samples=None, tol=1e-8,
             "divergence_route_discrepancy": div_discrepancy,
         },
         tol=tol,
-        sample_count=len(pts),
+        sample_count=len(rv),
     )

@@ -1,22 +1,24 @@
-import contextlib
-
 import pytest
 
 from np3kit import expr as E
 
 
 @pytest.fixture
-def shared_blocks(monkeypatch):
-    """Every block entered through ``expr.shared`` during the test, in order;
-    a nested block that reuses its enclosing one appears again as that block."""
-    blocks = []
-    real = E.shared
+def tapes(monkeypatch):
+    """Every evaluation tape compiled during the test, in order, each as the
+    list of the point counts of its passes."""
+    tapes = []
+    real_init, real_run = E._Tape.__init__, E._Tape.run
 
-    @contextlib.contextmanager
-    def recording(*args):
-        with real(*args) as scope:
-            blocks.append(scope)
-            yield scope
+    def init(self, *args):
+        real_init(self, *args)
+        self.passes = []
+        tapes.append(self.passes)
 
-    monkeypatch.setattr(E, "shared", recording)
-    return blocks
+    def run(self, pts, *args):
+        self.passes.append(len(pts))
+        return real_run(self, pts, *args)
+
+    monkeypatch.setattr(E._Tape, "__init__", init)
+    monkeypatch.setattr(E._Tape, "run", run)
+    return tapes

@@ -164,10 +164,11 @@ def test_ektau_sweep_csv(capsys):
     assert len(out.encode()) == 9_765_609
 
 
-def test_verify_runs_in_one_block(capsys, shared_blocks):
+def test_verify_runs_one_tape_pass(capsys, tapes):
     code, _, _ = run_cli(capsys, "verify", "flat_radial", "--suite", "all", "--samples", "200",
                          "--format", "json")
     assert code == 0
-    assert len(shared_blocks) == 1
-    block = shared_blocks[0]
-    assert block.table and block.missed == []
+    # all suites are one tape, passed once over the samples; the only other
+    # 200-point pass is the sampler's domain filter, before it
+    assert tapes[-1] == [200]
+    assert tapes.count([200]) == 2 and all(len(t) == 1 for t in tapes)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from np3kit import expr as E
+from np3kit.cexpr import CExpr, eval_forms
 from np3kit.expr import (
     Binary, Const, Coord, DomainError, ParseError, Unary, UnboundParameter,
     differentiate, evaluate, evaluate_many, parse, simplify, unparse,
@@ -298,6 +299,73 @@ def test_tape_matches_recursive_evaluator(seed, n):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
 
 
+def _random_forms(rng: random.Random, depth: int = 2):
+    """A tree of forms: dicts and lists of Exprs, CExprs and tables of either."""
+    def scalar():
+        return _random_expr(rng, rng.randint(0, 4))
+
+    def complex_scalar():
+        return CExpr(scalar(), scalar())
+
+    roll = rng.random()
+    if depth > 0 and roll < 0.3:
+        return {f"k{i}": _random_forms(rng, depth - 1) for i in range(rng.randint(1, 3))}
+    if depth > 0 and roll < 0.5:
+        return [_random_forms(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+    entry = rng.choice([scalar, complex_scalar])
+    if roll < 0.75:
+        return entry()
+    shape = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+
+    def table(dims):
+        return tuple(table(dims[1:]) if len(dims) > 1 else entry() for _ in range(dims[0]))
+    return table(shape)
+
+
+def _per_leaf(node, pts):
+    """The values eval_forms promises, one evaluate_many call per real leaf."""
+    if isinstance(node, dict):
+        return {k: _per_leaf(v, pts) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_per_leaf(v, pts) for v in node]
+    if isinstance(node, tuple):
+        return np.stack([_per_leaf(v, pts) for v in node], axis=1)
+    if isinstance(node, CExpr):
+        return evaluate_many(node.re, pts) + 1j * evaluate_many(node.im, pts)
+    return evaluate_many(node, pts)
+
+
+def _assert_bitwise(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for k in want:
+            _assert_bitwise(got[k], want[k])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_bitwise(a, b)
+    else:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from((1, E.CHUNK + 1)))
+def test_eval_forms_matches_per_leaf_evaluation(seed, n):
+    rng = random.Random(seed)
+    tree = _random_forms(rng)
+    # a form that recurs (the same object) is read once and shared
+    forms = {"tree": tree, "again": [tree], "more": [_random_forms(rng, 1)]}
+    pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, 3))
+    with np.errstate(invalid="ignore"):  # 1j * inf, where a random form overflows
+        got, got_err = _outcome(lambda: eval_forms(forms, pts))
+        want, want_err = _outcome(lambda: _per_leaf(forms, pts))
+    assert (got_err is None) == (want_err is None)
+    if want is not None:
+        _assert_bitwise(got, want)
+
+
 def test_singular_point_in_last_chunk_raises():
     pts = np.ones((3 * E.CHUNK + 5, 3))
     pts[-1, 0] = 0.0
@@ -341,40 +409,6 @@ def test_constant_exponents_and_divisors():
     np.testing.assert_array_equal(evaluate_many(parse("x3^0.5"), pts), [2.0, 0.5])
     np.testing.assert_array_equal(evaluate_many(parse("x2^-1"), pts), [2.0, 0.5])
     np.testing.assert_array_equal(evaluate_many(parse("x1/4"), pts), [-0.5, 0.75])
-
-
-def test_shared_block_serves_its_roots():
-    f, g = parse("exp(x1)*sin(x2)"), parse("x3^2 + 1")
-    h = parse("exp(x1)*sin(x2)/(x3^2 + 1)")  # interned: contains f and g
-    pts = np.random.default_rng(0).uniform(-1, 1, size=(E.CHUNK + 7, 3))
-    (plain,) = E.eval_batch([h], pts)
-    with E.shared(pts, None, [f, g]) as scope:
-        (served,) = E.eval_batch([h], pts)
-        assert scope.missed == [1]  # only the division was computed
-        assert evaluate_many(f, pts) is scope.table[id(f)][1]
-        assert scope.missed == [1]
-        E.eval_batch([h], pts.copy())  # another array: not served, not counted
-        E.eval_batch([h], pts, {"a": 1.0})  # other params: likewise
-        assert scope.missed == [1]
-        with E.shared(pts, {}, [h]) as inner:
-            assert inner is scope
-    np.testing.assert_array_equal(served, plain)
-    with pytest.raises(ValueError):
-        scope.table[id(f)][1][0] = 0.0  # columns are read-only
-
-
-def test_shared_block_discards_a_failing_prefetch():
-    pts = np.ones((10, 3))
-    pts[3, 0] = 0.0
-    with E.shared(pts, None, [parse("x2/x1"), parse("x2 + x3")]) as scope:
-        assert scope.table == {}
-        with pytest.raises(DomainError, match="division by zero"):
-            evaluate_many(parse("x2/x1"), pts)
-        np.testing.assert_array_equal(evaluate_many(parse("x2 + x3"), pts), 2.0)
-    with E.shared(pts, None, [parse("a*x1")]) as scope:
-        assert scope.table == {}
-        with pytest.raises(UnboundParameter):
-            evaluate_many(parse("a*x1"), pts)
 
 
 def test_no_module_level_evaluation_cache():

@@ -104,23 +104,16 @@ def test_domain_error_is_the_unchunked_one(singular, tmp_path, monkeypatch, caps
     assert str(whole.value) in err
 
 
-def test_every_chunk_block_is_served(shared_blocks):
+@pytest.mark.parametrize("n,passes", [
+    (N, [E.CHUNK] * 3 + [5]),  # one compiled tape, passed over each slice
+    (E.CHUNK, [E.CHUNK]),      # a request of one chunk is one pass
+], ids=["chunked", "one_chunk"])
+def test_every_chunk_is_one_pass_of_one_tape(n, passes, tapes):
     spec = catalog.get_spec("example1")
-    pts = default_samples(spec, N, seed=2)
+    pts = default_samples(spec, n, seed=2)
+    tapes.clear()
     run_suites(spec, "all", pts)
-    blocks = list({id(b): b for b in shared_blocks}.values())
-    assert len(blocks) == 4
-    assert all(len(b.points) <= E.CHUNK for b in blocks)
-    for b in blocks:
-        assert b.table and b.missed == []
-
-
-def test_request_of_one_chunk_is_one_block_on_the_callers_array(shared_blocks):
-    spec = catalog.get_spec("example1")
-    pts = default_samples(spec, E.CHUNK, seed=2)
-    with E.shared(pts, spec.params, []) as outer:
-        run_suites(spec, "all", pts)
-    assert all(b is outer for b in shared_blocks)
+    assert tapes == [passes]
 
 
 def _traced_peak(spec, n):
@@ -141,17 +134,16 @@ def test_peak_memory_does_not_grow_with_the_sample_count():
     assert large <= small + 2**20 + points
 
 
-def test_library_sweeps_share_one_block(shared_blocks):
+def test_library_sweeps_run_one_tape_each(tapes):
     for name in ("example1", "sol"):
         spec = catalog.get_spec(name)
         pts = default_samples(spec, 60, seed=3)
+        tapes.clear()
         if name == "example1":
             ts_identity_residuals_many(spec, pts)
         parallel_and_collinearity(spec, samples=pts)
         einstein_check(spec, samples=pts)
-    assert len(shared_blocks) == 5
-    for b in shared_blocks:
-        assert b.table and b.missed == []
+        assert tapes == [[60]] * (3 if name == "example1" else 2)
 
 
 def test_kulkarni_nomizu_broadcast_matches_einsum():
