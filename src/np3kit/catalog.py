@@ -17,15 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import expr as E
 from .classify import (DEFAULT_COUNT, DEFAULT_TOL, _einstein_forms, _einstein_verdict,
                        _structure_class)
-from .frame import ManifoldSpec, default_samples, load_manifold
+from .frame import ManifoldSpec, default_samples, load_manifold, riemann
 from .npcore import spin_coefficients
 from .suites import _check, run_request, suite_passed
-from .xi import _congruence_forms, _congruence_report
+from .xi import _congruence_forms, _congruence_report, divergence_xi
 
 __all__ = ["CatalogEntry", "UnknownEntry", "names", "get", "get_spec", "run", "run_all"]
 
@@ -289,37 +287,34 @@ def get_spec(name: str) -> ManifoldSpec:
     return load_manifold(get(name).document)
 
 
-_EXPECTED_FORMS = ("alpha", "beta", "theta", "omega", "div_xi")
-
-
 def run(name: str, count: int = DEFAULT_COUNT, seed: int = 0, tol: float = DEFAULT_TOL) -> dict:
     """Run the full pipeline on an entry and compare against its record."""
     entry = get(name)
     spec = get_spec(name)
     pts = default_samples(spec, count, seed)
     exp = entry.expected
-    checks = []
-    # the whole-sample checks' forms ride in the suites' streamed request
-    whole = {"congruence": _congruence_forms(spec), "einstein": _einstein_forms(spec),
-             "expected": {k: E.parse(exp[k]) for k in _EXPECTED_FORMS if k in exp}}
-    suites, values = run_request(spec, "all", pts, whole, tol)
-    cong, expected = values["congruence"], values["expected"]
+    co, S = spin_coefficients(spec), riemann(spec).ricci
+    # the sample checks ride in the suites' streamed request as residual trees
+    matches = {cname: E.sub(form, E.parse(exp[key])) for key, cname, form in (
+        ("alpha", "alpha_matches", co.rho.im), ("beta", "beta_matches", co.rho.re),
+        ("theta", "theta_matches", co.rho.re), ("omega", "omega_matches", co.rho.im),
+        ("div_xi", "div_matches", divergence_xi(spec).direct)) if key in exp}
+    ricci = {}
+    if "ricci_diag" in exp:
+        ricci["ricci_diag"] = [E.sub(S[j][k], exp["ricci_diag"][j] if j == k else 0.0)
+                               for j in range(3) for k in range(3)]
+    if "ricci_xi_xi" in exp:
+        ricci["ricci_xi_xi"] = E.sub(S[2][2], exp["ricci_xi_xi"])
+    whole = {"congruence": _congruence_forms(spec), "einstein": _einstein_forms(spec)}
+    suites, records, values = run_request(spec, "all", pts, {**matches, **ricci}, whole, tol)
+    cong = values["congruence"]
 
     cls = _structure_class(cong["kappa"], cong["sigma"], cong["rho"], tol)
     verdict_ok = cls.verdict == exp["verdict"]
-    checks.append({"name": "verdict", "expected": exp["verdict"], "got": cls.verdict,
-                   "pass": verdict_ok})
+    checks = [{"name": "verdict", "expected": exp["verdict"], "got": cls.verdict,
+               "pass": verdict_ok}]
+    checks += records[:len(matches)]
 
-    rho = cong["rho"]
-    for key, cname, got in (("alpha", "alpha_matches", rho.imag),
-                            ("beta", "beta_matches", rho.real),
-                            ("theta", "theta_matches", rho.real),
-                            ("omega", "omega_matches", rho.imag),
-                            ("div_xi", "div_matches", cong["div"])):
-        if key in exp:
-            checks.append(_check(cname, np.max(np.abs(got - expected[key])), tol))
-
-    co = spin_coefficients(spec)
     for spot in exp.get("spots", []):
         point = spot["point"]
         vals = co.evaluate(point, spec.params)
@@ -344,12 +339,7 @@ def run(name: str, count: int = DEFAULT_COUNT, seed: int = 0, tol: float = DEFAU
         checks.append({"name": "einstein", "expected": float(want_einstein),
                        "got": ev.a if ev.is_einstein else None, "pass": ok})
 
-    S = values["einstein"]["S"]
-    if "ricci_diag" in exp:
-        want = np.diag(exp["ricci_diag"])
-        checks.append(_check("ricci_diag", np.max(np.abs(S - want)), 1e-9))
-    if "ricci_xi_xi" in exp:
-        checks.append(_check("ricci_xi_xi", np.max(np.abs(S[:, 2, 2] - exp["ricci_xi_xi"])), 1e-9))
+    checks += records[len(matches):]
 
     passed = all(c["pass"] for c in checks) and suite_passed(suites)
     return {

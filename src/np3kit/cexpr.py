@@ -1,4 +1,4 @@
-"""Complex-valued symbolic scalars, and the evaluation of trees of forms.
+"""Complex-valued symbolic scalars, trees of forms, and residual roots.
 
 The metric of an orthonormal frame extends complex-BILINEARLY (not
 sesquilinearly) to the complexified tangent space; that convention is what
@@ -9,8 +9,12 @@ The geometry layers evaluate through :func:`eval_forms`, or its streamed
 form :func:`map_chunks`.  A sweep names everything it evaluates once, as a
 tree of forms: dicts and lists of ``Expr``, ``CExpr`` and tables (nested
 tuples) of them.  The distinct leaves compile into one tape, and the same
-tree comes back with arrays in place of forms, so each check reads its
-values by name from the tree it declared.
+tree comes back with arrays in place of forms.
+
+A check is declared as such a tree too: the differences that vanish when
+its identity holds.  :func:`residual` turns the tree into one real root,
+the pointwise max of |leaf|, so the modulus and the max over the leaves
+run on the tape and a check's values are one column.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import numpy as np
 from . import expr as E
 from .expr import Expr
 
-__all__ = ["CExpr", "c_const", "as_cexpr", "eval_parts", "eval_forms", "map_chunks"]
+__all__ = ["CExpr", "c_const", "as_cexpr", "eval_parts", "eval_forms", "map_chunks",
+           "residual"]
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ def eval_forms(forms, points, params=None):
     and a form that occurs more than once (the same object) gets one
     array, shared by all its places.
     """
-    cols = E.eval_batch(_leaves(forms, [], set()), points, params)
+    cols = E.eval_batch(_leaves(forms), points, params)
     return _values(forms, iter(cols), {})
 
 
@@ -103,12 +108,48 @@ def map_chunks(fn, forms, points, params=None) -> list:
     pts = E._points(points)
     if len(pts) > E.CHUNK:
         try:
-            tape = E._Tape(_leaves(forms, [], set()), params or {})
+            tape = E._Tape(_leaves(forms), params or {})
             return [fn(_values(forms, iter(tape.run(pts[lo:lo + E.CHUNK])), {}))
                     for lo in range(0, len(pts), E.CHUNK)]
         except (E.DomainError, E.UnboundParameter):
             pass  # which error, and where, is decided over all points
     return [fn(eval_forms(forms, pts, params))]
+
+
+def residual(tree) -> Expr:
+    """The pointwise max of |leaf| over a tree of forms, as one real root.
+
+    A real leaf contributes ``abs``, a ``CExpr`` the ``cabs`` of its parts
+    (numpy's complex modulus).  Exact zeros are dropped and constants
+    folded; an empty or all-zero tree is the constant 0.  The max nests to
+    the right, so the tape holds one running max, not every leaf at once.
+    """
+    terms, consts, seen = [], [], set()
+    for leaf in _forms(tree):
+        key = (id(leaf.re), id(leaf.im)) if isinstance(leaf, CExpr) else id(leaf)
+        if key not in seen:
+            seen.add(key)
+            term = E.cabs(leaf.re, leaf.im) if isinstance(leaf, CExpr) else E.absolute(leaf)
+            (consts if isinstance(term, E.Const) else terms).append(term)
+    root = E.const(0.0)
+    for c in consts:
+        root = E.maximum(c, root)
+    if terms:
+        root = terms.pop() if E._is_const(root, 0.0) else root
+        for term in reversed(terms):
+            root = E.maximum(term, root)
+    return root
+
+
+def _forms(node):
+    """The ``Expr`` and ``CExpr`` leaves of a tree of forms, in order."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        for child in node:
+            yield from _forms(child)
+    else:
+        yield node
 
 
 def _table(node: tuple):
@@ -120,20 +161,13 @@ def _table(node: tuple):
     return shape, entries
 
 
-def _leaves(node, out: list, seen: set) -> list:
-    """The real expressions of the forms in a tree not in ``seen``, in order."""
-    if isinstance(node, dict):
-        node = list(node.values())
-    if isinstance(node, list):
-        for child in node:
-            _leaves(child, out, seen)
-    elif id(node) not in seen:
-        seen.add(id(node))
-        if isinstance(node, tuple):
-            for entry in _table(node)[1]:
-                _leaves(entry, out, seen)
-        else:
-            out += (node.re, node.im) if isinstance(node, CExpr) else (node,)
+def _leaves(forms) -> list:
+    """The real expressions of the distinct forms in a tree, in order."""
+    out, seen = [], set()
+    for form in _forms(forms):
+        if id(form) not in seen:
+            seen.add(id(form))
+            out += (form.re, form.im) if isinstance(form, CExpr) else (form,)
     return out
 
 

@@ -26,11 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cexpr import as_cexpr, c_const, eval_forms
+from . import expr as E
+from .cexpr import as_cexpr, c_const, eval_forms, residual
 from .expr import Expr
 from .frame import (ManifoldSpec, connection_table, default_samples, riemann,
                     spec_cached)
-from .npcore import d_del, d_delbar, d_xi, ricci_complex, spin_coefficients
+from .npcore import (W_DEL, W_DELBAR, W_XI, _nonzero, d_del, d_delbar, d_xi, ricci_complex,
+                     spin_coefficients)
 from .sampling import InsufficientSamples
 
 __all__ = [
@@ -187,14 +189,45 @@ def _ts_closed_forms(spec: ManifoldSpec) -> dict:
 
 
 def _ts_identity_forms(spec: ManifoldSpec) -> dict:
-    """The forms :func:`ts_identity_residuals_many` evaluates."""
-    co, data, forms, S = (spin_coefficients(spec), riemann(spec), _ts_closed_forms(spec),
-                          ricci_complex(spec))
-    return {"kappa": co.kappa, "sigma": co.sigma, "R": data.riemann, "tau": data.scalar,
-            "gamma": connection_table(spec).gamma,
-            "closed": {k: forms[k] for k in ("rho", "xi_rho", "d_rho", "db_rhobar", "S_dx",
-                                             "S_xx", "S_ddb", "scalar")},
-            "ricci": {k: S[k] for k in ("dd", "dx", "xx", "ddb")}}
+    """{identity: the forms that vanish when it holds} for the trans-Sasakian
+    curvature identities: the trees of :func:`ts_identity_residuals_many`."""
+    closed, S, gm = _ts_closed_forms(spec), ricci_complex(spec), connection_table(spec).gamma
+    data = riemann(spec)
+    R, tau = data.riemann, data.scalar
+    r, xr = closed["rho"], closed["xi_rho"]
+    rb, xrb = r.conj(), xr.conj()
+    alpha, beta, zero = r.im, r.re, c_const(0)
+
+    def display(V, W, Z, a, b):
+        """R(V, W)Z - (a D + b Dbar) in frame components; R is contracted over
+        the nonzero constant complex-frame weights only."""
+        weights = [(i, j, k, v * w * z) for i, v in _nonzero(V) for j, w in _nonzero(W)
+                   for k, z in _nonzero(Z)]
+        return [sum((c * as_cexpr(R[i][j][k][l]) for i, j, k, c in weights), zero)
+                - (a * W_DEL[l] + b * W_DELBAR[l]) for l in range(3)]
+
+    f = [[gm[i][2][j] for j in range(3)] for i in range(3)]  # f[i][j] = Gamma_{i,xi,j}
+    return {
+        # 2 alpha beta + d alpha(xi) = 0, in its complex form
+        "alpha_beta_xi": r * r - rb * rb + xr - xrb,
+        "R_del_delbar_xi": display(W_DEL, W_DELBAR, W_XI, -closed["db_rhobar"], closed["d_rho"]),
+        "R_del_xi_xi": display(W_DEL, W_XI, W_XI, -(rb * rb + xrb), zero),
+        "R_delbar_xi_xi": display(W_DELBAR, W_XI, W_XI, zero, -(r * r + xr)),
+        "ricci_del_del": S["dd"],
+        "ricci_del_xi": S["dx"] - closed["S_dx"],
+        "ricci_xi_xi": S["xx"] - closed["S_xx"],
+        "ricci_del_delbar": S["ddb"] - closed["S_ddb"],
+        "scalar_curvature": as_cexpr(tau) - closed["scalar"],
+        # nabla_X xi = -alpha phi X + beta (X - eta(X) xi)
+        "nabla_xi": [E.sub(f[0][0], beta), E.add(f[0][1], alpha), E.sub(f[1][0], alpha),
+                     E.sub(f[1][1], beta), f[2][0], f[2][1], f[0][2], f[1][2], f[2][2]],
+    }
+
+
+def _ts_gate(spec: ManifoldSpec) -> Expr:
+    """max(|kappa|, |sigma|): trans-Sasakian identities apply where it vanishes."""
+    co = spin_coefficients(spec)
+    return residual([co.kappa, co.sigma])
 
 
 def ts_identity_residuals_many(spec: ManifoldSpec, points, tol=DEFAULT_TOL) -> dict:
@@ -203,76 +236,13 @@ def ts_identity_residuals_many(spec: ManifoldSpec, points, tol=DEFAULT_TOL) -> d
     Raises NotTransSasakian when kappa or sigma fails to vanish at any of
     the points.
     """
-    values = eval_forms(_ts_identity_forms(spec), points, spec.params)
-    _require_trans_sasakian(spec.name, values, tol)
-    return _ts_identity_residuals(values)
-
-
-def _require_trans_sasakian(spec_name: str, values: dict, tol):
-    """Raise NotTransSasakian unless the sampled ``values["kappa"]`` and
-    ``values["sigma"]`` vanish to ``tol``."""
-    worst = max(np.max(np.abs(values["kappa"])), np.max(np.abs(values["sigma"])))
+    forms = {"gate": _ts_gate(spec),
+             "res": {name: residual(tree) for name, tree in _ts_identity_forms(spec).items()}}
+    values = eval_forms(forms, points, spec.params)
+    worst = np.max(values["gate"])
     if worst > tol:
-        raise NotTransSasakian(spec_name, worst)
-
-
-def _ts_identity_residuals(values: dict) -> dict:
-    """:func:`ts_identity_residuals_many` from the values of :func:`_ts_identity_forms`."""
-    forms, S = values["closed"], values["ricci"]
-    R, tau = values["R"].astype(complex), values["tau"]
-    gamma_vals = values["gamma"]
-
-    rho = forms["rho"]
-    alpha, beta = rho.imag, rho.real
-    xi_rho, d_rho, db_rhobar = forms["xi_rho"], forms["d_rho"], forms["db_rhobar"]
-
-    out = {}
-    # 2 alpha beta + d alpha(xi) = 0, in its complex form
-    out["alpha_beta_xi"] = np.abs(rho**2 - np.conj(rho) ** 2 + xi_rho - np.conj(xi_rho))
-
-    # curvature displays: generic R contracted into the complex frame
-    wd = np.array([1, -1j, 0]) / np.sqrt(2)
-    wdb = np.array([1, 1j, 0]) / np.sqrt(2)
-    wxi = np.array([0, 0, 1], dtype=complex)
-
-    def R_of(V, W, Z):
-        return np.einsum("i,j,k,nijkl->nl", V, W, Z, R)
-
-    def want_vec(a, b, c):
-        """a*D + b*Dbar + c*xi as (N,3) frame components."""
-        return (np.multiply.outer(a, wd) + np.multiply.outer(b, wdb)
-                + np.multiply.outer(c, wxi))
-
-    zero = np.zeros_like(rho)
-    got = R_of(wd, wdb, wxi)
-    want = want_vec(-db_rhobar, d_rho, zero)
-    out["R_del_delbar_xi"] = np.max(np.abs(got - want), axis=1)
-
-    got = R_of(wd, wxi, wxi)
-    want = want_vec(-(np.conj(rho) ** 2 + np.conj(xi_rho)), zero, zero)
-    out["R_del_xi_xi"] = np.max(np.abs(got - want), axis=1)
-
-    got = R_of(wdb, wxi, wxi)
-    want = want_vec(zero, -(rho**2 + xi_rho), zero)
-    out["R_delbar_xi_xi"] = np.max(np.abs(got - want), axis=1)
-
-    # Ricci displays
-    out["ricci_del_del"] = np.abs(S["dd"])
-    out["ricci_del_xi"] = np.abs(S["dx"] - forms["S_dx"])
-    out["ricci_xi_xi"] = np.abs(S["xx"] - forms["S_xx"])
-    out["ricci_del_delbar"] = np.abs(S["ddb"] - forms["S_ddb"])
-    out["scalar_curvature"] = np.abs(tau - forms["scalar"])
-
-    # nabla_X xi = -alpha phi X + beta (X - eta(X) xi)
-    f = gamma_vals[:, :, 2, :]  # f[n][i][j] = Gamma_{i,xi,j}
-    stacked = np.stack([
-        np.abs(f[:, 0, 0] - beta), np.abs(f[:, 0, 1] + alpha),
-        np.abs(f[:, 1, 0] - alpha), np.abs(f[:, 1, 1] - beta),
-        np.abs(f[:, 2, 0]), np.abs(f[:, 2, 1]),
-        np.abs(f[:, 0, 2]), np.abs(f[:, 1, 2]), np.abs(f[:, 2, 2]),
-    ])
-    out["nabla_xi"] = np.max(stacked, axis=0)
-    return out
+        raise NotTransSasakian(spec.name, worst)
+    return values["res"]
 
 
 def ts_identity_residuals(spec: ManifoldSpec, point, tol=DEFAULT_TOL) -> dict:
@@ -289,10 +259,10 @@ def conformal_foliation_residual_many(spec: ManifoldSpec, points) -> np.ndarray:
     """
     g = connection_table(spec).gamma
     # (Lie_xi g)(e_a, e_b) = f_ab + f_ba with f_ab = Gamma_{a,xi,b}
-    theta, f11, f12, f21, f22 = eval_forms(
-        [spin_coefficients(spec).rho.re, g[0][2][0], g[0][2][1], g[1][2][0], g[1][2][1]],
-        points, spec.params)
-    return np.max(np.abs([2.0 * f11 - 2.0 * theta, f12 + f21, 2.0 * f22 - 2.0 * theta]), axis=0)
+    two_theta = E.mul(2.0, spin_coefficients(spec).rho.re)
+    forms = [E.sub(E.mul(2.0, g[0][2][0]), two_theta), E.add(g[0][2][1], g[1][2][0]),
+             E.sub(E.mul(2.0, g[1][2][1]), two_theta)]
+    return eval_forms(residual(forms), points, spec.params)
 
 
 def conformal_foliation_residual(spec: ManifoldSpec, point) -> float:

@@ -85,15 +85,12 @@ def cmd_spin(args) -> int:
     if not _in_domain(spec, point):
         raise _CliError(EXIT_DOMAIN, f"point {point} violates the domain of {spec.name!r}")
     t0 = time.perf_counter()
-    try:
-        co = spin_coefficients(spec)
-        vals = co.evaluate(point, spec.params)
-        kin = kinematics(co)
-        from . import expr as E
-        theta = E.evaluate(kin.theta, point, spec.params)
-        omega = E.evaluate(kin.omega, point, spec.params)
-    except (DomainError, UnboundParameter) as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc)) from exc
+    co = spin_coefficients(spec)
+    vals = co.evaluate(point, spec.params)
+    kin = kinematics(co)
+    from . import expr as E
+    theta = E.evaluate(kin.theta, point, spec.params)
+    omega = E.evaluate(kin.omega, point, spec.params)
     elapsed = time.perf_counter() - t0
     report = base_report(spec, timing={"seconds": elapsed} if args.timing else None)
     report["point"] = list(point)
@@ -109,13 +106,8 @@ def cmd_classify(args) -> int:
     if args.samples < MIN_SAMPLES:
         raise _CliError(EXIT_INPUT, f"--samples must be at least {MIN_SAMPLES}")
     t0 = time.perf_counter()
-    try:
-        pts = default_samples(spec, args.samples, seed=args.seed)
-        cls = classify(spec, samples=pts, tol=args.tol, tol_const=args.tol_const)
-    except InsufficientSamples as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc)) from exc
-    except (DomainError, UnboundParameter) as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc)) from exc
+    pts = default_samples(spec, args.samples, seed=args.seed)
+    cls = classify(spec, samples=pts, tol=args.tol, tol_const=args.tol_const)
     elapsed = time.perf_counter() - t0
     report = base_report(spec, seed=args.seed, count=args.samples, tol=args.tol,
                          timing={"seconds": elapsed} if args.timing else None)
@@ -136,13 +128,8 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     t0 = time.perf_counter()
-    try:
-        pts = default_samples(spec, args.samples, seed=args.seed)
-        results = run_suites(spec, suites, pts, tol=args.tol)
-    except InsufficientSamples as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc)) from exc
-    except (DomainError, UnboundParameter) as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc)) from exc
+    pts = default_samples(spec, args.samples, seed=args.seed)
+    results = run_suites(spec, suites, pts, tol=args.tol)
     elapsed = time.perf_counter() - t0
     ok = suite_passed(results)
     report = base_report(spec, seed=args.seed, count=args.samples, tol=args.tol,
@@ -246,7 +233,10 @@ def main(argv=None) -> int:
         print(f"np3kit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DomainError, UnboundParameter, InsufficientSamples) as exc:
-        print(f"np3kit: domain error: {exc}", file=sys.stderr)
+        # a DomainError names the first sample where evaluation broke
+        where = "" if getattr(exc, "point", None) is None else (
+            f" at sample {exc.index}, point {exc.point}")
+        print(f"np3kit: domain error: {exc}{where}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

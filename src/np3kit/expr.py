@@ -25,6 +25,12 @@ symbolic zero annihilates products outright, even when the other factor is
 singular somewhere; every downstream evaluation is restricted to a
 manifold's domain, where both sides agree.
 
+Three more ops exist for evaluation only, to take a check's residual on
+the tape: :func:`absolute` (``abs``), :func:`maximum` (``max``, pointwise
+and NaN-propagating) and :func:`cabs` (the modulus of ``re + i im``,
+computed as numpy's complex ``abs``).  They have no derivative and no text
+form.
+
 Exponents: an integer exponent differentiates by the power rule (the
 collected form of differentiating the repeated product), a non-integer
 exponent via ``a^b = exp(b*log(a))``.
@@ -57,6 +63,7 @@ __all__ = [
     "ParseError", "DomainError", "UnboundParameter",
     "add", "sub", "mul", "div", "power", "neg", "func",
     "sin", "cos", "tan", "exp", "log", "sqrt",
+    "absolute", "maximum", "cabs",
     "const", "coord", "param", "as_expr",
     "parse", "unparse", "differentiate", "evaluate", "evaluate_many",
     "eval_batch", "CHUNK", "simplify",
@@ -67,7 +74,15 @@ BINOPS = ("add", "sub", "mul", "div", "pow")
 
 
 class DomainError(ArithmeticError):
-    """Evaluation hit a singularity (division by zero, log<=0, sqrt<0, ...)."""
+    """Evaluation hit a singularity (division by zero, log<=0, sqrt<0, ...).
+
+    ``index`` is the first failing sample of the pass that raised, and
+    ``point`` its coordinates; :func:`eval_batch` reports both over all of
+    its points.
+    """
+
+    index: int | None = None
+    point: tuple | None = None
 
 
 class UnboundParameter(KeyError):
@@ -124,28 +139,28 @@ class Expr:
         return f"<Expr {unparse(self)!r}>"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Coord(Expr):
     index: int  # 1..3
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Unary(Expr):
     op: str
     arg: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Binary(Expr):
     op: str
     left: Expr
@@ -340,6 +355,39 @@ def sqrt(a) -> Expr:
     return func("sqrt", a)
 
 
+# evaluation-only ops: a residual's modulus and its pointwise max.  These
+# nodes belong to one request's residual roots, so they are not interned:
+# they are freed with the roots.
+
+EVAL_ONLY = ("abs", "max", "cabs")
+
+
+def absolute(a) -> Expr:
+    a = as_expr(a)
+    if isinstance(a, Const):
+        return _mk_const(abs(a.value))
+    return Unary("abs", a)
+
+
+def maximum(a, b) -> Expr:
+    a, b = as_expr(a), as_expr(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return _mk_const(float(np.maximum(a.value, b.value)))
+    return Binary("max", a, b)
+
+
+def cabs(re, im) -> Expr:
+    """|re + i im|, bitwise as numpy's complex ``abs`` of the evaluated parts."""
+    re, im = as_expr(re), as_expr(im)
+    if _is_const(im, 0.0):
+        return absolute(re)
+    if _is_const(re, 0.0):
+        return absolute(im)
+    if isinstance(re, Const) and isinstance(im, Const):
+        return _mk_const(float(_cabs(np.array([re.value]), im.value)[0]))
+    return Binary("cabs", re, im)
+
+
 # --------------------------------------------------------------------------
 # differentiation
 
@@ -386,6 +434,8 @@ def _children(e: Expr):
 
 
 def _diff_node(e: Expr, i: int, d) -> Expr:
+    if isinstance(e, (Unary, Binary)) and e.op in EVAL_ONLY:
+        raise ValueError(f"{e.op!r} is an evaluation-only op and has no derivative")
     if isinstance(e, Const) or isinstance(e, Param):
         return _ZERO
     if isinstance(e, Coord):
@@ -467,36 +517,44 @@ def _points(points) -> np.ndarray:
     return pts
 
 
+def _domain(bad, message: str):
+    """Raise DomainError(message) naming the first sample where ``bad`` holds."""
+    if np.any(bad):
+        exc = DomainError(message)
+        exc.index = int(np.argmax(bad))
+        raise exc
+
+
 def _log(u):
-    if np.any(u <= 0.0):
-        raise DomainError("log of non-positive value")
+    _domain(u <= 0.0, "log of non-positive value")
     return np.log(u)
 
 
 def _sqrt(u):
-    if np.any(u < 0.0):
-        raise DomainError("sqrt of negative value")
+    _domain(u < 0.0, "sqrt of negative value")
     return np.sqrt(u)
 
 
 def _div(a, b):
-    if np.any(b == 0.0):
-        raise DomainError("division by zero")
+    _domain(b == 0.0, "division by zero")
     return np.true_divide(a, b)
 
 
 def _pow(a, b):
     frac = b != np.floor(b)
-    if np.any((a < 0.0) & frac):
-        raise DomainError("negative base with non-integer exponent")
-    if np.any((a == 0.0) & (b < 0.0)):
-        raise DomainError("zero base with negative exponent")
+    _domain((a < 0.0) & frac, "negative base with non-integer exponent")
+    _domain((a == 0.0) & (b < 0.0), "zero base with negative exponent")
     return np.power(a, b)
 
 
+def _cabs(re, im):
+    return np.abs(re + 1j * im)
+
+
 _UNARY = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "tan": np.tan,
-          "exp": np.exp, "log": _log, "sqrt": _sqrt}
-_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div, "pow": _pow}
+          "exp": np.exp, "log": _log, "sqrt": _sqrt, "abs": np.abs}
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div, "pow": _pow,
+           "max": np.maximum, "cabs": _cabs}
 
 
 class _Tape:
@@ -592,9 +650,11 @@ class _Tape:
                         vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
                     for s, col in cols.items():
                         col[lo:hi] = vals[s]
-        except DomainError:
+        except DomainError as exc:
             if chunk < n:
                 self.run(pts, n)  # one pass raises at the first failing node
+            exc.index += lo
+            exc.point = tuple(pts[exc.index].tolist())
             raise
         return [cols[s] for s in self.outputs]
 
@@ -803,6 +863,8 @@ def unparse(e: Expr) -> str:
 
 def _unparse(e: Expr):
     """Returns (text, precedence-of-root)."""
+    if isinstance(e, (Unary, Binary)) and e.op in EVAL_ONLY:
+        raise ValueError(f"{e.op!r} is an evaluation-only op and has no text form")
     if isinstance(e, Const):
         return _fmt_const(e.value), (3 if e.value < 0 else 5)
     if isinstance(e, Coord):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .cexpr import eval_forms
+from .cexpr import eval_forms, residual
 from .expr import Expr
 from .sampling import sample_box
 
@@ -332,14 +332,6 @@ def riemann(spec: ManifoldSpec) -> CurvatureData:
     )
 
 
-def eval_table_many(table, points, params, depth=None) -> np.ndarray:
-    """Evaluate a nested tuple of Exprs at (N,3) points -> array (N, *shape).
-
-    ``depth``, the number of tuple levels, is read off the table itself.
-    """
-    return eval_forms(table, points, params)
-
-
 def curvature_values_many(spec: ManifoldSpec, points):
     """(R, S, tau) numeric arrays at (N,3) points: shapes (N,3,3,3,3), (N,3,3), (N,)."""
     data = riemann(spec)
@@ -352,25 +344,27 @@ def curvature_values(spec: ManifoldSpec, point):
     return R[0], S[0], tau[0]
 
 
-def _kulkarni_nomizu_residual(R, S, tau) -> np.ndarray:
-    """Per-point max over all 81 index tuples of |R - g (*) (S - (tau/2) g)|,
-    from evaluated curvature arrays.
+def _kulkarni_nomizu_forms(spec: ManifoldSpec) -> list:
+    """R - g (*) (S - (tau/2) g) at all 81 index tuples, as forms.
 
     (T1 (*) T2)(X,Y,Z,W) = T1(Y,Z)T2(X,W) - T1(X,Z)T2(Y,W)
                          + T2(Y,Z)T1(X,W) - T2(X,Z)T1(Y,W);
     in three dimensions the curvature tensor is exactly g (*) (S - (tau/2) g)
     with tau the half-trace scalar.  g is the identity in frame components,
-    so each term of g (*) T is a broadcast product of T by exact zeros and
-    ones, with no index summed.
+    so each term of g (*) T is an entry of T or an exact zero.
     """
-    g = np.eye(3)
-    T = S - 0.5 * tau[:, None, None] * g
-    kn = (g[None, None, :, :, None] * T[:, :, None, None, :]
-          - g[None, :, None, :, None] * T[:, None, :, None, :]
-          + T[:, None, :, :, None] * g[None, :, None, None, :]
-          - T[:, :, None, :, None] * g[None, None, :, None, :])
-    return np.max(np.abs(R - kn), axis=(1, 2, 3, 4))
+    data = riemann(spec)
+    R, S, half_tau = data.riemann, data.ricci, E.mul(0.5, data.scalar)
+    T = [[E.sub(S[j][k], half_tau) if j == k else S[j][k] for k in range(3)] for j in range(3)]
+
+    def term(delta, t):
+        return t if delta else E.const(0.0)
+
+    return [E.sub(R[i][j][k][l],
+                  E.sub(E.add(E.sub(term(j == k, T[i][l]), term(i == k, T[j][l])),
+                              term(i == l, T[j][k])), term(j == l, T[i][k])))
+            for i in range(3) for j in range(3) for k in range(3) for l in range(3)]
 
 
 def kulkarni_nomizu_residual(spec: ManifoldSpec, point) -> float:
-    return float(_kulkarni_nomizu_residual(*curvature_values_many(spec, [point]))[0])
+    return float(eval_forms(residual(_kulkarni_nomizu_forms(spec)), [point], spec.params)[0])

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .cexpr import CExpr, as_cexpr, c_const, eval_forms, eval_parts
+from .cexpr import CExpr, as_cexpr, c_const, eval_forms, eval_parts, residual
 from .expr import Expr
-from .frame import (ManifoldSpec, connection_table, frame_directional, riemann,
-                    spec_cached)
+from .frame import (ManifoldSpec, _frame_inverse, connection_table, frame_directional,
+                    riemann, spec_cached)
 
 __all__ = [
     "SpinCoefficients", "KinematicDecomposition", "GaugeAngle",
@@ -94,31 +94,37 @@ def np_frame(spec: ManifoldSpec):
 
 
 def np_metric_residuals(spec: ManifoldSpec, points) -> dict:
-    """Max deviation of the complex-bilinear metric relations at sample points.
+    """Max deviation of the complex-bilinear metric relations at sample points."""
+    forms = {name: residual(z) for name, z in _np_metric_forms(spec).items()}
+    return {name: float(np.max(v)) for name, v in eval_forms(forms, points, spec.params).items()}
 
-    The coordinate metric is reconstructed numerically from the frame:
-    F G F^T = I.
+
+def _np_metric_forms(spec: ManifoldSpec) -> dict:
+    """The complex-bilinear metric relations, as forms that vanish.
+
+    The frame metric F G F^T (the identity) is rebuilt from the symbolic
+    frame inverse, with G = F^-1 F^-T, as P P^T for P = F F^-1, and paired
+    with the constant complex-frame weights.
     """
-    return _metric_relations(eval_forms(spec.frame, points, spec.params))
+    F, finv = spec.frame, _frame_inverse(spec)
 
+    def dot(u, v):
+        return sum((x * y for x, y in zip(u, v)), E.const(0.0))
 
-def _metric_relations(vals) -> dict:
-    """:func:`np_metric_residuals` from the (N,3,3) frame values."""
-    G = np.linalg.inv(np.swapaxes(vals, 1, 2) @ vals)  # coordinate metric (F^T F)^-1
-    G = np.einsum("nil,nlm,njm->nij", vals, G, vals)   # frame metric: identity
-    # complex frame in frame components is constant; metric relations follow
-    d = np.array([1 / _SQ2, -1j / _SQ2, 0.0])
-    xi = np.array([0.0, 0.0, 1.0])
+    P = [[dot(F[i], [finv[l][k] for l in range(3)]) for k in range(3)] for i in range(3)]
 
     def pair(a, b):
-        return np.einsum("i,nij,j->n", a, G.astype(complex), b)
+        return sum((v * w * as_cexpr(dot(P[i], P[j])) for i, v in _nonzero(a)
+                    for j, w in _nonzero(b)), c_const(0))
 
-    return {
-        "g(del,delbar)-1": float(np.max(np.abs(pair(d, d.conj()) - 1))),
-        "g(del,del)": float(np.max(np.abs(pair(d, d)))),
-        "g(xi,del)": float(np.max(np.abs(pair(xi, d)))),
-        "g(xi,xi)-1": float(np.max(np.abs(pair(xi, xi) - 1))),
-    }
+    return {"g(del,delbar)-1": pair(W_DEL, W_DELBAR) - 1, "g(del,del)": pair(W_DEL, W_DEL),
+            "g(xi,del)": pair(W_XI, W_DEL), "g(xi,xi)-1": pair(W_XI, W_XI) - 1}
+
+
+def _nonzero(weights) -> list:
+    """(index, weight) for the weights that are not an exact zero."""
+    return [(i, w) for i, w in enumerate(weights)
+            if not (E._is_const(w.re, 0.0) and E._is_const(w.im, 0.0))]
 
 
 def phi_apply(weights):
@@ -231,8 +237,8 @@ def kinematics(coeffs: SpinCoefficients) -> KinematicDecomposition:
 def epsilon_realness(spec: ManifoldSpec, points) -> float:
     """Max |Re eps| over samples: reported, not assumed (it vanishes
     identically for orthonormal frames since 2 Re eps = xi(g(D, Dbar)))."""
-    eps = eval_forms(spin_coefficients(spec).epsilon_np.re, points, spec.params)
-    return float(np.max(np.abs(eps)))
+    eps = residual(spin_coefficients(spec).epsilon_np.re)
+    return float(np.max(eval_forms(eps, points, spec.params)))
 
 
 def grad_xi_norm_sq(spec: ManifoldSpec) -> Expr:
@@ -389,7 +395,8 @@ def bianchi_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
 
 
 @spec_cached
-def _sachs_ricci_exprs(spec: ManifoldSpec) -> dict:
+def _sachs_ricci_exprs(spec: ManifoldSpec) -> tuple:
+    """The (3,3) real-frame Ricci table solved from the Sachs equations."""
     co = spin_coefficients(spec)
     k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
     kb, rb, bb = k.conj(), r.conj(), b.conj()
@@ -400,24 +407,14 @@ def _sachs_ricci_exprs(spec: ManifoldSpec) -> dict:
                           + as_cexpr(k.abs2()) + as_cexpr(s.abs2()) + r * r + k * bb)
     S_ddb = (as_cexpr(s.abs2()) - as_cexpr(r.abs2()) - c_const(2) * as_cexpr(b.abs2())
              - (r - rb) * e - d_del(spec, bb) - d_delbar(spec, b) + c_const(0.5) * S_xx)
-    return {"dd": S_dd, "dx": S_dx, "xx": S_xx, "ddb": S_ddb}
+    s01, s02, s12 = E.neg(S_dd.im), E.mul(_SQ2, S_dx.re), E.mul(-_SQ2, S_dx.im)
+    return ((E.add(S_dd.re, S_ddb.re), s01, s02),
+            (s01, E.add(E.neg(S_dd.re), S_ddb.re), s12),
+            (s02, s12, S_xx.re))
 
 
 def ricci_from_sachs_many(spec: ManifoldSpec, points) -> np.ndarray:
     """(N,3,3) real-frame Ricci reconstructed by solving the Sachs equations
     for the curvature terms; independent of riemann() except through the
     connection."""
-    return _real_ricci(eval_forms(_sachs_ricci_exprs(spec), points, spec.params))
-
-
-def _real_ricci(v: dict) -> np.ndarray:
-    """(N,3,3) real-frame Ricci from its complex-frame columns dd, dx, xx, ddb."""
-    v_dd, v_dx, v_xx, v_ddb = v["dd"], v["dx"], v["xx"], v["ddb"]
-    out = np.empty((len(v_dd), 3, 3))
-    out[:, 0, 0] = v_dd.real + v_ddb.real
-    out[:, 1, 1] = -v_dd.real + v_ddb.real
-    out[:, 0, 1] = out[:, 1, 0] = -v_dd.imag
-    out[:, 0, 2] = out[:, 2, 0] = _SQ2 * v_dx.real
-    out[:, 1, 2] = out[:, 2, 1] = -_SQ2 * v_dx.imag
-    out[:, 2, 2] = v_xx.real
-    return out
+    return eval_forms(_sachs_ricci_exprs(spec), points, spec.params)

@@ -5,19 +5,20 @@ list of checks.  These identities hold exactly for the Levi-Civita
 connection, so with exact symbolic differentiation the only residual is
 floating-point roundoff; the default tolerance is absolute 1e-8.
 
-A suite is two functions: ``forms(spec)``, the tree of forms it reads
-(see ``cexpr.eval_forms``), and ``checks(spec, values, tol)``, numpy only,
-which turns that tree's values into check records; it reads ``spec`` only
-for its name.  :func:`run_suites` runs a whole request, and it streams.
-The union of the suites' trees is compiled into one tape, which runs over
-``expr.CHUNK``-point slices of the samples (``cexpr.map_chunks``); every
-suite checks each slice's values, and each check folds into a running max
-from which ``pass`` is recomputed.  So neither the values nor any suite
-temporary grows past one chunk: peak memory is set by the chunk size and
-the width of the DAG, not by the sample count.  Two outcomes are decided
-over all points: the ts suite's NotTransSasakian skip reports the worst
-max(|kappa|, |sigma|) of the whole sample, and a DomainError reruns the
-request unchunked, so it names the node it would name unchunked.
+A suite is one function, ``suite(spec) -> {check name: tree}``: each tree
+holds the forms that vanish when its identity holds (see
+``cexpr.residual``), and the check's value is the max of their moduli over
+the samples.  All the arithmetic of a check is in its forms, so numpy here
+only takes the max of each residual column.  :func:`run_request` runs a
+whole request, and it streams: every check becomes one residual root, the
+roots compile into one tape, which runs over ``expr.CHUNK``-point slices of
+the samples (``cexpr.map_chunks``), and each check's value is the running
+max of its column over the slices.  So nothing but the kept values grows
+past one chunk: peak memory is set by the chunk size and the width of the
+DAG, not by the sample count.  Two outcomes are decided over all points:
+the ts suite is skipped as NotTransSasakian when max(|kappa|, |sigma|),
+one more root, exceeds the tolerance anywhere, and a DomainError reruns
+the request unchunked, so it names the node it would name unchunked.
 """
 
 from __future__ import annotations
@@ -26,19 +27,21 @@ import functools
 
 import numpy as np
 
-from .cexpr import map_chunks
-from .classify import (DEFAULT_TOL, NotTransSasakian, _require_trans_sasakian,
-                       _ts_identity_forms, _ts_identity_residuals)
-from .frame import (ManifoldSpec, _kulkarni_nomizu_residual, connection_table, riemann,
+from . import expr as E
+from .cexpr import map_chunks, residual
+from .classify import DEFAULT_TOL, NotTransSasakian, _ts_gate, _ts_identity_forms
+from .frame import (ManifoldSpec, _kulkarni_nomizu_forms, connection_table, riemann,
                     structure_functions)
-from .npcore import (_bianchi_exprs, _metric_relations, _real_ricci, _sachs_exprs,
-                     _sachs_ricci_exprs, grad_xi_norm_sq, spin_coefficients,
-                     spin_coefficients_from_f)
-from .xi import _congruence_forms, divergence_xi, rough_laplacian_xi
+from .npcore import (_bianchi_exprs, _np_metric_forms, _sachs_exprs, _sachs_ricci_exprs,
+                     grad_xi_norm_sq, spin_coefficients, spin_coefficients_from_f)
+from .xi import divergence_xi, rough_laplacian_xi
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_suites", "run_request", "suite_passed"]
 
 SUITE_NAMES = ("sachs", "bianchi", "kn", "ts", "xi")
+
+# checks with a fixed tolerance; every other check uses the request's
+TOLERANCES = {"spin_coefficient_routes": 1e-10, "ricci_diag": 1e-9, "ricci_xi_xi": 1e-9}
 
 
 def _check(name, value, tol):
@@ -47,120 +50,79 @@ def _check(name, value, tol):
     return {"name": name, "max_residual": value, "tolerance": tol, "pass": bool(value <= tol)}
 
 
-def _forms_kn(spec: ManifoldSpec) -> dict:
+def _kn(spec: ManifoldSpec) -> dict:
+    g, c = connection_table(spec).gamma, structure_functions(spec).c
     data = riemann(spec)
-    return {"gamma": connection_table(spec).gamma, "c": structure_functions(spec).c,
-            "R": data.riemann, "S": data.ricci, "tau": data.scalar, "frame": spec.frame}
-
-
-def _checks_kn(spec, v, tol) -> list:
-    gamma, c, R, S, tau = v["gamma"], v["c"], v["R"], v["S"], v["tau"]
-    checks = []
-    checks.append(_check("metric_compatibility",
-                         np.max(np.abs(gamma + np.swapaxes(gamma, 2, 3))), tol))
-    checks.append(_check("torsion_free",
-                         np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2) - c)), tol))
-    checks.append(_check("riemann_antisym_first_pair",
-                         np.max(np.abs(R + np.swapaxes(R, 1, 2))), tol))
-    checks.append(_check("riemann_antisym_last_pair",
-                         np.max(np.abs(R + np.swapaxes(R, 3, 4))), tol))
-    checks.append(_check("riemann_pair_symmetry",
-                         np.max(np.abs(R - np.transpose(R, (0, 3, 4, 1, 2)))), tol))
-    first_b = R + np.transpose(R, (0, 2, 3, 1, 4)) + np.transpose(R, (0, 3, 1, 2, 4))
-    checks.append(_check("riemann_first_bianchi", np.max(np.abs(first_b)), tol))
-    checks.append(_check("ricci_symmetric",
-                         np.max(np.abs(S - np.swapaxes(S, 1, 2))), tol))
-    checks.append(_check("kulkarni_nomizu", np.max(_kulkarni_nomizu_residual(R, S, tau)), tol))
-    half_trace = 0.5 * (S[:, 0, 0] + S[:, 1, 1] + S[:, 2, 2])
-    checks.append(_check("scalar_convention", np.max(np.abs(tau - half_trace)), tol))
-    checks.append(_check("np_metric", max(_metric_relations(v["frame"]).values()), tol))
-    return checks
+    R, S, tau = data.riemann, data.ricci, data.scalar
+    n = range(3)
+    # a commuted sum or a negated difference is the same number in either
+    # index order, so a symmetric check lists one order only
+    return {
+        "metric_compatibility": [E.add(g[i][j][k], g[i][k][j])
+                                 for i in n for j in n for k in n if j <= k],
+        "torsion_free": [E.sub(E.sub(g[i][j][k], g[j][i][k]), c[i][j][k])
+                         for i in n for j in n for k in n],
+        "riemann_antisym_first_pair": [E.add(R[i][j][k][l], R[j][i][k][l])
+                                       for i in n for j in n for k in n for l in n if i <= j],
+        "riemann_antisym_last_pair": [E.add(R[i][j][k][l], R[i][j][l][k])
+                                      for i in n for j in n for k in n for l in n if k <= l],
+        "riemann_pair_symmetry": [E.sub(R[i][j][k][l], R[k][l][i][j]) for i in n for j in n
+                                  for k in n for l in n if (i, j) <= (k, l)],
+        "riemann_first_bianchi": [E.add(E.add(R[i][j][k][l], R[k][i][j][l]), R[j][k][i][l])
+                                  for i in n for j in n for k in n for l in n],
+        "ricci_symmetric": [E.sub(S[j][k], S[k][j]) for j in n for k in n if j <= k],
+        "kulkarni_nomizu": _kulkarni_nomizu_forms(spec),
+        "scalar_convention": E.sub(tau, E.mul(0.5, E.add(E.add(S[0][0], S[1][1]), S[2][2]))),
+        "np_metric": _np_metric_forms(spec),
+    }
 
 
 _SPIN_NAMES = ("kappa", "sigma", "rho", "beta_np", "epsilon_np")
 
 
-def _forms_sachs(spec: ManifoldSpec) -> dict:
-    routes = (spin_coefficients(spec), spin_coefficients_from_f(spec))
-    return {"res": _sachs_exprs(spec), "S": riemann(spec).ricci,
-            "rec": _sachs_ricci_exprs(spec),
-            "routes": [[getattr(co, name) for name in _SPIN_NAMES] for co in routes]}
-
-
-def _checks_sachs(spec, v, tol) -> list:
-    res = v["res"]
+def _sachs(spec: ManifoldSpec) -> dict:
+    res, S, rec = _sachs_exprs(spec), riemann(spec).ricci, _sachs_ricci_exprs(spec)
+    a, b = spin_coefficients(spec), spin_coefficients_from_f(spec)
     names = ("sachs_shear", "sachs_del_rho", "sachs_beta_eps",
              "sachs_transverse_ricci", "sachs_xi_rho")
-    checks = [_check(n, np.max(np.abs(res[:, i])), tol) for i, n in enumerate(names)]
-    checks.append(_check("ricci_from_sachs", np.max(np.abs(v["S"] - _real_ricci(v["rec"]))), tol))
-    # the two routes to the spin coefficients must agree
-    worst = 0.0
-    for va, vb in zip(*v["routes"]):
-        worst = max(worst, float(np.max(np.abs(va - vb))))
-    checks.append(_check("spin_coefficient_routes", worst, 1e-10))
-    return checks
+    return {
+        **dict(zip(names, res)),
+        "ricci_from_sachs": [E.sub(S[j][k], rec[j][k]) for j in range(3) for k in range(3)],
+        # the two routes to the spin coefficients must agree
+        "spin_coefficient_routes": [getattr(a, name) - getattr(b, name) for name in _SPIN_NAMES],
+    }
 
 
-def _forms_bianchi(spec: ManifoldSpec) -> dict:
-    return {"res": _bianchi_exprs(spec)}
+def _bianchi(spec: ManifoldSpec) -> dict:
+    res_xi, res_d = _bianchi_exprs(spec)
+    return {"bianchi_xi_component": res_xi, "bianchi_del_component": res_d}
 
 
-def _checks_bianchi(spec, v, tol) -> list:
-    res = v["res"]
-    return [
-        _check("bianchi_xi_component", np.max(np.abs(res[:, 0])), tol),
-        _check("bianchi_del_component", np.max(np.abs(res[:, 1])), tol),
-    ]
+def _congruence(spec: ManifoldSpec) -> dict:
+    """The residuals the ts and xi suites share, by their xi-suite names."""
+    lap, div, grad = rough_laplacian_xi(spec), divergence_xi(spec), grad_xi_norm_sq(spec)
+    return {"laplacian_routes": [E.sub(a, b) for a, b in zip(lap.generic, lap.np_closed)],
+            "divergence_routes": E.sub(div.direct, div.np_form),
+            "bochner_reduction": E.sub(lap.generic[2], grad),
+            "grad_norm_spin_identity": E.sub(grad, lap.np_closed[2])}
 
 
-def _forms_ts(spec: ManifoldSpec) -> dict:
-    lap = rough_laplacian_xi(spec)
-    return {"ts": _ts_identity_forms(spec), "div": divergence_xi(spec).direct,
-            "grad": grad_xi_norm_sq(spec), "lap": lap.generic, "lap_np": lap.np_closed}
+def _ts(spec: ManifoldSpec) -> dict:
+    shared = _congruence(spec)
+    rho = spin_coefficients(spec).rho
+    return {**{f"ts_{name}": tree for name, tree in _ts_identity_forms(spec).items()},
+            "ts_div_2theta": shared["divergence_routes"],
+            "ts_grad_norm_2rho2": E.sub(grad_xi_norm_sq(spec), E.mul(2.0, rho.abs2())),
+            "ts_laplacian_closed_form": shared["laplacian_routes"],
+            "ts_bochner": shared["bochner_reduction"]}
 
 
-def _checks_ts(spec, v, tol) -> list:
-    # NotTransSasakian propagates: run_suites decides the skip over all points
-    _require_trans_sasakian(spec.name, v["ts"], max(tol, DEFAULT_TOL))
-    res = _ts_identity_residuals(v["ts"])
-    checks = [_check(f"ts_{name}", np.max(vals), tol) for name, vals in res.items()]
-    rho, grad, lap = v["ts"]["closed"]["rho"], v["grad"], v["lap"]
-    checks.append(_check("ts_div_2theta", np.max(np.abs(v["div"] - 2 * rho.real)), tol))
-    checks.append(_check("ts_grad_norm_2rho2",
-                         np.max(np.abs(grad - 2 * np.abs(rho) ** 2)), tol))
-    checks.append(_check("ts_laplacian_closed_form", np.max(np.abs(lap - v["lap_np"])), tol))
-    checks.append(_check("ts_bochner", np.max(np.abs(lap[:, 2] - grad)), tol))
-    return checks
+def _xi(spec: ManifoldSpec) -> dict:
+    return {**_congruence(spec),
+            "epsilon_purely_imaginary": spin_coefficients(spec).epsilon_np.re}
 
 
-def _forms_xi(spec: ManifoldSpec) -> dict:
-    return {"congruence": _congruence_forms(spec),
-            "eps_re": spin_coefficients(spec).epsilon_np.re}
-
-
-def _checks_xi(spec, v, tol) -> list:
-    cong = v["congruence"]
-    grad, lap = cong["grad"], cong["lap"]
-    checks = [
-        _check("laplacian_routes", np.max(np.abs(lap - cong["lap_np"])), tol),
-        _check("divergence_routes", np.max(np.abs(cong["div"] - cong["div_np"])), tol),
-        _check("bochner_reduction", np.max(np.abs(lap[:, 2] - grad)), tol),
-    ]
-    kappa, sigma, rho = cong["kappa"], cong["sigma"], cong["rho"]
-    norm_np = 2 * (np.abs(kappa) ** 2 + np.abs(rho) ** 2 + np.abs(sigma) ** 2)
-    checks.append(_check("grad_norm_spin_identity", np.max(np.abs(grad - norm_np)), tol))
-    checks.append(_check("epsilon_purely_imaginary", np.max(np.abs(v["eps_re"])), tol))
-    return checks
-
-
-# name -> (forms, checks)
-_SUITES = {
-    "kn": (_forms_kn, _checks_kn),
-    "sachs": (_forms_sachs, _checks_sachs),
-    "bianchi": (_forms_bianchi, _checks_bianchi),
-    "ts": (_forms_ts, _checks_ts),
-    "xi": (_forms_xi, _checks_xi),
-}
+_SUITES = {"kn": _kn, "sachs": _sachs, "bianchi": _bianchi, "ts": _ts, "xi": _xi}
 
 
 def _suite(name: str):
@@ -175,37 +137,43 @@ def run_suite(spec: ManifoldSpec, name: str, pts, tol=DEFAULT_TOL) -> list:
 
 def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL) -> dict:
     """Run the named suites over ``pts`` as one streamed request."""
-    return run_request(spec, names, pts, {}, tol)[0]
+    return run_request(spec, names, pts, tol=tol)[0]
 
 
-def run_request(spec: ManifoldSpec, names, pts, keep: dict, tol=DEFAULT_TOL) -> tuple:
-    """(:func:`run_suites`, the values of the tree of forms ``keep`` at every point).
+def run_request(spec: ManifoldSpec, names, pts, checks=None, keep=None,
+                tol=DEFAULT_TOL) -> tuple:
+    """(:func:`run_suites`, the records of ``checks``, the values of ``keep``).
 
-    ``keep`` rides in the same streamed request as the suites: the union of
-    all the trees is one tape, and only ``keep``'s values are kept beyond
-    their chunk.
+    ``checks`` maps more check names to their residual trees, and ``keep``
+    is a tree of forms whose values are kept at every point.  Both ride in
+    the same streamed request as the suites: the union of all the roots is
+    one tape, and only ``keep``'s values are kept beyond their chunk.
     """
     if names == "all" or names == ["all"]:
         names = list(SUITE_NAMES)
     if isinstance(names, str):
         names = [names]
-    forms = {"suites": {n: _suite(n)[0](spec) for n in names}, "keep": keep}
+    groups = {n: _suite(n)(spec) for n in names}
+    groups[None] = checks or {}
+    keys = [(group, name) for group, trees in groups.items() for name in trees]
+    roots = [residual(groups[group][name]) for group, name in keys]
+    if "ts" in names:
+        roots.append(_ts_gate(spec))
 
     def chunk(values):
-        return ({n: _run_one(spec, n, values["suites"][n], tol) for n in names}, values["keep"])
+        return np.array([np.max(col) for col in values["roots"]]), values["keep"]
 
-    results, kept = zip(*map_chunks(chunk, forms, pts, spec.params))
-    folded = functools.reduce(_fold, results)
-    return ({n: _skipped(r) if isinstance(r, NotTransSasakian) else r for n, r in folded.items()},
-            _concat(kept))
-
-
-def _run_one(spec, name, values, tol):
-    """One suite's checks on one chunk's values, or the NotTransSasakian it raised."""
-    try:
-        return _suite(name)[1](spec, values, tol)
-    except NotTransSasakian as exc:
-        return exc
+    maxima, kept = zip(*map_chunks(chunk, {"roots": roots, "keep": keep or {}}, pts,
+                                   spec.params))
+    worst = functools.reduce(np.maximum, maxima)
+    results = {group: [] for group in groups}
+    for (group, name), value in zip(keys, worst):
+        results[group].append(_check(name, value, TOLERANCES.get(name, tol)))
+    if "ts" in names and worst[-1] > max(tol, DEFAULT_TOL):
+        exc = NotTransSasakian(spec.name, worst[-1])
+        results["ts"] = [{"name": "ts_suite", "skipped": True,
+                          "reason": f"NotTransSasakian: {exc}", "pass": True}]
+    return results, results.pop(None), _concat(kept)
 
 
 def _concat(trees):
@@ -218,26 +186,6 @@ def _concat(trees):
     if isinstance(first, list):
         return [_concat(list(parts)) for parts in zip(*trees)]
     return np.concatenate(trees)
-
-
-def _fold(a: dict, b: dict) -> dict:
-    """Two chunks' results as one: each check's max residual, ``pass``
-    recomputed from it; a NotTransSasakian skip wins, with the larger worst."""
-    out = {}
-    for name, x in a.items():
-        y = b[name]
-        if isinstance(x, NotTransSasakian) or isinstance(y, NotTransSasakian):
-            raised = [r for r in (x, y) if isinstance(r, NotTransSasakian)]
-            out[name] = max(raised, key=lambda exc: exc.worst)
-        else:
-            out[name] = [_check(c["name"], np.maximum(c["max_residual"], d["max_residual"]),
-                                c["tolerance"]) for c, d in zip(x, y)]
-    return out
-
-
-def _skipped(exc: NotTransSasakian) -> list:
-    return [{"name": "ts_suite", "skipped": True, "reason": f"NotTransSasakian: {exc}",
-             "pass": True}]
 
 
 def suite_passed(results: dict) -> bool:

@@ -19,8 +19,8 @@ from np3kit.cli import main as cli_main
 from np3kit.ektau import (AdaptedState, adapted_covariant_table, adapted_spin,
                           ektau_model, ektau_params, rigidity_obstruction,
                           rigidity_sweep, spin_from_f)
-from np3kit.frame import (connection_table, curvature_values_many,
-                          default_samples, eval_table_many)
+from np3kit.cexpr import eval_forms
+from np3kit.frame import connection_table, curvature_values_many, default_samples
 from np3kit.npcore import (GaugeAngle, gauge_transform, grad_xi_norm_sq,
                            spin_coefficients, weighted_derivative)
 from np3kit.suites import run_suites
@@ -126,7 +126,7 @@ def test_criterion_5_trans_sasakian_theorem_suite():
                                        - 2 * np.abs(rho) ** 2)),
             "laplacian_closed_form": rough_laplacian_xi(spec).max_discrepancy(pts, p),
         }
-        lap_vals = eval_table_many(rough_laplacian_xi(spec).generic, pts, p, 1)
+        lap_vals = eval_forms(rough_laplacian_xi(spec).generic, pts, p)
         grad = E.evaluate_many(grad_xi_norm_sq(spec), pts, p)
         extra["bochner"] = np.max(np.abs(lap_vals[:, 2] - grad))
         for rname, value in extra.items():
@@ -183,7 +183,7 @@ def test_criterion_7_rigidity_sweep():
 def test_criterion_8_cross_engine_consistency():
     spec = catalog.get_spec("nil3")
     pts = default_samples(spec, 25, seed=0)
-    gam = eval_table_many(connection_table(spec).gamma, pts, spec.params, 3)
+    gam = eval_forms(connection_table(spec).gamma, pts, spec.params)
     model = ektau_model(0.0, 0.5)
     conn_ok = np.max(np.abs(gam - np.asarray(model.gamma))) <= 1e-10
 

@@ -8,6 +8,8 @@ import textwrap
 import pytest
 
 from np3kit import catalog, suites
+from np3kit import expr as E
+from np3kit.cexpr import CExpr
 from np3kit.frame import default_samples, load_manifold, spec_to_document
 from np3kit.suites import SUITE_NAMES, run_suite
 
@@ -48,40 +50,58 @@ def test_every_entry_runs_green(name, tapes, monkeypatch):
     assert tapes[0] == [100] and all(t == [1] for t in tapes[1:])
 
 
-def _form_paths(tree, path=()):
-    """The key path of every entry of every dict in a tree of forms."""
+def _leaves(tree):
+    """The leaves of a residual tree, in order (dicts by value, lists and tuples)."""
     if isinstance(tree, dict):
-        for key, sub in tree.items():
-            yield path + (key,)
-            yield from _form_paths(sub, path + (key,))
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        return [leaf for child in tree for leaf in _leaves(child)]
+    return [tree]
 
 
-def _without(tree, path):
-    """``tree`` with the dict entry at ``path`` left out."""
-    head, rest = path[0], path[1:]
-    return {k: _without(v, rest) if rest and k == head else v
-            for k, v in tree.items() if rest or k != head}
+def _replace(tree, index, fn, seen=None):
+    """``tree`` with its ``index``-th leaf (in :func:`_leaves` order) replaced by
+    ``fn(leaf)``; dicts keep their keys, lists and tuples become lists."""
+    seen = [0] if seen is None else seen
+    if isinstance(tree, dict):
+        return dict(zip(tree, _replace(list(tree.values()), index, fn, seen)))
+    if isinstance(tree, (list, tuple)):
+        return [_replace(child, index, fn, seen) for child in tree]
+    seen[0] += 1
+    return fn(tree) if seen[0] - 1 == index else tree
+
+
+def _perturbations(tree):
+    """(label, leaf index, change) for one check's residual tree: 1e-6 added to
+    its first and last leaf and to the imaginary part of its first complex
+    leaf, and its first leaf made NaN."""
+    leaves = _leaves(tree)
+    out = [("first", 0, lambda f: f + 1e-6), ("last", len(leaves) - 1, lambda f: f + 1e-6),
+           ("nan", 0, lambda f: f + float("nan"))]
+    complex_at = [i for i, f in enumerate(leaves) if isinstance(f, CExpr)]
+    if complex_at:
+        out.append(("imag", complex_at[0], lambda f: CExpr(f.re, E.add(f.im, 1e-6))))
+    return out
 
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_suite_roots_cover_each_suite(name, monkeypatch):
-    """Negative control for the forms each suite declares: its checks read
-    every one of them, so a tree without any one form makes the suite raise
-    on every entry where it runs."""
+    """Negative control for the residual tree each check declares: a change
+    of 1e-6 to one of its leaves, or a NaN leaf, fails that check and no
+    other, on every entry where the check runs."""
     spec = catalog.get_spec(name)
     pts = default_samples(spec, 20, seed=2)
     for suite in SUITE_NAMES:
         if run_suite(spec, suite, pts)[0].get("skipped"):
             continue  # ts on a spec that is not trans-Sasakian
-        forms, checks = suites._SUITES[suite]
-        paths = list(_form_paths(forms(spec)))
-        assert paths, suite
-        for path in paths:
-            with monkeypatch.context() as m:
-                m.setitem(suites._SUITES, suite,
-                          (lambda s, path=path: _without(forms(s), path), checks))
-                with pytest.raises(KeyError):
-                    run_suite(spec, suite, pts)
+        trees = suites._SUITES[suite](spec)
+        for check, tree in trees.items():
+            for label, index, fn in _perturbations(tree):
+                changed = dict(trees, **{check: _replace(tree, index, fn)})
+                with monkeypatch.context() as m:
+                    m.setitem(suites._SUITES, suite, lambda s, changed=changed: changed)
+                    failing = [c["name"] for c in run_suite(spec, suite, pts) if not c["pass"]]
+                assert failing == [check], (suite, check, label)
 
 
 def _peak_mb(count: int) -> float:

@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from np3kit.cli import main
+from np3kit.frame import default_samples, spec_from_document
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +40,25 @@ def test_spin_out_of_domain_exits_2(capsys):
     code, _, err = run_cli(capsys, "spin", "example2", "--at", "0,0,0")
     assert code == 2
     assert "domain" in err
+
+
+def test_domain_error_names_the_sample(tmp_path, capsys):
+    """A frame singular inside its box: the error names the first failing
+    probe point of the frame check, by index and coordinates."""
+    doc = {"name": "sqrt_e1", "coords": ["x1", "x2", "x3"],
+           "frame": {"e1": ["sqrt(x1)", "0", "0"], "e2": ["0", "1", "0"],
+                     "xi": ["0", "0", "1"]},
+           "domain": [], "params": {}, "box": [[-1, 1], [-1, 1], [-1, 1]]}
+    path = tmp_path / "sqrt_e1.json"
+    path.write_text(json.dumps(doc))
+    probes = default_samples(spec_from_document(doc), 8, seed=0)
+    index = int(np.argmax(probes[:, 0] < 0.0))
+    assert probes[index, 0] < 0.0
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    point = tuple(probes[index].tolist())
+    assert err.strip() == (f"np3kit: domain error: sqrt of negative value "
+                           f"at sample {index}, point {point}")
 
 
 def test_spin_bad_point_exits_3(capsys):

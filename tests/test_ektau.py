@@ -10,7 +10,8 @@ from np3kit.ektau import (AdaptedState, TauZeroForSigma, adapted_covariant_table
                           ektau_params, rigidity_obstruction, rigidity_sweep,
                           sol_obstruction, spin_from_f, ts_system_residuals,
                           vertical_structure_type)
-from np3kit.frame import connection_table, default_samples, eval_table_many
+from np3kit.cexpr import eval_forms
+from np3kit.frame import connection_table, default_samples
 
 
 def test_params_delta_relation():
@@ -58,7 +59,7 @@ def test_model_matches_nil3_catalog_connection():
     m = ektau_model(0.0, 0.5)
     spec = catalog.get_spec("nil3")
     pts = default_samples(spec, 20, seed=0)
-    gam = eval_table_many(connection_table(spec).gamma, pts, spec.params, 3)
+    gam = eval_forms(connection_table(spec).gamma, pts, spec.params)
     assert np.max(np.abs(gam - np.asarray(m.gamma))) <= 1e-10
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from np3kit import expr as E
-from np3kit.cexpr import CExpr, eval_forms
+from np3kit.cexpr import CExpr, c_const, eval_forms, residual
 from np3kit.expr import (
     Binary, Const, Coord, DomainError, ParseError, Unary, UnboundParameter,
     differentiate, evaluate, evaluate_many, parse, simplify, unparse,
@@ -401,6 +401,44 @@ def test_domain_error_messages(f, point, message):
     with pytest.raises(DomainError) as exc:
         evaluate(f, point)
     assert str(exc.value) == message
+
+
+def test_domain_error_names_the_first_failing_sample():
+    pts = np.ones((2 * E.CHUNK + 3, 3))
+    pts[[E.CHUNK + 7, -1], 0] = -1.0  # both in later chunks
+    with pytest.raises(DomainError) as exc:
+        evaluate_many(parse("sqrt(x1)"), pts)
+    assert (exc.value.index, exc.value.point) == (E.CHUNK + 7, (-1.0, 1.0, 1.0))
+    assert str(exc.value) == "sqrt of negative value"
+
+
+def test_evaluation_only_ops():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(50, 3)) * np.array([1.0, 1e-3, 1e3])
+    x, y = Coord(1), Coord(2)
+    re, im = pts[:, 0], pts[:, 1]
+    got = eval_forms([E.absolute(x), E.maximum(x, y), E.cabs(x, y)], pts)
+    assert np.array_equal(got[0], np.abs(re))
+    assert np.array_equal(got[1], np.maximum(re, im))
+    assert np.array_equal(got[2], np.abs(re + 1j * im))  # numpy's modulus, not hypot
+    assert np.isnan(evaluate(E.maximum(x, float("nan")), (1.0, 0.0, 0.0)))
+    assert E.cabs(Const(-2.0), 0.0) == Const(2.0)
+    for node in (E.absolute(x), E.maximum(x, y), E.cabs(x, y)):
+        with pytest.raises(ValueError, match="evaluation-only"):
+            differentiate(node, 1)
+        with pytest.raises(ValueError, match="evaluation-only"):
+            unparse(node)
+
+
+def test_residual_folds_to_one_root():
+    x, y = Coord(1), Coord(2)
+    pts = np.array([[3.0, -4.0, 0.0], [-0.5, 0.25, 1.0]])
+    tree = {"a": [x, E.const(0.0), (y,)], "b": CExpr(x, y), "c": c_const(-1.5)}
+    got = eval_forms(residual(tree), pts)
+    assert np.array_equal(got, [5.0, 1.5])
+    assert residual([E.const(0.0), c_const(0)]) == Const(0.0)
+    assert residual([E.const(-2.0), c_const(1.0)]) == Const(2.0)
+    assert np.isnan(evaluate(residual([x, E.const(float("nan"))]), (1.0, 0.0, 0.0)))
 
 
 def test_constant_exponents_and_divisors():

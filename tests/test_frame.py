@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from np3kit import expr as E
+from np3kit.cexpr import eval_forms
 from np3kit.frame import (
     DegenerateFrame, SchemaError, connection_table, covariant_derivative,
-    curvature_values, default_samples, eval_table_many,
-    kulkarni_nomizu_residual, load_manifold, riemann, spec_cached,
+    curvature_values, default_samples, kulkarni_nomizu_residual,
+    load_manifold, riemann, spec_cached,
     spec_from_document, spec_to_document, structure_functions,
 )
 
@@ -161,8 +162,8 @@ def test_connection_metric_compatible_and_torsion_free(example1):
     gamma = connection_table(example1).gamma
     c = structure_functions(example1).c
     pts = default_samples(example1, 25, seed=3)
-    gam = eval_table_many(gamma, pts, example1.params, 3)
-    cc = eval_table_many(c, pts, example1.params, 3)
+    gam = eval_forms(gamma, pts, example1.params)
+    cc = eval_forms(c, pts, example1.params)
     # antisymmetry in last two slots
     assert np.max(np.abs(gam + np.swapaxes(gam, 2, 3))) < 1e-10
     # torsion: Gamma[i][j][k] - Gamma[j][i][k] = c[i][j][k]

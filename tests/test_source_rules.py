@@ -3,7 +3,9 @@
 Every derived table of a spec is memoized by ``frame.spec_cached`` and by
 nothing else, the package runs no thread pool of its own, and no module
 keeps evaluation state in a context variable: a request passes its forms
-and values explicitly.
+and values explicitly.  A check's residual arithmetic lives in its forms,
+so the suites module takes no modulus and permutes no array itself, and
+every check record comes from ``suites._check``.
 """
 
 import ast
@@ -77,3 +79,65 @@ def test_cache_rule_flags_a_second_memo():
         "MEMO = spec._cache\n"
     )
     assert cache_users(source) == ["laplacian", "line 7"]
+
+
+RESIDUAL_ARITHMETIC = ("abs", "swapaxes", "einsum")
+
+
+def numpy_uses(source: str, names) -> list[str]:
+    """The ``np.<name>`` attributes of ``names`` that a source uses, sorted."""
+    return sorted({node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "np" and node.attr in names})
+
+
+def _is_max_residual(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "max_residual"
+
+
+def max_residual_writers(source: str) -> list[str]:
+    """Top-level definitions that write a ``"max_residual"`` key: as a dict
+    display key, by subscript assignment, or as a keyword argument."""
+    writers = []
+    for top in ast.parse(source).body:
+        if any((isinstance(node, ast.Dict) and any(map(_is_max_residual, node.keys)))
+               or (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                   and _is_max_residual(node.slice))
+               or (isinstance(node, ast.keyword) and node.arg == "max_residual")
+               for node in ast.walk(top)):
+            writers.append(getattr(top, "name", f"line {top.lineno}"))
+    return writers
+
+
+def test_suites_take_no_modulus_and_permute_no_array():
+    path = next(p for p in SOURCES if p.name == "suites.py")
+    assert numpy_uses(path.read_text(encoding="utf-8"), RESIDUAL_ARITHMETIC) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_suites_check_writes_a_residual_record(path):
+    want = ["_check"] if path.name == "suites.py" else []
+    assert max_residual_writers(path.read_text(encoding="utf-8")) == want
+
+
+def test_numpy_rule_flags_residual_arithmetic():
+    source = ("import numpy as np\n"
+              "def checks(v):\n"
+              "    gap = np.abs(v - np.swapaxes(v, 1, 2))\n"
+              "    return np.einsum('nij->n', gap), np.max(gap)\n")
+    assert numpy_uses(source, RESIDUAL_ARITHMETIC) == ["abs", "einsum", "swapaxes"]
+
+
+def test_record_rule_flags_a_second_writer():
+    source = (
+        "def _check(name, value):\n"
+        "    return {'name': name, 'max_residual': value}\n"
+        "def fold(c, d):\n"
+        "    c['max_residual'] = max(c['max_residual'], d['max_residual'])\n"
+        "def widen(c):\n"
+        "    return dict(c, max_residual=0.0)\n"
+        "def reads(c):\n"
+        "    return c['max_residual'], 'max_residual' in c\n"
+        "RECORD = {'max_residual': 1.0}\n"
+    )
+    assert max_residual_writers(source) == ["_check", "fold", "widen", "line 9"]

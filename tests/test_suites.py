@@ -8,9 +8,10 @@ import pytest
 
 from np3kit import catalog, cli
 from np3kit import expr as E
+from np3kit.cexpr import eval_forms, residual
 from np3kit.classify import einstein_check, ts_identity_residuals_many
-from np3kit.frame import (_kulkarni_nomizu_residual, curvature_values_many,
-                          default_samples, load_manifold)
+from np3kit.frame import (_kulkarni_nomizu_forms, curvature_values_many, default_samples,
+                          load_manifold)
 from np3kit.suites import run_suites
 from np3kit.xi import parallel_and_collinearity
 
@@ -104,6 +105,22 @@ def test_domain_error_is_the_unchunked_one(singular, tmp_path, monkeypatch, caps
     assert str(whole.value) in err
 
 
+def test_domain_error_names_the_global_sample(tmp_path, monkeypatch, capsys):
+    spec, path = _singular_spec(tmp_path)
+    pts = default_samples(spec, N, seed=0).copy()
+    pts[-2, 0] = -0.25  # the only singular sample, in the last chunk
+    with pytest.raises(E.DomainError) as streamed:
+        run_suites(spec, "all", pts)
+    assert (streamed.value.index, streamed.value.point) == (N - 2, tuple(pts[-2].tolist()))
+
+    monkeypatch.setattr(cli, "default_samples", lambda spec, count, seed=0: pts)
+    code = cli.main(["verify", path, "--suite", "all", "--samples", str(N), "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DOMAIN
+    assert err.strip() == (f"np3kit: domain error: sqrt of negative value "
+                           f"at sample {N - 2}, point {tuple(pts[-2].tolist())}")
+
+
 @pytest.mark.parametrize("n,passes", [
     (N, [E.CHUNK] * 3 + [5]),  # one compiled tape, passed over each slice
     (E.CHUNK, [E.CHUNK]),      # a request of one chunk is one pass
@@ -147,16 +164,17 @@ def test_library_sweeps_run_one_tape_each(tapes):
 
 
 def test_kulkarni_nomizu_broadcast_matches_einsum():
-    rng = np.random.default_rng(7)
-    R = rng.normal(size=(50, 3, 3, 3, 3))
-    S = rng.normal(size=(50, 3, 3))
-    tau = rng.normal(size=50)
-    gmat = np.broadcast_to(np.eye(3), S.shape)
-    T = S - 0.5 * tau[:, None, None] * gmat
-    kn = (np.einsum("njk,nil->nijkl", gmat, T) - np.einsum("nik,njl->nijkl", gmat, T)
-          + np.einsum("njk,nil->nijkl", T, gmat) - np.einsum("nik,njl->nijkl", T, gmat))
-    want = np.max(np.abs(R - kn), axis=(1, 2, 3, 4))
-    assert np.array_equal(_kulkarni_nomizu_residual(R, S, tau), want)
-    spec = catalog.get_spec("example1")
-    pts = default_samples(spec, 20)
-    assert np.max(_kulkarni_nomizu_residual(*curvature_values_many(spec, pts))) <= 1e-8
+    """The KN residual root, bitwise against an einsum reference built from
+    the evaluated curvature."""
+    for name in ("example1", "flat_radial", "sol"):
+        spec = catalog.get_spec(name)
+        pts = default_samples(spec, 50, seed=7)
+        R, S, tau = curvature_values_many(spec, pts)
+        gmat = np.broadcast_to(np.eye(3), S.shape)
+        T = S - 0.5 * tau[:, None, None] * gmat
+        kn = (np.einsum("njk,nil->nijkl", gmat, T) - np.einsum("nik,njl->nijkl", gmat, T)
+              + np.einsum("njk,nil->nijkl", T, gmat) - np.einsum("nik,njl->nijkl", T, gmat))
+        want = np.max(np.abs(R - kn), axis=(1, 2, 3, 4))
+        got = eval_forms(residual(_kulkarni_nomizu_forms(spec)), pts, spec.params)
+        assert np.array_equal(got, want), name
+        assert np.max(got) <= 1e-8, name

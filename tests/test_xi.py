@@ -5,7 +5,8 @@ import pytest
 
 from np3kit import catalog
 from np3kit import expr as E
-from np3kit.frame import default_samples, eval_table_many
+from np3kit.cexpr import eval_forms
+from np3kit.frame import default_samples
 from np3kit.npcore import d_del, spin_coefficients
 from np3kit.xi import (divergence_xi, harmonicity_residual,
                        parallel_and_collinearity, rough_laplacian_xi)
@@ -27,7 +28,7 @@ def test_laplacian_sasakian_kenmotsu_is_2xi():
         spec = _spec(name)
         lap = rough_laplacian_xi(spec)
         pts = default_samples(spec, 25, seed=1)
-        vals = eval_table_many(lap.generic, pts, spec.params, 1)
+        vals = eval_forms(lap.generic, pts, spec.params)
         want = np.broadcast_to([0.0, 0.0, 2.0], vals.shape)
         assert np.max(np.abs(vals - want)) <= 1e-10, name
 
