@@ -99,18 +99,22 @@ def map_chunks(fn, forms, points, params=None) -> list:
     """``fn(values)`` for the values of ``forms`` on each ``expr.CHUNK``-point
     slice of ``points``, in order.
 
-    ``forms`` compiles into one tape, which every slice reuses, so the
-    values and whatever ``fn`` builds from them never grow past one chunk.
-    If a slice raises DomainError or UnboundParameter, the tree is
-    evaluated once over all points, which raises (or not) exactly as an
-    unchunked request would.
+    ``forms`` compiles into one tape of ``CHUNK`` points a pass, which every
+    slice reuses, so the values and whatever ``fn`` builds from them never
+    grow past one chunk.  The last slice is the last ``CHUNK`` points; its
+    values are cut to the points that no earlier slice had.  If a slice
+    raises DomainError or UnboundParameter, the tree is evaluated once over
+    all points, which raises (or not) exactly as an unchunked request would.
     """
-    pts = E._points(points)
-    if len(pts) > E.CHUNK:
+    pts, width = E._points(points), E.CHUNK
+    if len(pts) > width:
         try:
-            tape = E._Tape(_leaves(forms), params or {})
-            return [fn(_values(forms, iter(tape.run(pts[lo:lo + E.CHUNK])), {}))
-                    for lo in range(0, len(pts), E.CHUNK)]
+            tape = E._Tape(_leaves(forms), params or {}, width)
+            out = []
+            for start, new in E._windows(len(pts), width):
+                cols = tape.run(pts[start:start + width])
+                out.append(fn(_values(forms, (col[new:] for col in cols), {})))
+            return out
         except (E.DomainError, E.UnboundParameter):
             pass  # which error, and where, is decided over all points
     return [fn(eval_forms(forms, pts, params))]

@@ -126,6 +126,8 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
+    if args.samples < 1:
+        raise _CliError(EXIT_INPUT, "--samples must be at least 1")
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     t0 = time.perf_counter()
     pts = default_samples(spec, args.samples, seed=args.seed)

@@ -42,12 +42,18 @@ intern and derivative tables only ever deduplicate work; under concurrent
 use they may recompute, never corrupt.
 
 Evaluation (:func:`eval_batch`) compiles the distinct nodes of the
-requested expressions into a tape and runs it over the points in chunks of
-``CHUNK`` points: each distinct subterm is computed once per call, and
-memory holds the result columns plus one chunk of the values still live.
-Nothing is kept after the call returns.  A request declares everything it
-evaluates up front, as one tree of forms (``cexpr.eval_forms``), so work
-shared across its checks is shared inside one tape.
+requested expressions into a tape for passes of ``min(CHUNK, N)`` points
+and runs it in place.  Each tape slot owns one buffer of that width,
+allocated once per tape, and each op is bound at compile time to the
+buffers it reads and writes, so a pass copies in the coordinate columns
+and calls numpy with ``out=``.  Passes step by the width, and the last one
+ends at the last point, overlapping the pass before it, so every pass runs
+the same bound program; only the new points of a pass are written out.
+Each distinct subterm is computed once per point, and memory holds the
+result columns plus one pass of slots.  Nothing is kept after the call
+returns.  A request declares everything it evaluates up front, as one tree
+of forms (``cexpr.eval_forms``), so work shared across its checks is shared
+inside one tape.
 """
 
 from __future__ import annotations
@@ -480,7 +486,7 @@ def _diff_node(e: Expr, i: int, d) -> Expr:
 # evaluation
 
 # points per pass over a tape, and per slice of a streamed request: at 2,048
-# points flat_radial's 1,377 live tape values take 22 MB
+# points flat_radial's 1,499 tape slots take 24 MB
 CHUNK = 2048
 
 
@@ -502,12 +508,21 @@ def evaluate_many(f: Expr, points: np.ndarray, params=None) -> np.ndarray:
 def eval_batch(exprs, points, params=None) -> list[np.ndarray]:
     """Evaluate many expressions over the same points, sharing their subterms.
 
-    The distinct nodes reachable from ``exprs`` are compiled into one tape,
-    which runs over the points in chunks of ``CHUNK``: each distinct
-    subterm is computed once, and memory holds the result columns plus one
-    chunk of the values still live.
+    The distinct nodes reachable from ``exprs`` are compiled into one tape
+    of ``min(CHUNK, N)`` points a pass, which runs over the points in place
+    (see :class:`_Tape`): each distinct subterm is computed once, and memory
+    holds the result columns plus one pass of tape slots.  A DomainError is
+    raised by a one-pass tape over all points, so it names the node and the
+    sample that an unchunked evaluation names.
     """
-    return _Tape(exprs, params or {}).run(_points(points))
+    pts, roots, params = _points(points), list(exprs), params or {}
+    n = len(pts)
+    try:
+        return _Tape(roots, params, min(CHUNK, n)).run(pts)
+    except DomainError:
+        if n <= CHUNK:
+            raise
+    return _Tape(roots, params, n).run(pts)
 
 
 def _points(points) -> np.ndarray:
@@ -515,6 +530,19 @@ def _points(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (N, 3)")
     return pts
+
+
+def _windows(n: int, width: int):
+    """(start, new) of each pass of ``width`` points over ``n`` points.
+
+    A pass reads points ``start`` to ``start + width``, of which those from
+    ``start + new`` on are its own.  Passes step by ``width``, and the last
+    one ends at ``n``, overlapping the pass before it, so every pass has the
+    same width.
+    """
+    for lo in range(0, n, width or 1):
+        start = min(lo, n - width)
+        yield start, lo - start
 
 
 def _domain(bad, message: str):
@@ -525,30 +553,30 @@ def _domain(bad, message: str):
         raise exc
 
 
-def _log(u):
+def _log(u, out=None):
     _domain(u <= 0.0, "log of non-positive value")
-    return np.log(u)
+    return np.log(u, out=out)
 
 
-def _sqrt(u):
+def _sqrt(u, out=None):
     _domain(u < 0.0, "sqrt of negative value")
-    return np.sqrt(u)
+    return np.sqrt(u, out=out)
 
 
-def _div(a, b):
+def _div(a, b, out=None):
     _domain(b == 0.0, "division by zero")
-    return np.true_divide(a, b)
+    return np.true_divide(a, b, out=out)
 
 
-def _pow(a, b):
+def _pow(a, b, out=None):
     frac = b != np.floor(b)
     _domain((a < 0.0) & frac, "negative base with non-integer exponent")
     _domain((a == 0.0) & (b < 0.0), "zero base with negative exponent")
-    return np.power(a, b)
+    return np.power(a, b, out=out)
 
 
-def _cabs(re, im):
-    return np.abs(re + 1j * im)
+def _cabs(re, im, out=None):
+    return np.abs(re + 1j * im, out=out)
 
 
 _UNARY = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -558,20 +586,25 @@ _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div, "
 
 
 class _Tape:
-    """The distinct nodes reachable from some roots, as a straight-line program.
+    """The distinct nodes reachable from some roots, as a straight-line program
+    that runs in place, ``width`` points a pass.
 
     Nodes are numbered in a depth-first post-order walk (right operand
-    first), the order their domain checks run in.  Each value gets a slot,
-    and a slot is reused once its value has had its last use, so a pass
-    holds only live values; roots stay live to the end of the pass.
-    Constants and parameters are Python floats; coordinates are leaves,
-    sliced per chunk.
+    first), the order their domain checks run in.  Each value other than a
+    constant gets a slot, and a slot is reused once its value has had its
+    last use, so the slots hold only live values; roots stay live to the
+    end of the pass.  Every slot owns one buffer of ``width`` points,
+    allocated once.  Each op is bound at compile time to what it reads, a
+    constant's float or an operand slot's buffer, and to the buffer it
+    writes, so a pass copies the coordinate columns into their buffers and
+    calls each routine with ``out=``, allocating nothing per op.  A root
+    that is a constant gets a buffer filled once.
     """
 
-    def __init__(self, exprs, params):
+    def __init__(self, exprs, params, width: int):
         roots = list(exprs)
         num: dict[int, int] = {}  # id(node) -> value number
-        consts, coords = [], []  # (value, float | index)
+        leaves, coords = {}, []  # value -> float; (value, column)
         code = []  # (routine, out, a, b) over values; b is None for unary nodes
         for f in roots:
             stack = [f]
@@ -599,64 +632,80 @@ class _Tape:
                         continue
                     code.append((_UNARY[e.op], v, a, None))
                 elif kind is Const:
-                    consts.append((v, float(e.value)))
+                    leaves[v] = float(e.value)
                 elif kind is Coord:
                     coords.append((v, e.index - 1))
                 else:
                     try:
-                        consts.append((v, float(params[e.name])))
+                        leaves[v] = float(params[e.name])
                     except KeyError:
                         raise UnboundParameter(e.name) from None
                 stack.pop()
                 num[key] = v
+        outputs = [num[id(f)] for f in roots]
+        del num
 
         last = {}
         for pos, (_, _, a, b) in enumerate(code):
             last[a] = last[b] = pos
-        for f in roots:
-            last[num[id(f)]] = len(code)
-        slot, free, fresh = {}, [], itertools.count()
-        for v, _ in consts + coords:
-            slot[v] = next(fresh)
-        self.code = []
+        for v in outputs:
+            last[v] = len(code)
+        fresh, free = itertools.count(), []
+        held = dict(leaves)  # value -> what its readers get: a float or a slot number
+        for v, _ in coords:
+            held[v] = next(fresh)
+        pinned = {v: next(fresh) for v in dict.fromkeys(outputs) if v in leaves}  # constant roots
         for pos, (fn, out, a, b) in enumerate(code):
-            sa, sb = slot[a], None if b is None else slot[b]
-            if last[a] == pos:
-                free.append(sa)
-            if b is not None and b != a and last[b] == pos:
-                free.append(sb)
-            slot[out] = so = free.pop() if free else next(fresh)
-            self.code.append((fn, so, sa, sb))
+            ra, rb = held[a], held.get(b)
+            if type(ra) is int and last[a] == pos:
+                free.append(ra)
+            if type(rb) is int and b != a and last[b] == pos:
+                free.append(rb)
+            held[out] = so = free.pop() if free else next(fresh)
+            code[pos] = (fn, so, ra, rb)
+        outputs = [pinned[v] if v in pinned else held[v] for v in outputs]
+        fills = [(s, leaves[v]) for v, s in pinned.items()]
+        coords = [(held[v], k) for v, k in coords]
+        size = next(fresh)
+        del held, pinned, last, leaves
 
-        self.template = [None] * next(fresh)
-        for v, value in consts:
-            self.template[slot[v]] = value
-        self.coords = [(slot[v], k) for v, k in coords]
-        self.outputs = [slot[num[id(f)]] for f in roots]
+        # all buffers in one burst after the compile tables are freed, and the
+        # code rebound in place: where the buffers land in the heap decides
+        # how much freed heap glibc keeps after a request (its RSS growth);
+        # one (slots, width) block, or buffers made during the walk, kept more
+        bufs = [np.empty(width) for _ in range(size)]
+        for s, value in fills:
+            bufs[s].fill(value)
+        for pos, (fn, so, ra, rb) in enumerate(code):
+            code[pos] = (fn, bufs[so], bufs[ra] if type(ra) is int else ra,
+                         bufs[rb] if type(rb) is int else rb)
+        self.code, self.width = code, width
+        self.coords = [(bufs[s], k) for s, k in coords]
+        self.outputs = [bufs[s] for s in outputs]
 
-    def run(self, pts: np.ndarray, chunk: int = CHUNK) -> list[np.ndarray]:
-        n = len(pts)
-        xyz = pts.T.copy()  # contiguous coordinate columns
-        leaves = [(s, xyz[k]) for s, k in self.coords]
-        cols = {s: np.empty(n) for s in self.outputs}
+    def run(self, pts: np.ndarray) -> list[np.ndarray]:
+        """The root columns over ``pts`` (no points, or at least ``width``),
+        in passes of ``width`` points (see :func:`_windows`).  A DomainError
+        carries the index of its sample in ``pts``, and its point."""
+        n, width = len(pts), self.width
+        cols = {id(buf): np.empty(n) for buf in self.outputs}
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                for lo in range(0, n, chunk):
-                    hi = lo + chunk
-                    vals = self.template.copy()
-                    for s, src in leaves:
-                        vals[s] = src[lo:hi]
+                for start, new in _windows(n, width):
+                    for buf, k in self.coords:
+                        buf[:] = pts[start:start + width, k]
                     for fn, out, a, b in self.code:
-                        vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
-                    for s, col in cols.items():
-                        col[lo:hi] = vals[s]
+                        if b is None:
+                            fn(a, out=out)
+                        else:
+                            fn(a, b, out=out)
+                    for buf in self.outputs:
+                        cols[id(buf)][start + new:start + width] = buf[new:]
         except DomainError as exc:
-            if chunk < n:
-                self.run(pts, n)  # one pass raises at the first failing node
-            exc.index += lo
+            exc.index += start
             exc.point = tuple(pts[exc.index].tolist())
             raise
-        return [cols[s] for s in self.outputs]
+        return [cols[id(buf)] for buf in self.outputs]
 
 
 # --------------------------------------------------------------------------

@@ -60,8 +60,11 @@ def sample_box(box, count: int, seed: int = 0, domain=None, params=None,
     """Low-discrepancy points in `box` = [(lo,hi)]*3, filtered by domain predicates.
 
     Oversamples, keeps points where every domain expression is > 0, and
-    returns exactly `count` of them (deterministically).
+    returns exactly `count` of them (deterministically); `count` is at
+    least 1.
     """
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     box = np.asarray(box, dtype=float)
     if box.shape != (3, 2):
         raise ValueError("box must be [(lo, hi), (lo, hi), (lo, hi)]")

@@ -116,6 +116,14 @@ def test_classify_samples_floor(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_samples_floor(capsys, count):
+    code, out, err = run_cli(capsys, "verify", "example1", "--samples", count,
+                             "--format", "json")
+    assert (code, out) == (3, "")
+    assert err == "np3kit: error: --samples must be at least 1\n"  # no traceback
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "example1", "--suite", "all",
                            "--format", "json")

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pathlib
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +299,47 @@ def test_tape_matches_recursive_evaluator(seed, n):
         for a, b in zip(got, want):
             assert a.shape == (n,)
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+
+
+def _per_point(roots, pts, params):
+    """The root columns, evaluated one point at a time."""
+    rows = [E.eval_batch(roots, pts[i:i + 1], params) for i in range(len(pts))]
+    return [np.array([row[j][0] for row in rows]) for j in range(len(roots))]
+
+
+@pytest.mark.parametrize("n", (0, 1, E.CHUNK, 3 * E.CHUNK + 5))
+def test_in_place_runner_edge_cases(n):
+    x1, x2, x3 = Coord(1), Coord(2), Coord(3)
+    early = E.mul(E.sin(x1), x3)  # x1 is dead after sin, so its slot is reused
+    late = E.div(E.add(early, E.mul(x3, x3)), E.add(E.mul(x2, x2), 1.0))
+    roots = [late, x2, Const(1.5), E.param("a"), x2, late]  # coordinate and constant roots
+    params = {"a": -0.25}
+    tape = E._Tape(roots, params, E.CHUNK)
+    coord_bufs = [id(buf) for buf, _ in tape.coords]
+    assert any(id(out) in coord_bufs for _, out, _, _ in tape.code)
+
+    pts = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, 3))
+    got = E.eval_batch(roots, pts, params)
+    for a, b in zip(got, _per_point(roots, pts, params)):
+        assert (a.dtype, a.shape) == (np.float64, (n,))
+        assert a.tobytes() == b.tobytes()
+    assert got[1] is got[4] and got[0] is got[5]  # a repeated root is one column
+
+
+def test_in_place_runner_allocates_nothing_per_op():
+    # a left fold evaluates right operands first, so its 600 terms are live at once
+    x1, x2 = Coord(1), Coord(2)
+    root = functools.reduce(E.add, [E.add(E.mul(x1, float(i)), x2) for i in range(2, 602)])
+    tape = E._Tape([root], {}, E.CHUNK)
+    assert len(tape.code) >= 1000
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8 * E.CHUNK, 3))
+    tracemalloc.start()
+    try:
+        (col,) = tape.run(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= col.nbytes + 2**20
 
 
 def _random_forms(rng: random.Random, depth: int = 2):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from np3kit import catalog
+from np3kit.frame import default_samples
 from np3kit.sampling import _van_der_corput
 
 
@@ -24,3 +26,9 @@ def test_van_der_corput_is_bit_identical_to_the_loop(base, n, start):
     want = _van_der_corput_loop(n, base, start)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_count_must_be_at_least_one(count):
+    with pytest.raises(ValueError, match="sample count must be at least 1"):
+        default_samples(catalog.get_spec("example1"), count)

@@ -10,9 +10,9 @@ from np3kit import catalog, cli
 from np3kit import expr as E
 from np3kit.cexpr import eval_forms, residual
 from np3kit.classify import einstein_check, ts_identity_residuals_many
-from np3kit.frame import (_kulkarni_nomizu_forms, curvature_values_many, default_samples,
-                          load_manifold)
-from np3kit.suites import run_suites
+from np3kit.frame import (_kulkarni_nomizu_forms, connection_table, curvature_values_many,
+                          default_samples, load_manifold)
+from np3kit.suites import run_request, run_suites
 from np3kit.xi import parallel_and_collinearity
 
 N = 3 * E.CHUNK + 5  # three full chunks and a short one
@@ -122,8 +122,8 @@ def test_domain_error_names_the_global_sample(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("n,passes", [
-    (N, [E.CHUNK] * 3 + [5]),  # one compiled tape, passed over each slice
-    (E.CHUNK, [E.CHUNK]),      # a request of one chunk is one pass
+    (N, [E.CHUNK] * 4),    # one tape, passed over each slice; the last overlaps
+    (E.CHUNK, [E.CHUNK]),  # a request of one chunk is one pass
 ], ids=["chunked", "one_chunk"])
 def test_every_chunk_is_one_pass_of_one_tape(n, passes, tapes):
     spec = catalog.get_spec("example1")
@@ -131,6 +131,41 @@ def test_every_chunk_is_one_pass_of_one_tape(n, passes, tapes):
     tapes.clear()
     run_suites(spec, "all", pts)
     assert tapes == [passes]
+
+
+def _request(spec, pts, unchunked=None):
+    """run_request for all suites, keeping the connection table (a table of
+    forms); one block over all points when ``unchunked`` is a monkeypatch."""
+    keep = {"gamma": connection_table(spec).gamma}
+    if unchunked is None:
+        return run_request(spec, "all", pts, keep=keep)
+    with unchunked.context() as m:
+        m.setattr(E, "CHUNK", 10 * N)
+        return run_request(spec, "all", pts, keep=keep)
+
+
+def test_kept_values_of_the_overlapping_last_pass(monkeypatch):
+    spec = catalog.get_spec("example1")
+    pts = default_samples(spec, N, seed=6)
+    suites, records, kept = _request(spec, pts)
+    whole = _request(spec, pts, monkeypatch)
+    assert kept["gamma"].shape == (N, 3, 3, 3)  # the overlap is kept once
+    assert kept["gamma"].tobytes() == whole[2]["gamma"].tobytes()
+    assert json.dumps([suites, records]) == json.dumps(whole[:2])
+
+
+def test_domain_error_in_the_overlap_is_the_unchunked_one(tmp_path, monkeypatch):
+    spec, _ = _singular_spec(tmp_path)
+    pts = default_samples(spec, N, seed=0).copy()
+    i = 2 * E.CHUNK + 100  # read by the third pass and again by the last
+    pts[i, 0] = -0.25
+    with pytest.raises(E.DomainError) as whole:
+        _request(spec, pts, monkeypatch)
+    with pytest.raises(E.DomainError) as streamed:
+        _request(spec, pts)
+    for exc in (whole.value, streamed.value):
+        assert (str(exc), exc.index, exc.point) == (
+            "sqrt of negative value", i, tuple(pts[i].tolist()))
 
 
 def _traced_peak(spec, n):
