@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass
 
 from . import expr as E
-from .classify import (DEFAULT_COUNT, DEFAULT_TOL, _einstein_forms, _einstein_verdict,
+from .classify import (DEFAULT_COUNT, DEFAULT_TOL, _einstein_roots, _einstein_verdict,
                        _structure_class)
 from .frame import ManifoldSpec, default_samples, load_manifold, riemann
 from .npcore import spin_coefficients
 from .suites import _check, run_request, suite_passed
-from .xi import _congruence_forms, _congruence_report, divergence_xi
+from .xi import _congruence_report, _congruence_roots, divergence_xi
 
 __all__ = ["CatalogEntry", "UnknownEntry", "names", "get", "get_spec", "run", "run_all"]
 
@@ -305,11 +305,12 @@ def run(name: str, count: int = DEFAULT_COUNT, seed: int = 0, tol: float = DEFAU
                                for j in range(3) for k in range(3)]
     if "ricci_xi_xi" in exp:
         ricci["ricci_xi_xi"] = E.sub(S[2][2], exp["ricci_xi_xi"])
-    whole = {"congruence": _congruence_forms(spec), "einstein": _einstein_forms(spec)}
-    suites, records, values = run_request(spec, "all", pts, {**matches, **ricci}, whole, tol)
-    cong = values["congruence"]
+    # and so do the whole-sample decisions, as named maxima and sums
+    (cmax, csum), (emax, esum) = _congruence_roots(spec), _einstein_roots(spec)
+    suites, records, values = run_request(spec, "all", pts, {**matches, **ricci},
+                                          ({**cmax, **emax}, {**csum, **esum}), tol)
 
-    cls = _structure_class(cong["kappa"], cong["sigma"], cong["rho"], tol)
+    cls = _structure_class(values, count, tol)
     verdict_ok = cls.verdict == exp["verdict"]
     checks = [{"name": "verdict", "expected": exp["verdict"], "got": cls.verdict,
                "pass": verdict_ok}]
@@ -323,13 +324,13 @@ def run(name: str, count: int = DEFAULT_COUNT, seed: int = 0, tol: float = DEFAU
                 checks.append(_check(f"spot_{key}_at_{point}",
                                      abs(vals[key] - spot[key]), 1e-9))
 
-    report = _congruence_report(spec, cong, tol)
+    report = _congruence_report(spec, values, count, tol)
     for fname, want in exp.get("flags", {}).items():
         got = getattr(report, fname) if fname != "expansion" else report.expansion
         checks.append({"name": f"flag_{fname}", "expected": want, "got": got,
                        "pass": got == want})
 
-    ev = _einstein_verdict(values["einstein"], tol)
+    ev = _einstein_verdict(values, count, tol)
     want_einstein = exp.get("einstein", None)
     if want_einstein is False:
         checks.append({"name": "einstein", "expected": False, "got": ev.is_einstein,

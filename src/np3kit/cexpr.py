@@ -5,20 +5,22 @@ sesquilinearly) to the complexified tangent space; that convention is what
 makes g(D, D) = 0 and g(D, Dbar) = 1 for D = (e1 - i e2)/sqrt(2).  All
 arithmetic here is plain complex-bilinear algebra over the real Expr layer.
 
-The geometry layers evaluate through :func:`eval_forms`, or its streamed
-form :func:`map_chunks`.  A sweep names everything it evaluates once, as a
-tree of forms: dicts and lists of ``Expr``, ``CExpr`` and tables (nested
-tuples) of them.  The distinct leaves compile into one tape, and the same
-tree comes back with arrays in place of forms.
+The geometry layers evaluate through :func:`eval_forms`.  A sweep names
+everything it evaluates once, as a tree of forms: dicts and lists of
+``Expr``, ``CExpr`` and tables (nested tuples) of them.  The distinct
+leaves compile into one tape, and the same tree comes back with arrays in
+place of forms.
 
 A check is declared as such a tree too: the differences that vanish when
 its identity holds.  :func:`residual` turns the tree into one real root,
 the pointwise max of |leaf|, so the modulus and the max over the leaves
-run on the tape and a check's values are one column.
+run on the tape and a check's values are one column.  :func:`fold` streams
+named roots and keeps one max, or one sum, per root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +28,7 @@ import numpy as np
 from . import expr as E
 from .expr import Expr
 
-__all__ = ["CExpr", "c_const", "as_cexpr", "eval_parts", "eval_forms", "map_chunks",
-           "residual"]
+__all__ = ["CExpr", "c_const", "as_cexpr", "eval_parts", "eval_forms", "fold", "residual"]
 
 
 @dataclass(frozen=True)
@@ -95,29 +96,32 @@ def eval_forms(forms, points, params=None):
     return _values(forms, iter(cols), {})
 
 
-def map_chunks(fn, forms, points, params=None) -> list:
-    """``fn(values)`` for the values of ``forms`` on each ``expr.CHUNK``-point
-    slice of ``points``, in order.
+def fold(maxima: dict, sums: dict, points, params=None) -> dict:
+    """{name: float}: the max over ``points`` of each real root in ``maxima``
+    (a NaN stays NaN) and the sum of each in ``sums``.
 
-    ``forms`` compiles into one tape of ``CHUNK`` points a pass, which every
-    slice reuses, so the values and whatever ``fn`` builds from them never
-    grow past one chunk.  The last slice is the last ``CHUNK`` points; its
-    values are cut to the points that no earlier slice had.  If a slice
-    raises DomainError or UnboundParameter, the tree is evaluated once over
-    all points, which raises (or not) exactly as an unchunked request would.
+    The roots compile into one tape of ``min(expr.CHUNK, N)`` points a pass
+    (see ``expr._windows``), so nothing grows past one pass.  A sum is the
+    ``math.fsum`` of each pass's ``np.sum`` over the points it owns, so one
+    pass sums as ``np.mean`` does.  If a pass raises DomainError, one pass
+    over all points raises it as an unchunked evaluation would.
     """
-    pts, width = E._points(points), E.CHUNK
-    if len(pts) > width:
+    pts = E._points(points)
+    n, m, roots = len(pts), len(maxima), [*maxima.values(), *sums.values()]
+    for width in (min(E.CHUNK, n), n):
+        tape = E._Tape(roots, params or {}, width)
+        hi, parts = np.full(m, -np.inf), [[] for _ in sums]
         try:
-            tape = E._Tape(_leaves(forms), params or {}, width)
-            out = []
-            for start, new in E._windows(len(pts), width):
-                cols = tape.run(pts[start:start + width])
-                out.append(fn(_values(forms, (col[new:] for col in cols), {})))
-            return out
-        except (E.DomainError, E.UnboundParameter):
-            pass  # which error, and where, is decided over all points
-    return [fn(eval_forms(forms, pts, params))]
+            for start, new in E._windows(n, width):
+                cols = [col[new:] for col in tape.run(pts[start:start + width])]
+                hi = np.maximum(hi, [np.max(col) for col in cols[:m]])
+                for part, col in zip(parts, cols[m:]):
+                    part.append(np.sum(col))
+        except E.DomainError:
+            if width == n:
+                raise
+            continue  # which error, and where, is decided over all points
+        return dict(zip([*maxima, *sums], [*hi.tolist(), *map(math.fsum, parts)]))
 
 
 def residual(tree) -> Expr:

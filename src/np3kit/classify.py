@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .cexpr import as_cexpr, c_const, eval_forms, residual
+from .cexpr import as_cexpr, c_const, eval_forms, fold, residual
 from .expr import Expr
 from .frame import (ManifoldSpec, connection_table, default_samples, riemann,
                     spec_cached)
@@ -97,15 +97,10 @@ def induced_structure(spec: ManifoldSpec) -> InducedStructure:
     return InducedStructure(alpha=rho.im, beta=rho.re)
 
 
-def _spin_forms(spec: ManifoldSpec) -> list:
-    """[kappa, sigma, rho]: the forms that :func:`classify` evaluates."""
-    co = spin_coefficients(spec)
-    return [co.kappa, co.sigma, co.rho]
-
-
 def spin_samples(spec: ManifoldSpec, points):
     """(kappa, sigma, rho) complex arrays over sample points."""
-    return tuple(eval_forms(_spin_forms(spec), points, spec.params))
+    co = spin_coefficients(spec)
+    return tuple(eval_forms([co.kappa, co.sigma, co.rho], points, spec.params))
 
 
 def _samples(spec: ManifoldSpec, samples) -> np.ndarray:
@@ -113,53 +108,81 @@ def _samples(spec: ManifoldSpec, samples) -> np.ndarray:
     return default_samples(spec, DEFAULT_COUNT) if samples is None else np.asarray(samples)
 
 
-def verdict_from_samples(kappa, sigma, rho, tol=DEFAULT_TOL,
-                         tol_const=DEFAULT_TOL_CONST) -> str:
-    """Verdict from sampled coefficient values (used directly by gauge tests)."""
-    if max(np.max(np.abs(kappa)), np.max(np.abs(sigma))) > tol:
+def _spin_scalars(kappa, sigma, rho, alpha, beta, modulus) -> tuple:
+    """(maxima, sums) that :func:`classify` decides from, by name, of forms
+    (``modulus`` is ``residual``) or of sampled arrays (``np.abs``)."""
+    maxima = {"max_abs_kappa": modulus(kappa), "max_abs_sigma": modulus(sigma),
+              "max_abs_rho": modulus(rho), "max_abs_alpha": modulus(alpha),
+              "max_abs_beta": modulus(beta), "max_alpha": alpha, "max_neg_alpha": -alpha,
+              "max_beta": beta, "max_neg_beta": -beta}
+    return maxima, {"sum_alpha": alpha, "sum_beta": beta}
+
+
+def _spin_roots(spec: ManifoldSpec) -> tuple:
+    """:func:`_spin_scalars` as roots of ``cexpr.fold``."""
+    co = spin_coefficients(spec)
+    return _spin_scalars(co.kappa, co.sigma, co.rho, co.rho.im, co.rho.re, residual)
+
+
+def _spread(hi, lo, center) -> float:
+    """max |x - center| for x from ``lo`` to ``hi``: rounding is monotone, so
+    this is bit for bit ``np.max(np.abs(x - center))``, NaN included."""
+    return float(np.maximum(abs(hi - center), abs(center - lo)))
+
+
+def _summary(values: dict, name: str, n: int) -> tuple:
+    """(mean, max deviation from the mean) of alpha or beta."""
+    mean = values[f"sum_{name}"] / n
+    return mean, _spread(values[f"max_{name}"], -values[f"max_neg_{name}"], mean)
+
+
+def _verdict(values: dict, n: int, tol, tol_const) -> str:
+    """The verdict lattice over :func:`_spin_scalars` of ``n`` samples."""
+    if max(values["max_abs_kappa"], values["max_abs_sigma"]) > tol:
         return "NotTransSasakian"
-    alpha, beta = np.imag(rho), np.real(rho)
-    if np.max(np.abs(rho)) <= tol:
+    if values["max_abs_rho"] <= tol:
         return "Cosymplectic"
-    if np.max(np.abs(beta)) <= tol:
-        mean = float(np.mean(alpha))
-        if np.max(np.abs(alpha - mean)) <= tol_const:
+    if values["max_abs_beta"] <= tol:
+        mean, spread = _summary(values, "alpha", n)
+        if spread <= tol_const:
             return "Sasakian" if abs(mean - 1.0) <= tol_const else "AlphaSasakian"
         return "C6"
-    if np.max(np.abs(alpha)) <= tol:
-        mean = float(np.mean(beta))
-        if np.max(np.abs(beta - mean)) <= tol_const:
+    if values["max_abs_alpha"] <= tol:
+        mean, spread = _summary(values, "beta", n)
+        if spread <= tol_const:
             return "Kenmotsu" if abs(mean - 1.0) <= tol_const else "BetaKenmotsu"
         return "C5"
     return "TransSasakian"
 
 
+def verdict_from_samples(kappa, sigma, rho, tol=DEFAULT_TOL,
+                         tol_const=DEFAULT_TOL_CONST) -> str:
+    """Verdict from sampled coefficient arrays, decided as :func:`classify` decides."""
+    maxima, sums = _spin_scalars(kappa, sigma, rho, np.imag(rho), np.real(rho), np.abs)
+    values = {**{k: float(np.max(x)) for k, x in maxima.items()},
+              **{k: float(np.sum(x)) for k, x in sums.items()}}
+    return _verdict(values, len(rho), tol, tol_const)
+
+
 def classify(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL,
              tol_const=DEFAULT_TOL_CONST) -> StructureClass:
     pts = _samples(spec, samples)
-    return _structure_class(*spin_samples(spec, pts), tol, tol_const)
+    return _structure_class(fold(*_spin_roots(spec), pts, spec.params), len(pts), tol, tol_const)
 
 
-def _structure_class(kappa, sigma, rho, tol=DEFAULT_TOL,
-                    tol_const=DEFAULT_TOL_CONST) -> StructureClass:
-    """:func:`classify` from the sampled kappa, sigma and rho."""
-    if len(rho) < MIN_SAMPLES:
-        raise InsufficientSamples(f"classification needs >= {MIN_SAMPLES} points, got {len(rho)}")
-    verdict = verdict_from_samples(kappa, sigma, rho, tol, tol_const)
-    alpha, beta = np.imag(rho), np.real(rho)
-    am, bm = float(np.mean(alpha)), float(np.mean(beta))
+def _structure_class(values: dict, n: int, tol=DEFAULT_TOL,
+                     tol_const=DEFAULT_TOL_CONST) -> StructureClass:
+    """:func:`classify` from the folded :func:`_spin_roots` of ``n`` samples."""
+    if n < MIN_SAMPLES:
+        raise InsufficientSamples(f"classification needs >= {MIN_SAMPLES} points, got {n}")
     return StructureClass(
-        verdict=verdict,
-        alpha_summary=(am, float(np.max(np.abs(alpha - am)))),
-        beta_summary=(bm, float(np.max(np.abs(beta - bm)))),
-        residuals={
-            "max_abs_kappa": float(np.max(np.abs(kappa))),
-            "max_abs_sigma": float(np.max(np.abs(sigma))),
-            "max_abs_rho": float(np.max(np.abs(rho))),
-        },
+        verdict=_verdict(values, n, tol, tol_const),
+        alpha_summary=_summary(values, "alpha", n),
+        beta_summary=_summary(values, "beta", n),
+        residuals={k: values[k] for k in ("max_abs_kappa", "max_abs_sigma", "max_abs_rho")},
         tol=tol,
         tol_const=tol_const,
-        sample_count=len(rho),
+        sample_count=n,
     )
 
 
@@ -270,29 +293,31 @@ def conformal_foliation_residual(spec: ManifoldSpec, point) -> float:
     return float(conformal_foliation_residual_many(spec, [point])[0])
 
 
-def _einstein_forms(spec: ManifoldSpec) -> dict:
-    """The forms :func:`einstein_check` evaluates."""
-    forms = _ts_closed_forms(spec)
-    return {"S": riemann(spec).ricci, "spin": _spin_forms(spec),
-            "closed": [forms["d_rho"], forms["S_ddb"], forms["S_xx"]]}
+def _einstein_roots(spec: ManifoldSpec) -> tuple:
+    """(maxima, sums): the roots :func:`einstein_check` decides from, by name."""
+    co, S, closed = spin_coefficients(spec), riemann(spec).ricci, _ts_closed_forms(spec)
+    n = range(3)
+    maxima = {"max_abs_kappa": residual(co.kappa), "max_abs_sigma": residual(co.sigma),
+              "max_abs_S_offdiag": residual([S[i][j] for i in n for j in n if i != j]),
+              **{f"max_S{i}{i}": S[i][i] for i in n}, **{f"max_neg_S{i}{i}": -S[i][i] for i in n},
+              "max_abs_d_rho": residual(closed["d_rho"]),
+              "einstein_closed_form": residual(closed["S_ddb"] - closed["S_xx"])}
+    return maxima, {"sum_S22": S[2][2]}
 
 
 def einstein_check(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL) -> EinsteinVerdict:
     """Is S = a g?  a is estimated as the mean of S(xi, xi) over samples."""
     pts = _samples(spec, samples)
-    return _einstein_verdict(eval_forms(_einstein_forms(spec), pts, spec.params), tol)
+    return _einstein_verdict(fold(*_einstein_roots(spec), pts, spec.params), len(pts), tol)
 
 
-def _einstein_verdict(values: dict, tol=DEFAULT_TOL) -> EinsteinVerdict:
-    """:func:`einstein_check` from the values of :func:`_einstein_forms`."""
-    S = values["S"]
-    a = float(np.mean(S[:, 2, 2]))
-    dev = float(np.max(np.abs(S - a * np.eye(3))))
+def _einstein_verdict(values: dict, n: int, tol=DEFAULT_TOL) -> EinsteinVerdict:
+    """:func:`einstein_check` from the folded :func:`_einstein_roots` of ``n`` samples."""
+    a = values["sum_S22"] / n
+    dev = float(np.max([values["max_abs_S_offdiag"], *(
+        _spread(values[f"max_S{i}{i}"], -values[f"max_neg_S{i}{i}"], a) for i in range(3))]))
     residuals = {"max_abs_S_minus_a_g": dev}
-    kappa, sigma, _ = values["spin"]
-    if max(np.max(np.abs(kappa)), np.max(np.abs(sigma))) <= tol:
-        d_rho_vals, lhs, rhs = values["closed"]
-        residuals["max_abs_d_rho"] = float(np.max(np.abs(d_rho_vals)))
-        residuals["einstein_closed_form"] = float(np.max(np.abs(lhs - rhs)))
+    if max(values["max_abs_kappa"], values["max_abs_sigma"]) <= tol:
+        residuals.update({k: values[k] for k in ("max_abs_d_rho", "einstein_closed_form")})
     return EinsteinVerdict(is_einstein=dev <= max(tol, tol * (1 + abs(a))), a=a,
                            residuals=residuals)

@@ -8,33 +8,27 @@ floating-point roundoff; the default tolerance is absolute 1e-8.
 A suite is one function, ``suite(spec) -> {check name: tree}``: each tree
 holds the forms that vanish when its identity holds (see
 ``cexpr.residual``), and the check's value is the max of their moduli over
-the samples.  All the arithmetic of a check is in its forms, so numpy here
-only takes the max of each residual column.  :func:`run_request` runs a
-whole request, and it streams: every check becomes one residual root, the
-roots compile into one tape, which runs over ``expr.CHUNK``-point slices of
-the samples (``cexpr.map_chunks``), and each check's value is the running
-max of its column over the slices.  So nothing but the kept values grows
-past one chunk: peak memory is set by the chunk size and the width of the
-DAG, not by the sample count.  Two outcomes are decided over all points:
-the ts suite is skipped as NotTransSasakian when max(|kappa|, |sigma|),
-one more root, exceeds the tolerance anywhere, and a DomainError reruns
-the request unchunked, so it names the node it would name unchunked.
+the samples.  :func:`run_request` runs a whole request, and it streams:
+every check becomes one residual root, and ``cexpr.fold`` runs the tape of
+all the roots over ``expr.CHUNK``-point slices of the samples, keeping a
+running max per root.  A caller's whole-sample quantities (``catalog.run``'s
+verdict, flags and Einstein test) ride along as more roots, each folded to a
+max or a sum, so peak memory is set by the chunk size and the width of the
+DAG, not by the sample count.  The ts suite is skipped as NotTransSasakian
+when max(|kappa|, |sigma|), one more root, exceeds the tolerance anywhere,
+and a DomainError names the node and sample it would name unchunked.
 """
 
 from __future__ import annotations
 
-import functools
-
-import numpy as np
-
 from . import expr as E
-from .cexpr import map_chunks, residual
+from .cexpr import fold, residual
 from .classify import DEFAULT_TOL, NotTransSasakian, _ts_gate, _ts_identity_forms
 from .frame import (ManifoldSpec, _kulkarni_nomizu_forms, connection_table, riemann,
                     structure_functions)
 from .npcore import (_bianchi_exprs, _np_metric_forms, _sachs_exprs, _sachs_ricci_exprs,
                      grad_xi_norm_sq, spin_coefficients, spin_coefficients_from_f)
-from .xi import divergence_xi, rough_laplacian_xi
+from .xi import _route_residuals
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_suites", "run_request", "suite_passed"]
 
@@ -98,17 +92,8 @@ def _bianchi(spec: ManifoldSpec) -> dict:
     return {"bianchi_xi_component": res_xi, "bianchi_del_component": res_d}
 
 
-def _congruence(spec: ManifoldSpec) -> dict:
-    """The residuals the ts and xi suites share, by their xi-suite names."""
-    lap, div, grad = rough_laplacian_xi(spec), divergence_xi(spec), grad_xi_norm_sq(spec)
-    return {"laplacian_routes": [E.sub(a, b) for a, b in zip(lap.generic, lap.np_closed)],
-            "divergence_routes": E.sub(div.direct, div.np_form),
-            "bochner_reduction": E.sub(lap.generic[2], grad),
-            "grad_norm_spin_identity": E.sub(grad, lap.np_closed[2])}
-
-
 def _ts(spec: ManifoldSpec) -> dict:
-    shared = _congruence(spec)
+    shared = _route_residuals(spec)
     rho = spin_coefficients(spec).rho
     return {**{f"ts_{name}": tree for name, tree in _ts_identity_forms(spec).items()},
             "ts_div_2theta": shared["divergence_routes"],
@@ -118,7 +103,7 @@ def _ts(spec: ManifoldSpec) -> dict:
 
 
 def _xi(spec: ManifoldSpec) -> dict:
-    return {**_congruence(spec),
+    return {**_route_residuals(spec),
             "epsilon_purely_imaginary": spin_coefficients(spec).epsilon_np.re}
 
 
@@ -140,14 +125,13 @@ def run_suites(spec: ManifoldSpec, names, pts, tol=DEFAULT_TOL) -> dict:
     return run_request(spec, names, pts, tol=tol)[0]
 
 
-def run_request(spec: ManifoldSpec, names, pts, checks=None, keep=None,
+def run_request(spec: ManifoldSpec, names, pts, checks=None, scalars=({}, {}),
                 tol=DEFAULT_TOL) -> tuple:
-    """(:func:`run_suites`, the records of ``checks``, the values of ``keep``).
+    """(:func:`run_suites`, the records of ``checks``, the folded values by name).
 
-    ``checks`` maps more check names to their residual trees, and ``keep``
-    is a tree of forms whose values are kept at every point.  Both ride in
-    the same streamed request as the suites: the union of all the roots is
-    one tape, and only ``keep``'s values are kept beyond their chunk.
+    ``checks`` maps more check names to their residual trees, and
+    ``scalars`` is the (maxima, sums) pair of named roots of ``cexpr.fold``.
+    Both ride in the suites' streamed request, as roots of the same tape.
     """
     if names == "all" or names == ["all"]:
         names = list(SUITE_NAMES)
@@ -155,37 +139,19 @@ def run_request(spec: ManifoldSpec, names, pts, checks=None, keep=None,
         names = [names]
     groups = {n: _suite(n)(spec) for n in names}
     groups[None] = checks or {}
-    keys = [(group, name) for group, trees in groups.items() for name in trees]
-    roots = [residual(groups[group][name]) for group, name in keys]
+    roots = {(group, name): residual(tree) for group, trees in groups.items()
+             for name, tree in trees.items()}
+    gate = ("ts", None)
     if "ts" in names:
-        roots.append(_ts_gate(spec))
-
-    def chunk(values):
-        return np.array([np.max(col) for col in values["roots"]]), values["keep"]
-
-    maxima, kept = zip(*map_chunks(chunk, {"roots": roots, "keep": keep or {}}, pts,
-                                   spec.params))
-    worst = functools.reduce(np.maximum, maxima)
-    results = {group: [] for group in groups}
-    for (group, name), value in zip(keys, worst):
-        results[group].append(_check(name, value, TOLERANCES.get(name, tol)))
-    if "ts" in names and worst[-1] > max(tol, DEFAULT_TOL):
-        exc = NotTransSasakian(spec.name, worst[-1])
+        roots[gate] = _ts_gate(spec)
+    values = fold({**roots, **scalars[0]}, scalars[1], pts, spec.params)
+    results = {group: [_check(name, values[group, name], TOLERANCES.get(name, tol))
+                       for name in trees] for group, trees in groups.items()}
+    if gate in values and values[gate] > max(tol, DEFAULT_TOL):
+        exc = NotTransSasakian(spec.name, values[gate])
         results["ts"] = [{"name": "ts_suite", "skipped": True,
                           "reason": f"NotTransSasakian: {exc}", "pass": True}]
-    return results, results.pop(None), _concat(kept)
-
-
-def _concat(trees):
-    """One tree of values from the trees of consecutive chunks."""
-    first = trees[0]
-    if len(trees) == 1:
-        return first
-    if isinstance(first, dict):
-        return {k: _concat([t[k] for t in trees]) for k in first}
-    if isinstance(first, list):
-        return [_concat(list(parts)) for parts in zip(*trees)]
-    return np.concatenate(trees)
+    return results, results.pop(None), values
 
 
 def suite_passed(results: dict) -> bool:

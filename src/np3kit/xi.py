@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .cexpr import CExpr, c_const, eval_forms
-from .classify import DEFAULT_TOL, MIN_SAMPLES, _samples
+from .cexpr import CExpr, c_const, eval_forms, fold, residual
+from .classify import DEFAULT_TOL, MIN_SAMPLES, _samples, _spin_roots
 from .expr import Expr
 from .frame import ManifoldSpec, connection_table, covariant_derivative, spec_cached
 from .npcore import (d_del, d_delbar, d_xi, grad_xi_norm_sq, spin_coefficients)
@@ -49,8 +49,8 @@ class RoughLaplacian:
     np_closed: tuple   # frame components from the spin-coefficient form
 
     def max_discrepancy(self, points, params=None) -> float:
-        a, b = eval_forms([self.generic, self.np_closed], points, params)
-        return float(np.max(np.abs(a - b)))
+        diffs = [E.sub(a, b) for a, b in zip(self.generic, self.np_closed)]
+        return float(np.max(eval_forms(residual(diffs), points, params)))
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class DivergenceResult:
     np_form: Expr   # rho + conj rho = 2 Theta
 
     def max_discrepancy(self, points, params=None) -> float:
-        a, b = eval_forms([self.direct, self.np_form], points, params)
-        return float(np.max(np.abs(a - b)))
+        return float(np.max(eval_forms(residual(self.direct - self.np_form), points, params)))
 
 
 @dataclass(frozen=True)
@@ -141,43 +140,47 @@ def harmonicity_residual(spec: ManifoldSpec, point) -> complex:
     return _harmonicity_expr(spec).evaluate(point, spec.params)
 
 
-def _congruence_forms(spec: ManifoldSpec) -> dict:
-    """The forms :func:`parallel_and_collinearity` evaluates."""
-    co, lap, div = spin_coefficients(spec), rough_laplacian_xi(spec), divergence_xi(spec)
-    return {"kappa": co.kappa, "sigma": co.sigma, "rho": co.rho,
-            "lap": lap.generic, "lap_np": lap.np_closed, "grad": grad_xi_norm_sq(spec),
-            "div": div.direct, "div_np": div.np_form}
+def _route_residuals(spec: ManifoldSpec) -> dict:
+    """{xi-suite check: residual tree} of the route and Bochner identities."""
+    lap, div, grad = rough_laplacian_xi(spec), divergence_xi(spec), grad_xi_norm_sq(spec)
+    return {"laplacian_routes": [E.sub(a, b) for a, b in zip(lap.generic, lap.np_closed)],
+            "divergence_routes": E.sub(div.direct, div.np_form),
+            "bochner_reduction": E.sub(lap.generic[2], grad),
+            "grad_norm_spin_identity": E.sub(grad, lap.np_closed[2])}
+
+
+def _congruence_roots(spec: ManifoldSpec) -> tuple:
+    """(maxima, sums): the roots :func:`parallel_and_collinearity` decides from."""
+    maxima, sums = _spin_roots(spec)
+    routes, lap = _route_residuals(spec), rough_laplacian_xi(spec)
+    maxima["max_transverse_laplacian"] = residual(lap.generic[:2])
+    for name in ("laplacian_routes", "divergence_routes", "bochner_reduction"):
+        maxima[name] = residual(routes[name])
+    return maxima, sums
 
 
 def parallel_and_collinearity(spec: ManifoldSpec, samples=None,
                               tol=DEFAULT_TOL) -> CongruenceReport:
     pts = _samples(spec, samples)
-    return _congruence_report(spec, eval_forms(_congruence_forms(spec), pts, spec.params), tol)
+    values = fold(*_congruence_roots(spec), pts, spec.params)
+    return _congruence_report(spec, values, len(pts), tol)
 
 
-def _congruence_report(spec: ManifoldSpec, values: dict, tol=DEFAULT_TOL) -> CongruenceReport:
-    """:func:`parallel_and_collinearity` from the values of :func:`_congruence_forms`."""
-    kv, sv, rv = values["kappa"], values["sigma"], values["rho"]
-    if len(rv) < MIN_SAMPLES:
-        raise InsufficientSamples(
-            f"congruence analysis needs >= {MIN_SAMPLES} points, got {len(rv)}")
-    lap_vals, grad_vals = values["lap"], values["grad"]
-    lap_discrepancy = float(np.max(np.abs(lap_vals - values["lap_np"])))
-    div_discrepancy = float(np.max(np.abs(values["div"] - values["div_np"])))
-    theta, omega = rv.real, rv.imag
-
-    max_k = float(np.max(np.abs(kv)))
-    max_s = float(np.max(np.abs(sv)))
-    max_theta = float(np.max(np.abs(theta)))
-    max_omega = float(np.max(np.abs(omega)))
-    transverse = float(np.max(np.abs(lap_vals[:, :2])))
-    bochner = float(np.max(np.abs(lap_vals[:, 2] - grad_vals)))
+def _congruence_report(spec: ManifoldSpec, values: dict, n: int,
+                       tol=DEFAULT_TOL) -> CongruenceReport:
+    """:func:`parallel_and_collinearity` from the folded :func:`_congruence_roots`
+    of ``n`` samples; theta and omega are beta and alpha."""
+    if n < MIN_SAMPLES:
+        raise InsufficientSamples(f"congruence analysis needs >= {MIN_SAMPLES} points, got {n}")
+    max_k, max_s = values["max_abs_kappa"], values["max_abs_sigma"]
+    max_theta, max_omega = values["max_abs_beta"], values["max_abs_alpha"]
+    transverse, bochner = values["max_transverse_laplacian"], values["bochner_reduction"]
 
     if max_theta <= tol:
         expansion = "non_expanding"
-    elif np.min(theta) > tol:
+    elif -values["max_neg_beta"] > tol:
         expansion = "expanding"
-    elif np.max(theta) < -tol:
+    elif values["max_beta"] < -tol:
         expansion = "contracting"
     else:
         expansion = "mixed"
@@ -203,9 +206,9 @@ def _congruence_report(spec: ManifoldSpec, values: dict, tol=DEFAULT_TOL) -> Con
             "max_abs_omega": max_omega,
             "max_transverse_laplacian": transverse,
             "bochner": bochner,
-            "laplacian_route_discrepancy": lap_discrepancy,
-            "divergence_route_discrepancy": div_discrepancy,
+            "laplacian_route_discrepancy": values["laplacian_routes"],
+            "divergence_route_discrepancy": values["divergence_routes"],
         },
         tol=tol,
-        sample_count=len(rv),
+        sample_count=n,
     )

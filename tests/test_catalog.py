@@ -123,7 +123,7 @@ def _peak_mb(count: int) -> float:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_run_memory_does_not_grow_with_count():
-    assert _peak_mb(20000) <= _peak_mb(2000) + 10
+    assert _peak_mb(100000) <= _peak_mb(2000) + 8
 
 
 def test_run_is_deterministic():

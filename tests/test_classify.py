@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from np3kit import catalog
 from np3kit import expr as E
-from np3kit.classify import (NotTransSasakian, classify,
+from np3kit.classify import (NotTransSasakian, _spread, classify,
                              conformal_foliation_residual,
                              conformal_foliation_residual_many, einstein_check,
                              induced_structure, spin_samples,
@@ -84,6 +86,23 @@ def test_classify_gauge_invariant():
         alpha, beta = np.imag(r), np.real(r)
         assert np.mean(alpha) == pytest.approx(base.alpha_summary[0], abs=1e-12)
         assert np.mean(beta) == pytest.approx(base.beta_summary[0], abs=1e-12)
+
+
+_EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, math.inf, -math.inf, math.nan])
+_VALUES = st.one_of(st.floats(width=64), _EDGES)
+
+
+@given(st.lists(_VALUES, min_size=1, max_size=40), st.one_of(_VALUES, st.just(None)))
+@example([0.0], -0.0)  # center - min is -0.0 here, and the spread is +0.0
+def test_spread_is_the_max_deviation_bitwise(xs, center):
+    """The spread from a max, a min and a center is np.max(np.abs(x - center)),
+    signed zeros, infinities and NaN included; by default the center is the mean."""
+    x = np.array(xs)
+    with np.errstate(all="ignore"):
+        center = float(np.mean(x)) if center is None else center
+        want = float(np.max(np.abs(x - center)))
+    got = _spread(float(np.max(x)), -float(np.max(-x)), center)
+    assert got.hex() == want.hex()
 
 
 def test_induced_structure_squares_to_reeb_projector():

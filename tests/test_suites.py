@@ -1,6 +1,7 @@
 """Streamed requests: suites.run_suites over expr.CHUNK-point slices."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 
 from np3kit import catalog, cli
 from np3kit import expr as E
-from np3kit.cexpr import eval_forms, residual
+from np3kit.cexpr import eval_forms, fold, residual
 from np3kit.classify import einstein_check, ts_identity_residuals_many
-from np3kit.frame import (_kulkarni_nomizu_forms, connection_table, curvature_values_many,
-                          default_samples, load_manifold)
+from np3kit.frame import (_kulkarni_nomizu_forms, curvature_values_many, default_samples,
+                          load_manifold)
+from np3kit.npcore import spin_coefficients
 from np3kit.suites import run_request, run_suites
 from np3kit.xi import parallel_and_collinearity
 
@@ -134,24 +136,39 @@ def test_every_chunk_is_one_pass_of_one_tape(n, passes, tapes):
 
 
 def _request(spec, pts, unchunked=None):
-    """run_request for all suites, keeping the connection table (a table of
-    forms); one block over all points when ``unchunked`` is a monkeypatch."""
-    keep = {"gamma": connection_table(spec).gamma}
+    """run_request for all suites; one block over all points when
+    ``unchunked`` is a monkeypatch."""
     if unchunked is None:
-        return run_request(spec, "all", pts, keep=keep)
+        return run_request(spec, "all", pts)
     with unchunked.context() as m:
         m.setattr(E, "CHUNK", 10 * N)
-        return run_request(spec, "all", pts, keep=keep)
+        return run_request(spec, "all", pts)
 
 
-def test_kept_values_of_the_overlapping_last_pass(monkeypatch):
+def test_a_sum_counts_the_overlapping_last_pass_once(monkeypatch):
     spec = catalog.get_spec("example1")
     pts = default_samples(spec, N, seed=6)
-    suites, records, kept = _request(spec, pts)
-    whole = _request(spec, pts, monkeypatch)
-    assert kept["gamma"].shape == (N, 3, 3, 3)  # the overlap is kept once
-    assert kept["gamma"].tobytes() == whole[2]["gamma"].tobytes()
-    assert json.dumps([suites, records]) == json.dumps(whole[:2])
+    alpha = spin_coefficients(spec).rho.im  # -exp(2 x3)/2: every term counts
+    got = fold({}, {"alpha": alpha}, pts, spec.params)["alpha"]
+    with monkeypatch.context() as m:
+        m.setattr(E, "CHUNK", 10 * N)
+        whole = fold({}, {"alpha": alpha}, pts, spec.params)["alpha"]
+    assert whole == np.sum(eval_forms(alpha, pts, spec.params))
+    # counting the overlap twice would add E.CHUNK - 5 points' worth
+    assert abs(got - whole) <= 4 * math.ulp(whole)
+
+
+def test_catalog_run_streams_as_it_runs_unchunked(monkeypatch):
+    """Above CHUNK points only the means (and the spreads about them) may
+    move by roundoff; verdicts, flags and every max_residual do not."""
+    got = catalog.run("example1", N)
+    with monkeypatch.context() as m:
+        m.setattr(E, "CHUNK", 10 * N)
+        whole = catalog.run("example1", N)
+    for key in ("alpha_summary", "beta_summary"):
+        assert got[key] == pytest.approx(whole[key], rel=1e-14, abs=0), key
+        got[key] = whole[key]
+    assert json.dumps(got) == json.dumps(whole)
 
 
 def test_domain_error_in_the_overlap_is_the_unchunked_one(tmp_path, monkeypatch):
@@ -166,6 +183,19 @@ def test_domain_error_in_the_overlap_is_the_unchunked_one(tmp_path, monkeypatch)
     for exc in (whole.value, streamed.value):
         assert (str(exc), exc.index, exc.point) == (
             "sqrt of negative value", i, tuple(pts[i].tolist()))
+
+
+@pytest.mark.parametrize("at,first", [(N - 2, [E.CHUNK] * 4), (5, [E.CHUNK])],
+                         ids=["last_pass", "first_pass"])
+def test_domain_error_reruns_one_tape_over_all_points(at, first, tmp_path, tapes):
+    spec, _ = _singular_spec(tmp_path)
+    pts = default_samples(spec, N, seed=0).copy()
+    pts[at, 0] = -0.25
+    tapes.clear()
+    with pytest.raises(E.DomainError) as exc:
+        run_suites(spec, "all", pts)
+    assert exc.value.index == at
+    assert tapes == [first, [N]]  # the failing tape, then one as wide as all points
 
 
 def _traced_peak(spec, n):
