@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from np3kit.expr import evaluate, unparse
-from np3kit.frame import (connection_table, curvature_values,
+from np3kit.frame import (connection_table, curvature_values_many,
                           kulkarni_nomizu_residual, load_manifold,
                           structure_functions)
 
@@ -42,7 +42,8 @@ print("\nconnection at the origin, nabla_{e1} xi:")
 print("  coefficients:", [evaluate(gamma[0][2][k], p) for k in range(3)])
 print("  (the paper-style warped example gives -e1 + (1/2) e^{2 x3} e2)")
 
-R, S, tau = curvature_values(spec, p)
+# the array evaluators take (N,3) points; one point is a batch of one
+(R,), (S,), (tau,) = curvature_values_many(spec, [p])
 print("\nRicci at the origin:\n", np.round(S, 12))
 print("scalar curvature (half-trace convention):", tau)
 print("Kulkarni-Nomizu residual |R - g (*) (S - (tau/2) g)|:",

@@ -8,8 +8,8 @@ subclasses are read off from which of alpha, beta vanish or are constant.
 import numpy as np
 
 from np3kit import catalog
-from np3kit.classify import (classify, conformal_foliation_residual,
-                             einstein_check, ts_identity_residuals)
+from np3kit.classify import (classify, conformal_foliation_residual_many,
+                             einstein_check, ts_identity_residuals_many)
 from np3kit.frame import default_samples
 
 print(f"{'entry':18s} {'verdict':16s} {'alpha (mean+-dev)':24s} beta (mean+-dev)")
@@ -23,14 +23,13 @@ for name in catalog.names():
 print("\ntrans-Sasakian curvature identities on example2 (worst over 100 pts):")
 spec = catalog.get_spec("example2")
 pts = default_samples(spec, 100, seed=0)
-from np3kit.classify import ts_identity_residuals_many
 res = ts_identity_residuals_many(spec, pts)
 for rname, vals in res.items():
     print(f"  {rname:18s} {float(np.max(vals)):.2e}")
 
 print("\nconformal-foliation defect (zero iff shear-free):")
 for name in ("example1", "sol"):
-    value = conformal_foliation_residual(catalog.get_spec(name), (0.1, 0.2, 0.0))
+    (value,) = conformal_foliation_residual_many(catalog.get_spec(name), [(0.1, 0.2, 0.0)])
     print(f"  {name:10s} {value:.3f}")
 print("  (Sol's vertical field has shear -1, so the defect is 2|sigma| = 2)")
 

@@ -13,8 +13,8 @@ Quick tour:
 
 from . import catalog, ektau
 from .classify import (EinsteinVerdict, NotTransSasakian, StructureClass,
-                       classify, conformal_foliation_residual, einstein_check,
-                       induced_structure, ts_identity_residuals)
+                       classify, conformal_foliation_residual_many, einstein_check,
+                       induced_structure, ts_identity_residuals_many)
 from .expr import (DomainError, Expr, ParseError, UnboundParameter,
                    differentiate, evaluate, parse, simplify, unparse)
 from .frame import (CurvatureData, DegenerateFrame, ManifoldSpec, SchemaError,
@@ -22,8 +22,8 @@ from .frame import (CurvatureData, DegenerateFrame, ManifoldSpec, SchemaError,
                     kulkarni_nomizu_residual, load_manifold, riemann,
                     spec_to_document, structure_functions)
 from .npcore import (GaugeAngle, KinematicDecomposition, SpinCoefficients,
-                     bianchi_residuals, gauge_transform, kinematics, np_frame,
-                     sachs_residuals, spin_coefficients, weighted_derivative)
+                     bianchi_residuals_many, gauge_transform, kinematics, np_frame,
+                     sachs_residuals_many, spin_coefficients, weighted_derivative)
 from .sampling import InsufficientSamples
 from .suites import run_suite, run_suites
 from .xi import (CongruenceReport, divergence_xi, harmonicity_residual,

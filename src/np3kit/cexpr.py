@@ -15,7 +15,9 @@ A check is declared as such a tree too: the differences that vanish when
 its identity holds.  :func:`residual` turns the tree into one real root,
 the pointwise max of |leaf|, so the modulus and the max over the leaves
 run on the tape and a check's values are one column.  :func:`fold` streams
-named roots and keeps one max, or one sum, per root.
+named roots and keeps one max, or one sum, per root.  Both evaluate on
+``expr.sweep``, the one pass driver: ``eval_forms`` through
+``expr.eval_batch``, ``fold`` as a reduction of its own.
 """
 
 from __future__ import annotations
@@ -100,28 +102,22 @@ def fold(maxima: dict, sums: dict, points, params=None) -> dict:
     """{name: float}: the max over ``points`` of each real root in ``maxima``
     (a NaN stays NaN) and the sum of each in ``sums``.
 
-    The roots compile into one tape of ``min(expr.CHUNK, N)`` points a pass
-    (see ``expr._windows``), so nothing grows past one pass.  A sum is the
-    ``math.fsum`` of each pass's ``np.sum`` over the points it owns, so one
-    pass sums as ``np.mean`` does.  If a pass raises DomainError, one pass
-    over all points raises it as an unchunked evaluation would.
+    One ``expr.sweep`` that reads each pass's new points off the root
+    buffers, so nothing grows past one pass.  A sum is the ``math.fsum`` of
+    each pass's ``np.sum``, so one pass sums as ``np.mean`` does.
     """
-    pts = E._points(points)
-    n, m, roots = len(pts), len(maxima), [*maxima.values(), *sums.values()]
-    for width in (min(E.CHUNK, n), n):
-        tape = E._Tape(roots, params or {}, width)
+    m = len(maxima)
+
+    def reduce(tape, pts):
         hi, parts = np.full(m, -np.inf), [[] for _ in sums]
-        try:
-            for start, new in E._windows(n, width):
-                cols = [col[new:] for col in tape.run(pts[start:start + width])]
-                hi = np.maximum(hi, [np.max(col) for col in cols[:m]])
-                for part, col in zip(parts, cols[m:]):
-                    part.append(np.sum(col))
-        except E.DomainError:
-            if width == n:
-                raise
-            continue  # which error, and where, is decided over all points
+        for _, new in tape.passes(pts):
+            cols = [buf[new:] for buf in tape.outputs]
+            hi = np.maximum(hi, [np.max(col) for col in cols[:m]])
+            for part, col in zip(parts, cols[m:]):
+                part.append(np.sum(col))
         return dict(zip([*maxima, *sums], [*hi.tolist(), *map(math.fsum, parts)]))
+
+    return E.sweep([*maxima.values(), *sums.values()], points, params, reduce)
 
 
 def residual(tree) -> Expr:

@@ -38,8 +38,7 @@ from .sampling import InsufficientSamples
 __all__ = [
     "InducedStructure", "StructureClass", "EinsteinVerdict", "NotTransSasakian",
     "VERDICTS", "classify", "verdict_from_samples", "induced_structure",
-    "ts_identity_residuals", "ts_identity_residuals_many",
-    "conformal_foliation_residual", "conformal_foliation_residual_many",
+    "ts_identity_residuals_many", "conformal_foliation_residual_many",
     "einstein_check", "spin_samples",
 ]
 
@@ -138,7 +137,8 @@ def _summary(values: dict, name: str, n: int) -> tuple:
 
 def _verdict(values: dict, n: int, tol, tol_const) -> str:
     """The verdict lattice over :func:`_spin_scalars` of ``n`` samples."""
-    if max(values["max_abs_kappa"], values["max_abs_sigma"]) > tol:
+    # each max is tested on its own: max(x, nan) drops the NaN, and NaN fails <=
+    if not (values["max_abs_kappa"] <= tol and values["max_abs_sigma"] <= tol):
         return "NotTransSasakian"
     if values["max_abs_rho"] <= tol:
         return "Cosymplectic"
@@ -268,12 +268,6 @@ def ts_identity_residuals_many(spec: ManifoldSpec, points, tol=DEFAULT_TOL) -> d
     return values["res"]
 
 
-def ts_identity_residuals(spec: ManifoldSpec, point, tol=DEFAULT_TOL) -> dict:
-    """Residuals of the trans-Sasakian curvature identities at one point."""
-    many = ts_identity_residuals_many(spec, [point], tol)
-    return {k: float(v[0]) for k, v in many.items()}
-
-
 def conformal_foliation_residual_many(spec: ManifoldSpec, points) -> np.ndarray:
     """Per-point max over the transverse plane of
     |(Lie_xi g)(e_a, e_b) - 2 Theta delta_ab|.
@@ -286,11 +280,6 @@ def conformal_foliation_residual_many(spec: ManifoldSpec, points) -> np.ndarray:
     forms = [E.sub(E.mul(2.0, g[0][2][0]), two_theta), E.add(g[0][2][1], g[1][2][0]),
              E.sub(E.mul(2.0, g[1][2][1]), two_theta)]
     return eval_forms(residual(forms), points, spec.params)
-
-
-def conformal_foliation_residual(spec: ManifoldSpec, point) -> float:
-    """:func:`conformal_foliation_residual_many` at one point."""
-    return float(conformal_foliation_residual_many(spec, [point])[0])
 
 
 def _einstein_roots(spec: ManifoldSpec) -> tuple:
@@ -317,7 +306,7 @@ def _einstein_verdict(values: dict, n: int, tol=DEFAULT_TOL) -> EinsteinVerdict:
     dev = float(np.max([values["max_abs_S_offdiag"], *(
         _spread(values[f"max_S{i}{i}"], -values[f"max_neg_S{i}{i}"], a) for i in range(3))]))
     residuals = {"max_abs_S_minus_a_g": dev}
-    if max(values["max_abs_kappa"], values["max_abs_sigma"]) <= tol:
+    if values["max_abs_kappa"] <= tol and values["max_abs_sigma"] <= tol:
         residuals.update({k: values[k] for k in ("max_abs_d_rho", "einstein_closed_form")})
     return EinsteinVerdict(is_einstein=dev <= max(tol, tol * (1 + abs(a))), a=a,
                            residuals=residuals)

@@ -41,19 +41,18 @@ paths intern nodes (hash-consing), so structurally equal subterms are the
 intern and derivative tables only ever deduplicate work; under concurrent
 use they may recompute, never corrupt.
 
-Evaluation (:func:`eval_batch`) compiles the distinct nodes of the
-requested expressions into a tape for passes of ``min(CHUNK, N)`` points
-and runs it in place.  Each tape slot owns one buffer of that width,
-allocated once per tape, and each op is bound at compile time to the
-buffers it reads and writes, so a pass copies in the coordinate columns
-and calls numpy with ``out=``.  Passes step by the width, and the last one
-ends at the last point, overlapping the pass before it, so every pass runs
-the same bound program; only the new points of a pass are written out.
-Each distinct subterm is computed once per point, and memory holds the
-result columns plus one pass of slots.  Nothing is kept after the call
-returns.  A request declares everything it evaluates up front, as one tree
-of forms (``cexpr.eval_forms``), so work shared across its checks is shared
-inside one tape.
+Evaluation has one driver, :func:`sweep`.  It compiles the distinct nodes
+of the requested expressions into a tape for passes of ``min(CHUNK, N)``
+points and hands the tape to a reduction.  Each tape slot owns one buffer
+of that width, allocated once per tape, and each op is bound at compile
+time to the buffers it reads and writes, so a pass copies in the coordinate
+columns and calls numpy with ``out=``.  Passes step by the width, and the
+last one ends at the last point, overlapping the pass before it, so every
+pass runs the same bound program.  A reduction reads each pass's new points
+off the root buffers: :func:`eval_batch` writes them into result columns,
+``cexpr.fold`` keeps one max or sum per root.  A request declares everything
+it evaluates up front, as one tree of forms (``cexpr.eval_forms``), so work
+shared across its checks is shared inside one tape.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ __all__ = [
     "absolute", "maximum", "cabs",
     "const", "coord", "param", "as_expr",
     "parse", "unparse", "differentiate", "evaluate", "evaluate_many",
-    "eval_batch", "CHUNK", "simplify",
+    "eval_batch", "sweep", "CHUNK", "simplify",
 ]
 
 FUNCTIONS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
@@ -82,9 +81,10 @@ BINOPS = ("add", "sub", "mul", "div", "pow")
 class DomainError(ArithmeticError):
     """Evaluation hit a singularity (division by zero, log<=0, sqrt<0, ...).
 
-    ``index`` is the first failing sample of the pass that raised, and
-    ``point`` its coordinates; :func:`eval_batch` reports both over all of
-    its points.
+    ``index`` is the first failing sample among all the points evaluated,
+    and ``point`` its coordinates.  A failing pass of :func:`sweep` is rerun
+    over all points at once, so both name the sample, and the error, that
+    an unchunked evaluation names.
     """
 
     index: int | None = None
@@ -508,41 +508,37 @@ def evaluate_many(f: Expr, points: np.ndarray, params=None) -> np.ndarray:
 def eval_batch(exprs, points, params=None) -> list[np.ndarray]:
     """Evaluate many expressions over the same points, sharing their subterms.
 
-    The distinct nodes reachable from ``exprs`` are compiled into one tape
-    of ``min(CHUNK, N)`` points a pass, which runs over the points in place
-    (see :class:`_Tape`): each distinct subterm is computed once, and memory
-    holds the result columns plus one pass of tape slots.  A DomainError is
-    raised by a one-pass tape over all points, so it names the node and the
-    sample that an unchunked evaluation names.
+    One :func:`sweep` that writes each pass's new points into the root
+    columns: each distinct subterm is computed once, memory holds the
+    columns plus one pass of tape slots, and a repeated root is one column.
     """
-    pts, roots, params = _points(points), list(exprs), params or {}
+    def columns(tape, pts):
+        cols = {id(buf): (buf, np.empty(len(pts))) for buf in tape.outputs}
+        for lo, new in tape.passes(pts):
+            for buf, col in cols.values():
+                col[lo:lo + tape.width - new] = buf[new:]
+        return [cols[id(buf)][1] for buf in tape.outputs]
+
+    return sweep(exprs, points, params, columns)
+
+
+def sweep(exprs, points, params, reduce):
+    """``reduce(tape, pts)`` over one tape of the distinct nodes reachable
+    from ``exprs``, compiled for passes of ``min(CHUNK, N)`` points (see
+    :meth:`_Tape.passes`).  If a pass raises DomainError, ``reduce`` runs
+    again on one tape as wide as all points, so the error names the node
+    and the sample that an unchunked evaluation names.
+    """
+    pts, roots, params = np.asarray(points, dtype=float), list(exprs), params or {}
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must have shape (N, 3)")
     n = len(pts)
     try:
-        return _Tape(roots, params, min(CHUNK, n)).run(pts)
+        return reduce(_Tape(roots, params, min(CHUNK, n)), pts)
     except DomainError:
         if n <= CHUNK:
             raise
-    return _Tape(roots, params, n).run(pts)
-
-
-def _points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must have shape (N, 3)")
-    return pts
-
-
-def _windows(n: int, width: int):
-    """(start, new) of each pass of ``width`` points over ``n`` points.
-
-    A pass reads points ``start`` to ``start + width``, of which those from
-    ``start + new`` on are its own.  Passes step by ``width``, and the last
-    one ends at ``n``, overlapping the pass before it, so every pass has the
-    same width.
-    """
-    for lo in range(0, n, width or 1):
-        start = min(lo, n - width)
-        yield start, lo - start
+    return reduce(_Tape(roots, params, n), pts)
 
 
 def _domain(bad, message: str):
@@ -683,29 +679,31 @@ class _Tape:
         self.coords = [(bufs[s], k) for s, k in coords]
         self.outputs = [bufs[s] for s in outputs]
 
-    def run(self, pts: np.ndarray) -> list[np.ndarray]:
-        """The root columns over ``pts`` (no points, or at least ``width``),
-        in passes of ``width`` points (see :func:`_windows`).  A DomainError
-        carries the index of its sample in ``pts``, and its point."""
+    def passes(self, pts: np.ndarray):
+        """Run over ``pts`` (no points, or at least ``width``) one pass at a
+        time, yielding ``(lo, new)`` after each: the pass read the ``width``
+        points from ``lo - new`` on, and those from ``lo`` on are its own.
+        Passes step by ``width``, and the last one ends at the last point,
+        overlapping the pass before it.  The root buffers (``outputs``) hold
+        a pass's values until the next pass.  A DomainError carries the index
+        of its sample in ``pts``, and its point."""
         n, width = len(pts), self.width
-        cols = {id(buf): np.empty(n) for buf in self.outputs}
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for start, new in _windows(n, width):
-                    for buf, k in self.coords:
-                        buf[:] = pts[start:start + width, k]
+        for lo in range(0, n, width or 1):
+            start = min(lo, n - width)
+            for buf, k in self.coords:
+                buf[:] = pts[start:start + width, k]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
                     for fn, out, a, b in self.code:
                         if b is None:
                             fn(a, out=out)
                         else:
                             fn(a, b, out=out)
-                    for buf in self.outputs:
-                        cols[id(buf)][start + new:start + width] = buf[new:]
-        except DomainError as exc:
-            exc.index += start
-            exc.point = tuple(pts[exc.index].tolist())
-            raise
-        return [cols[id(buf)] for buf in self.outputs]
+            except DomainError as exc:
+                exc.index += start
+                exc.point = tuple(pts[exc.index].tolist())
+                raise
+            yield lo, lo - start
 
 
 # --------------------------------------------------------------------------

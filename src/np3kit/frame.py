@@ -338,12 +338,6 @@ def curvature_values_many(spec: ManifoldSpec, points):
     return tuple(eval_forms([data.riemann, data.ricci, data.scalar], points, spec.params))
 
 
-def curvature_values(spec: ManifoldSpec, point):
-    """(R, S, tau) as numeric arrays at one point."""
-    R, S, tau = curvature_values_many(spec, np.asarray([point], dtype=float))
-    return R[0], S[0], tau[0]
-
-
 def _kulkarni_nomizu_forms(spec: ManifoldSpec) -> list:
     """R - g (*) (S - (tau/2) g) at all 81 index tuples, as forms.
 

@@ -17,11 +17,12 @@ D are complex combinations of the real frame derivatives.
 
 The five generalized Sachs identities relate frame derivatives of the spin
 coefficients to Ricci components; the two second-Bianchi identities do the
-same for derivatives of Ricci components.  ``sachs_residuals`` and
-``bianchi_residuals`` evaluate left minus right for each.  (Two sign/index
-slips in the usual printed form of the Bianchi pair are corrected here; the
-implemented identities are the ones that actually vanish for the
-Levi-Civita connection, verified against a direct divergence computation.)
+same for derivatives of Ricci components.  ``sachs_residuals_many`` and
+``bianchi_residuals_many`` evaluate left minus right for each over (N,3)
+points.  (Two sign/index slips in the usual printed form of the Bianchi
+pair are corrected here; the implemented identities are the ones that
+actually vanish for the Levi-Civita connection, verified against a direct
+divergence computation.)
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
     "np_frame", "np_metric_residuals", "phi_apply",
     "spin_coefficients", "spin_coefficients_from_f", "kinematics",
     "gauge_transform", "weighted_derivative",
-    "sachs_residuals", "bianchi_residuals",
+    "sachs_residuals_many", "bianchi_residuals_many",
     "d_del", "d_delbar", "d_xi", "ricci_complex", "grad_xi_norm_sq",
     "epsilon_realness",
 ]
@@ -356,12 +357,8 @@ def _sachs_exprs(spec: ManifoldSpec):
     )
 
 
-def sachs_residuals(spec: ManifoldSpec, point) -> list[complex]:
-    """LHS - RHS of the five generalized Sachs equations at a point."""
-    return [complex(z) for z in sachs_residuals_many(spec, [point])[0]]
-
-
 def sachs_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
+    """(N,5) complex LHS - RHS of the five generalized Sachs equations."""
     return eval_forms(_sachs_exprs(spec), points, spec.params)
 
 
@@ -385,12 +382,8 @@ def _bianchi_exprs(spec: ManifoldSpec):
     return (res_xi, res_d)
 
 
-def bianchi_residuals(spec: ManifoldSpec, point) -> list[complex]:
-    """LHS - RHS of the two second-Bianchi identities at a point."""
-    return [complex(z) for z in bianchi_residuals_many(spec, [point])[0]]
-
-
 def bianchi_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
+    """(N,2) complex LHS - RHS of the two second-Bianchi identities."""
     return eval_forms(_bianchi_exprs(spec), points, spec.params)
 
 

@@ -196,8 +196,8 @@ def _congruence_report(spec: ManifoldSpec, values: dict, n: int,
         is_shear_free=max_s <= tol,
         is_twist_free=max_omega <= tol,
         expansion=expansion,
-        is_parallel=max(max_k, max_s, max_theta, max_omega) <= tol,
-        is_harmonic=max(transverse, bochner) <= tol,
+        is_parallel=all(x <= tol for x in (max_k, max_s, max_theta, max_omega)),
+        is_harmonic=transverse <= tol and bochner <= tol,
         is_collinear=transverse <= tol,
         residuals={
             "max_abs_kappa": max_k,

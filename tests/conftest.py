@@ -6,19 +6,26 @@ from np3kit import expr as E
 @pytest.fixture
 def tapes(monkeypatch):
     """Every evaluation tape compiled during the test, in order, each as the
-    list of the point counts of its passes."""
+    list of the point counts of its passes.  A pass is counted before it
+    runs, so a pass that raises counts too."""
     tapes = []
-    real_init, real_run = E._Tape.__init__, E._Tape.run
+    real_init, real_passes = E._Tape.__init__, E._Tape.passes
 
     def init(self, *args):
         real_init(self, *args)
-        self.passes = []
-        tapes.append(self.passes)
+        self.log = []
+        tapes.append(self.log)
 
-    def run(self, pts, *args):
-        self.passes.append(len(pts))
-        return real_run(self, pts, *args)
+    def passes(self, pts):
+        run = real_passes(self, pts)
+        while True:
+            self.log.append(self.width)
+            step = next(run, None)
+            if step is None:
+                self.log.pop()
+                return
+            yield step
 
     monkeypatch.setattr(E._Tape, "__init__", init)
-    monkeypatch.setattr(E._Tape, "run", run)
+    monkeypatch.setattr(E._Tape, "passes", passes)
     return tapes

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from np3kit import catalog
 from np3kit import expr as E
-from np3kit.classify import (NotTransSasakian, _spread, classify,
-                             conformal_foliation_residual,
-                             conformal_foliation_residual_many, einstein_check,
+from np3kit.cexpr import fold
+from np3kit.classify import (NotTransSasakian, _einstein_roots, _einstein_verdict, _spread,
+                             classify, conformal_foliation_residual_many, einstein_check,
                              induced_structure, spin_samples,
-                             ts_identity_residuals,
                              ts_identity_residuals_many, verdict_from_samples)
 from np3kit.frame import connection_table, default_samples, load_manifold
 from np3kit.npcore import GaugeAngle, gauge_transform, spin_coefficients
@@ -120,25 +119,25 @@ def test_induced_structure_squares_to_reeb_projector():
 
 def test_ts_identity_residuals_example1():
     spec = catalog.get_spec("example1")
-    res = ts_identity_residuals(spec, (0.0, 0.0, 0.0))
-    assert max(res.values()) <= 1e-8
+    res = ts_identity_residuals_many(spec, [(0.0, 0.0, 0.0)])
+    assert max(v[0] for v in res.values()) <= 1e-8
     # also at a generic point with x2 != 0 where S(D, xi) != 0
-    res = ts_identity_residuals(spec, (0.4, 0.8, -0.3))
-    assert max(res.values()) <= 1e-8
+    res = ts_identity_residuals_many(spec, [(0.4, 0.8, -0.3)])
+    assert max(v[0] for v in res.values()) <= 1e-8
 
 
 def test_ts_identity_residuals_example2_and_c6():
     spec = catalog.get_spec("example2")
-    res = ts_identity_residuals(spec, (0.0, 0.0, 1.0))
-    assert max(res.values()) <= 1e-8
+    res = ts_identity_residuals_many(spec, [(0.0, 0.0, 1.0)])
+    assert max(v[0] for v in res.values()) <= 1e-8
     c6 = catalog.get_spec("c6")
-    res = ts_identity_residuals(c6, (1.0, 0.0, 0.0))
-    assert res["ricci_del_del"] <= 1e-9  # S(D,D) = 0
+    res = ts_identity_residuals_many(c6, [(1.0, 0.0, 0.0)])
+    assert res["ricci_del_del"][0] <= 1e-9  # S(D,D) = 0
 
 
 def test_ts_identity_residuals_reject_sol():
     with pytest.raises(NotTransSasakian):
-        ts_identity_residuals(catalog.get_spec("sol"), (0.0, 0.0, 0.0))
+        ts_identity_residuals_many(catalog.get_spec("sol"), [(0.0, 0.0, 0.0)])
 
 
 def test_ts_identity_sweep():
@@ -152,14 +151,14 @@ def test_ts_identity_sweep():
 
 
 def test_conformal_foliation_residuals():
-    assert conformal_foliation_residual(
-        catalog.get_spec("example1"), (0.0, 0.0, 0.0)) <= 1e-9
-    assert conformal_foliation_residual(
-        catalog.get_spec("flat_cosymplectic"), (1.0, 2.0, 3.0)) == 0.0
+    assert conformal_foliation_residual_many(
+        catalog.get_spec("example1"), [(0.0, 0.0, 0.0)])[0] <= 1e-9
+    assert conformal_foliation_residual_many(
+        catalog.get_spec("flat_cosymplectic"), [(1.0, 2.0, 3.0)])[0] == 0.0
     # Sol has shear -1, so the conformality defect is 2|sigma| = 2
     for p in [(0.0, 0.0, 0.0), (0.7, -0.2, 0.4)]:
-        assert conformal_foliation_residual(
-            catalog.get_spec("sol"), p) == pytest.approx(2.0, abs=1e-10)
+        assert conformal_foliation_residual_many(
+            catalog.get_spec("sol"), [p])[0] == pytest.approx(2.0, abs=1e-10)
 
 
 def _conformal_foliation_pointwise(spec, point):
@@ -181,7 +180,7 @@ def test_conformal_foliation_array_form_matches_pointwise(name):
     pts = default_samples(spec, 20, seed=4)
     want = [_conformal_foliation_pointwise(spec, p) for p in pts]
     assert np.allclose(conformal_foliation_residual_many(spec, pts), want, rtol=0, atol=1e-14)
-    assert np.allclose([conformal_foliation_residual(spec, p) for p in pts], want,
+    assert np.allclose([conformal_foliation_residual_many(spec, [p])[0] for p in pts], want,
                        rtol=0, atol=1e-14)
 
 
@@ -194,7 +193,7 @@ def test_equivalence_theorem():
         k, s, _ = spin_samples(spec, pts)
         is_ts = classify(spec, samples=pts).verdict != "NotTransSasakian"
         np_route = max(np.max(np.abs(k)), np.max(np.abs(s))) <= 1e-8
-        foliation = all(conformal_foliation_residual(spec, p) <= 1e-8 for p in pts[:10])
+        foliation = np.all(conformal_foliation_residual_many(spec, pts[:10]) <= 1e-8)
         geodesic = np.max(np.abs(k)) <= 1e-8
         assert is_ts == np_route == (foliation and geodesic), name
 
@@ -216,3 +215,21 @@ def test_einstein_checks():
     # closed-form Einstein condition fails by |S(D,Dbar) - S(xi,xi)| = 4
     assert sas.residuals["einstein_closed_form"] == pytest.approx(4.0, abs=1e-9)
     assert sas.residuals["max_abs_d_rho"] <= 1e-12
+
+
+@pytest.mark.parametrize("nan_in", ["kappa", "sigma"])
+def test_a_nan_kappa_or_sigma_is_not_trans_sasakian(nan_in):
+    zero = np.zeros(30, dtype=complex)
+    nan = zero.copy()
+    nan[7] = np.nan
+    args = (nan, zero, zero) if nan_in == "kappa" else (zero, nan, zero)
+    assert verdict_from_samples(*args) == "NotTransSasakian"
+
+
+@pytest.mark.parametrize("key", ["max_abs_kappa", "max_abs_sigma"])
+def test_a_nan_kappa_or_sigma_fails_the_einstein_gate(key):
+    spec = catalog.get_spec("kenmotsu")
+    values = fold(*_einstein_roots(spec), default_samples(spec, 30), spec.params)
+    assert "max_abs_d_rho" in _einstein_verdict(values, 30).residuals
+    values[key] = math.nan
+    assert "max_abs_d_rho" not in _einstein_verdict(values, 30).residuals

@@ -10,7 +10,7 @@ from np3kit import expr as E
 from np3kit.cexpr import eval_forms
 from np3kit.frame import (
     DegenerateFrame, SchemaError, connection_table, covariant_derivative,
-    curvature_values, default_samples, kulkarni_nomizu_residual,
+    curvature_values_many, default_samples, kulkarni_nomizu_residual,
     load_manifold, riemann, spec_cached,
     spec_from_document, spec_to_document, structure_functions,
 )
@@ -211,7 +211,7 @@ def test_covariant_derivative_torsion_free_on_general_fields(example1):
 
 
 def test_riemann_flat(flat):
-    R, S, tau = curvature_values(flat, (0.3, 0.1, -2.0))
+    (R,), (S,), (tau,) = curvature_values_many(flat, [(0.3, 0.1, -2.0)])
     assert np.max(np.abs(R)) == 0.0
     assert np.max(np.abs(S)) == 0.0
     assert tau == 0.0
@@ -220,7 +220,7 @@ def test_riemann_flat(flat):
 def test_riemann_sol_ricci(sol):
     # Sol: S = -2 theta^3 (x) theta^3
     for p in [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.2, -0.5, 0.8)]:
-        _, S, tau = curvature_values(sol, p)
+        _, (S,), (tau,) = curvature_values_many(sol, [p])
         expected = np.diag([0.0, 0.0, -2.0])
         assert np.max(np.abs(S - expected)) < 1e-10
         assert tau == pytest.approx(-1.0, rel=1e-12)
@@ -228,7 +228,6 @@ def test_riemann_sol_ricci(sol):
 
 def test_riemann_symmetries_and_first_bianchi(example1):
     pts = default_samples(example1, 30, seed=5)
-    from np3kit.frame import curvature_values_many
     R, S, _ = curvature_values_many(example1, pts)
     assert np.max(np.abs(R + np.swapaxes(R, 1, 2))) < 1e-9          # R_ijkl = -R_jikl
     assert np.max(np.abs(R + np.swapaxes(R, 3, 4))) < 1e-9          # R_ijkl = -R_ijlk
@@ -246,7 +245,7 @@ def test_kulkarni_nomizu_residual_examples(example1, flat, sol):
 
 def test_scalar_curvature_conventions_agree(example1):
     # half-trace convention equals S(del, delbar) + S(xi,xi)/2
-    _, S, tau = curvature_values(example1, (0.3, 0.4, -0.2))
+    _, (S,), (tau,) = curvature_values_many(example1, [(0.3, 0.4, -0.2)])
     s_ddbar = 0.5 * (S[0, 0] + S[1, 1])
     assert tau == pytest.approx(s_ddbar + 0.5 * S[2, 2], rel=1e-12)
 

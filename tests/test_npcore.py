@@ -10,11 +10,10 @@ from np3kit.cexpr import CExpr, c_const
 from np3kit.frame import (curvature_values_many, default_samples,
                           load_manifold, spec_from_document, spec_to_document)
 from np3kit.npcore import (GaugeAngle, W_DEL, _bianchi_exprs, _sachs_exprs,
-                           bianchi_residuals,
                            bianchi_residuals_many, d_del, epsilon_realness,
                            gauge_transform, grad_xi_norm_sq, kinematics,
                            np_frame, np_metric_residuals, phi_apply,
-                           ricci_from_sachs_many, sachs_residuals,
+                           ricci_from_sachs_many,
                            sachs_residuals_many, spin_coefficients,
                            spin_coefficients_from_f, weighted_derivative)
 
@@ -231,20 +230,20 @@ def test_weighted_derivative_gauge_covariance(example1):
 # Sachs / Bianchi / norm identities
 
 def test_sachs_residuals_small(example1, sol, flat):
-    for r in sachs_residuals(example1, (0.0, 0.0, 0.0)):
+    for r in sachs_residuals_many(example1, [(0.0, 0.0, 0.0)])[0]:
         assert abs(r) <= 1e-9
-    for r in sachs_residuals(sol, (1.0, 1.0, 0.0)):
+    for r in sachs_residuals_many(sol, [(1.0, 1.0, 0.0)])[0]:
         assert abs(r) <= 1e-9
-    for r in sachs_residuals(flat, (0.3, -0.9, 0.5)):
+    for r in sachs_residuals_many(flat, [(0.3, -0.9, 0.5)])[0]:
         assert r == 0
 
 
 def test_bianchi_residuals_small(example2, sol, flat):
-    for r in bianchi_residuals(flat, (0.1, 0.2, 0.3)):
+    for r in bianchi_residuals_many(flat, [(0.1, 0.2, 0.3)])[0]:
         assert r == 0
-    for r in bianchi_residuals(example2, (0.0, 0.0, 1.0)):
+    for r in bianchi_residuals_many(example2, [(0.0, 0.0, 1.0)])[0]:
         assert abs(r) <= 1e-8
-    for r in bianchi_residuals(sol, (0.0, 0.0, 0.0)):
+    for r in bianchi_residuals_many(sol, [(0.0, 0.0, 0.0)])[0]:
         assert abs(r) <= 1e-8
 
 
@@ -252,9 +251,10 @@ def test_bianchi_residuals_small(example2, sol, flat):
 def test_single_point_residuals_match_per_expression_evaluation(name):
     spec = catalog.get_spec(name)
     for point in default_samples(spec, 20, seed=4):
-        for alias, forms in ((sachs_residuals, _sachs_exprs), (bianchi_residuals, _bianchi_exprs)):
+        for many, forms in ((sachs_residuals_many, _sachs_exprs),
+                            (bianchi_residuals_many, _bianchi_exprs)):
             want = [z.evaluate(point, spec.params) for z in forms(spec)]
-            assert np.allclose(alias(spec, point), want, rtol=0, atol=1e-14), alias.__name__
+            assert np.allclose(many(spec, [point])[0], want, rtol=0, atol=1e-14), many.__name__
 
 
 def test_sachs_bianchi_sweeps(example1, example2):

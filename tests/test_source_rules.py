@@ -5,7 +5,9 @@ nothing else, the package runs no thread pool of its own, and no module
 keeps evaluation state in a context variable: a request passes its forms
 and values explicitly.  A check's residual arithmetic lives in its forms,
 so the suites, xi and catalog modules take no modulus and permute no array
-themselves, and every check record comes from ``suites._check``.
+themselves, and every check record comes from ``suites._check``.  Only
+``expr`` runs passes over a tape; every other module evaluates through
+``expr.sweep`` or its reductions.
 """
 
 import ast
@@ -142,3 +144,40 @@ def test_record_rule_flags_a_second_writer():
         "RECORD = {'max_residual': 1.0}\n"
     )
     assert max_residual_writers(source) == ["_check", "fold", "widen", "line 9"]
+
+
+PASS_DRIVER = ("_Tape", "_windows", "_points")
+
+
+def pass_driver_names(source: str) -> list[str]:
+    """The private names of ``expr``'s pass driver that a source references,
+    as a bare name, an attribute or an import, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return sorted(found.intersection(PASS_DRIVER))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_expr_runs_the_pass_loop(path):
+    if path.name != "expr.py":
+        assert pass_driver_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_pass_driver_rule_flags_a_second_loop():
+    source = (
+        "from . import expr as E\n"
+        "from .expr import _windows\n"
+        "def fold(roots, points):\n"
+        "    pts = E._points(points)\n"
+        "    tape = E._Tape(roots, {}, E.CHUNK)\n"
+        "    return [tape.run(pts[s:]) for s, _ in _windows(len(pts), tape.width)]\n"
+        "def halton_points(n):\n"
+        "    return E.sweep([], [], None, len)\n"
+    )
+    assert pass_driver_names(source) == ["_Tape", "_points", "_windows"]

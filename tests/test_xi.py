@@ -5,11 +5,11 @@ import pytest
 
 from np3kit import catalog
 from np3kit import expr as E
-from np3kit.cexpr import eval_forms
+from np3kit.cexpr import eval_forms, fold
 from np3kit.frame import default_samples
 from np3kit.npcore import d_del, spin_coefficients
-from np3kit.xi import (divergence_xi, harmonicity_residual,
-                       parallel_and_collinearity, rough_laplacian_xi)
+from np3kit.xi import (_congruence_report, _congruence_roots, divergence_xi,
+                       harmonicity_residual, parallel_and_collinearity, rough_laplacian_xi)
 
 
 def _spec(name):
@@ -131,3 +131,15 @@ def test_harmonic_iff_collinear_iff_drho_zero_on_ts_entries():
         drho = d_del(spec, spin_coefficients(spec).rho)
         drho_zero = bool(np.max(np.abs(drho.evaluate_many(pts, spec.params))) <= 1e-8)
         assert report.is_harmonic == report.is_collinear == drho_zero, name
+
+
+@pytest.mark.parametrize("key,flag", [
+    ("max_abs_kappa", "is_parallel"), ("max_abs_sigma", "is_parallel"),
+    ("max_transverse_laplacian", "is_harmonic"), ("bochner_reduction", "is_harmonic"),
+])
+def test_a_nan_maximum_fails_its_congruence_flag(key, flag):
+    spec = _spec("flat_cosymplectic")
+    values = fold(*_congruence_roots(spec), default_samples(spec, 30), spec.params)
+    assert getattr(_congruence_report(spec, values, 30), flag)
+    values[key] = math.nan
+    assert not getattr(_congruence_report(spec, values, 30), flag)
