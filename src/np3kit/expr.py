@@ -50,9 +50,15 @@ columns and calls numpy with ``out=``.  Passes step by the width, and the
 last one ends at the last point, overlapping the pass before it, so every
 pass runs the same bound program.  A reduction reads each pass's new points
 off the root buffers: :func:`eval_batch` writes them into result columns,
-``cexpr.fold`` keeps one max or sum per root.  A request declares everything
-it evaluates up front, as one tree of forms (``cexpr.eval_forms``), so work
-shared across its checks is shared inside one tape.
+``cexpr.fold`` keeps one max or sum per root.  A tape of one pass runs its
+ops in the canonical order (the roots in order, each node after its
+operands, the right one first), the order in which the domain checks name
+an error.  A tape of more passes runs them in an order that keeps fewer
+values live, so it needs fewer slots, and an error it raises is named by
+the canonical tape, rerun from the failing pass on.  A request declares
+everything it evaluates up front, as one tree of forms
+(``cexpr.eval_forms``), so work shared across its checks is shared inside
+one tape.
 """
 
 from __future__ import annotations
@@ -82,9 +88,9 @@ class DomainError(ArithmeticError):
     """Evaluation hit a singularity (division by zero, log<=0, sqrt<0, ...).
 
     ``index`` is the first failing sample among all the points evaluated,
-    and ``point`` its coordinates.  A failing pass of :func:`sweep` is rerun
-    over all points at once, so both name the sample, and the error, that
-    an unchunked evaluation names.
+    and ``point`` its coordinates.  When a pass of :func:`sweep` fails, the
+    passes from it on are rerun in the canonical order, so both name the
+    sample, and the error, that an unchunked evaluation names.
     """
 
     index: int | None = None
@@ -486,7 +492,8 @@ def _diff_node(e: Expr, i: int, d) -> Expr:
 # evaluation
 
 # points per pass over a tape, and per slice of a streamed request: at 2,048
-# points flat_radial's 1,499 tape slots take 24 MB
+# points the 1,019 slots of flat_radial's scheduled verify tape take 16.7 MB
+# (its canonical order needs 1,499 slots, 24.6 MB)
 CHUNK = 2048
 
 
@@ -525,20 +532,24 @@ def eval_batch(exprs, points, params=None) -> list[np.ndarray]:
 def sweep(exprs, points, params, reduce):
     """``reduce(tape, pts)`` over one tape of the distinct nodes reachable
     from ``exprs``, compiled for passes of ``min(CHUNK, N)`` points (see
-    :meth:`_Tape.passes`).  If a pass raises DomainError, ``reduce`` runs
-    again on one tape as wide as all points, so the error names the node
-    and the sample that an unchunked evaluation names.
+    :meth:`_Tape.passes`), and scheduled for fewer slots when it makes more
+    than one pass.  If a pass of such a tape raises DomainError, a canonical
+    tape of the same width names the error (:meth:`_Tape.first_error`): the
+    node and the sample that an unchunked evaluation names.
     """
     pts, roots, params = np.asarray(points, dtype=float), list(exprs), params or {}
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (N, 3)")
     n = len(pts)
+    width = min(CHUNK, n)
     try:
-        return reduce(_Tape(roots, params, min(CHUNK, n)), pts)
-    except DomainError:
-        if n <= CHUNK:
+        return reduce(_Tape(roots, params, width, scheduled=n > width), pts)
+    except DomainError as exc:
+        if n <= width:
             raise
-    return reduce(_Tape(roots, params, n), pts)
+        # the pass that raised is the first to read the failing sample
+        lo = exc.index - exc.index % width
+    raise _Tape(roots, params, width).first_error(pts, lo)
 
 
 def _domain(bad, message: str):
@@ -586,9 +597,11 @@ class _Tape:
     that runs in place, ``width`` points a pass.
 
     Nodes are numbered in a depth-first post-order walk (right operand
-    first), the order their domain checks run in.  Each value other than a
-    constant gets a slot, and a slot is reused once its value has had its
-    last use, so the slots hold only live values; roots stay live to the
+    first).  The ops run in that order, and their domain checks with them,
+    unless the tape is ``scheduled``: then :func:`_schedule` reorders them
+    to keep fewer values live.  Each value other than a constant gets a
+    slot, and a slot is reused once its value has had its last use, so the
+    slots (``slots`` of them) hold only live values; roots stay live to the
     end of the pass.  Every slot owns one buffer of ``width`` points,
     allocated once.  Each op is bound at compile time to what it reads, a
     constant's float or an operand slot's buffer, and to the buffer it
@@ -597,7 +610,7 @@ class _Tape:
     that is a constant gets a buffer filled once.
     """
 
-    def __init__(self, exprs, params, width: int):
+    def __init__(self, exprs, params, width: int, scheduled: bool = False):
         roots = list(exprs)
         num: dict[int, int] = {}  # id(node) -> value number
         leaves, coords = {}, []  # value -> float; (value, column)
@@ -639,6 +652,8 @@ class _Tape:
                 stack.pop()
                 num[key] = v
         outputs = [num[id(f)] for f in roots]
+        if scheduled:
+            code = _schedule(code, len(num), [v for v, _ in coords], outputs)
         del num
 
         last = {}
@@ -675,26 +690,28 @@ class _Tape:
         for pos, (fn, so, ra, rb) in enumerate(code):
             code[pos] = (fn, bufs[so], bufs[ra] if type(ra) is int else ra,
                          bufs[rb] if type(rb) is int else rb)
-        self.code, self.width = code, width
+        self.code, self.width, self.slots = code, width, size
         self.coords = [(bufs[s], k) for s, k in coords]
         self.outputs = [bufs[s] for s in outputs]
 
-    def passes(self, pts: np.ndarray):
+    def passes(self, pts: np.ndarray, lo: int = 0):
         """Run over ``pts`` (no points, or at least ``width``) one pass at a
         time, yielding ``(lo, new)`` after each: the pass read the ``width``
         points from ``lo - new`` on, and those from ``lo`` on are its own.
         Passes step by ``width``, and the last one ends at the last point,
         overlapping the pass before it.  The root buffers (``outputs``) hold
-        a pass's values until the next pass.  A DomainError carries the index
-        of its sample in ``pts``, and its point."""
+        a pass's values until the next pass.  The passes start at the one
+        whose own points start at ``lo``.  A DomainError carries the index of
+        its sample in ``pts``, its point and the failing ``op``."""
         n, width = len(pts), self.width
-        for lo in range(0, n, width or 1):
+        for lo in range(lo, n, width or 1):
             start = min(lo, n - width)
             for buf, k in self.coords:
                 buf[:] = pts[start:start + width, k]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for fn, out, a, b in self.code:
+                    for op in self.code:
+                        fn, out, a, b = op
                         if b is None:
                             fn(a, out=out)
                         else:
@@ -702,8 +719,72 @@ class _Tape:
             except DomainError as exc:
                 exc.index += start
                 exc.point = tuple(pts[exc.index].tolist())
+                exc.op = op
                 raise
             yield lo, lo - start
+
+    def first_error(self, pts: np.ndarray, lo: int) -> DomainError:
+        """The DomainError that one pass over all of ``pts`` would raise,
+        found one pass at a time from the pass at ``lo`` on (the passes
+        before it raise nothing).  Each failing pass names its first failing
+        op, that op's first failing check and the first sample failing it;
+        of those, the error at the earliest op wins, then at the earlier
+        check (``_pow`` tests a negative base first), then the earliest
+        sample."""
+        at = {id(op): pos for pos, op in enumerate(self.code)}
+        errors = []
+        for lo in range(lo, len(pts), self.width):
+            try:
+                next(self.passes(pts, lo))
+            except DomainError as exc:
+                errors.append(exc)
+        return min(errors, key=lambda exc: (
+            at[id(exc.op)], str(exc) == "zero base with negative exponent", exc.index))
+
+
+def _schedule(code, count: int, coords, outputs) -> list:
+    """``code``, ops over ``count`` values in the canonical order, reordered
+    so that fewer values are live at once (Sethi & Ullman, *J. ACM* 17(4),
+    1970).
+
+    Each value gets the number of slots its evaluation needs: a coordinate
+    (one of ``coords``) 1, a constant or parameter 0, a unary op as many as
+    its operand but at least 1, a binary op one more than its operands when
+    their numbers tie and the larger number otherwise.  The walk visits the
+    distinct ``outputs`` from the largest number down (a tie keeps their
+    order) and, at a binary op whose operands are both pending, the operand
+    with the larger number first (on a tie the right one, as canonically).
+    """
+    need = [0] * count
+    for v in coords:
+        need[v] = 1
+    for _, v, a, b in code:
+        if b is None:
+            need[v] = need[a] or 1
+        else:
+            na, nb = need[a], need[b]
+            need[v] = na + 1 if na == nb else na if na > nb else nb
+    pending = {op[1]: op for op in code}  # value -> its op, until the op is placed
+    order = []
+    for root in sorted(dict.fromkeys(outputs), key=need.__getitem__, reverse=True):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if v < 0:  # its operands are placed
+                order.append(pending.pop(~v))
+                continue
+            op = pending.get(v)
+            if op is None:  # a leaf, or placed already
+                continue
+            stack.append(~v)
+            _, _, a, b = op  # the operand pushed last is visited first
+            if b is None:
+                stack.append(a)
+            elif need[a] > need[b]:
+                stack += b, a
+            else:
+                stack += a, b
+    return order
 
 
 # --------------------------------------------------------------------------

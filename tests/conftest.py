@@ -11,13 +11,13 @@ def tapes(monkeypatch):
     tapes = []
     real_init, real_passes = E._Tape.__init__, E._Tape.passes
 
-    def init(self, *args):
-        real_init(self, *args)
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
         self.log = []
         tapes.append(self.log)
 
-    def passes(self, pts):
-        run = real_passes(self, pts)
+    def passes(self, pts, *args):
+        run = real_passes(self, pts, *args)
         while True:
             self.log.append(self.width)
             step = next(run, None)

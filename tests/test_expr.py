@@ -456,6 +456,36 @@ def test_domain_error_names_the_first_failing_sample():
     assert str(exc.value) == "sqrt of negative value"
 
 
+def test_a_streamed_error_ranks_the_checks_of_one_op():
+    # x1^x2 tests a negative base before a zero base, so over all points at
+    # once the later sample's negative base is the error, not sample 5's zero
+    n = 3 * E.CHUNK + 5
+    pts = np.ones((n, 3))
+    pts[5, :2] = 0.0, -2.0
+    pts[2 * E.CHUNK + 9, :2] = -1.0, 0.5
+    with pytest.raises(DomainError) as exc:
+        evaluate_many(parse("x1^x2"), pts)
+    assert str(exc.value) == "negative base with non-integer exponent"
+    assert (exc.value.index, exc.value.point) == (2 * E.CHUNK + 9, (-1.0, 0.5, 1.0))
+
+
+def test_a_streamed_error_is_named_in_the_canonical_order():
+    n = 3 * E.CHUNK + 5
+    x1, x2, x3 = Coord(1), Coord(2), Coord(3)
+    deep = E.mul(E.div(1.0, x2), E.add(x1, x3))  # needs more slots than log(x1)
+    roots = [E.log(x1), deep]
+    pts = np.ones((n, 3))
+    pts[0, 1] = 0.0  # 1/x2 fails in the first pass
+    pts[-1, 0] = 0.0  # log(x1), first in the canonical order, in the last
+    scheduled = E._Tape(roots, {}, E.CHUNK, scheduled=True)
+    with pytest.raises(DomainError, match="division by zero"):
+        next(scheduled.passes(pts))  # the scheduled walk reaches 1/x2 first
+    with pytest.raises(DomainError) as exc:
+        E.eval_batch(roots, pts)
+    assert str(exc.value) == "log of non-positive value"
+    assert (exc.value.index, exc.value.point) == (n - 1, (0.0, 1.0, 1.0))
+
+
 def test_eval_batch_streams_on_the_one_pass_driver(tapes):
     n = 3 * E.CHUNK + 5
     pts = np.ones((n, 3))
@@ -465,7 +495,7 @@ def test_eval_batch_streams_on_the_one_pass_driver(tapes):
     tapes.clear()
     with pytest.raises(DomainError):
         E.eval_batch([parse("sqrt(x1)")], pts)
-    assert tapes == [[E.CHUNK] * 4, [n]]  # then one tape as wide as all points
+    assert tapes == [[E.CHUNK] * 4, [E.CHUNK]]  # then the failing pass again, canonically
 
 
 def test_evaluation_only_ops():

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -185,9 +190,10 @@ def test_domain_error_in_the_overlap_is_the_unchunked_one(tmp_path, monkeypatch)
             "sqrt of negative value", i, tuple(pts[i].tolist()))
 
 
-@pytest.mark.parametrize("at,first", [(N - 2, [E.CHUNK] * 4), (5, [E.CHUNK])],
+@pytest.mark.parametrize("at,first,rerun", [(N - 2, [E.CHUNK] * 4, [E.CHUNK]),
+                                            (5, [E.CHUNK], [E.CHUNK] * 4)],
                          ids=["last_pass", "first_pass"])
-def test_domain_error_reruns_one_tape_over_all_points(at, first, tmp_path, tapes):
+def test_domain_error_reruns_one_tape_over_all_points(at, first, rerun, tmp_path, tapes):
     spec, _ = _singular_spec(tmp_path)
     pts = default_samples(spec, N, seed=0).copy()
     pts[at, 0] = -0.25
@@ -195,7 +201,69 @@ def test_domain_error_reruns_one_tape_over_all_points(at, first, tmp_path, tapes
     with pytest.raises(E.DomainError) as exc:
         run_suites(spec, "all", pts)
     assert exc.value.index == at
-    assert tapes == [first, [N]]  # the failing tape, then one as wide as all points
+    # the failing tape, then one canonical tape of the same width over the
+    # passes from the failing one on
+    assert tapes == [first, rerun]
+
+
+def _error_peak_mb(count: int) -> float:
+    """VmHWM of a fresh interpreter in which ``eval_batch`` of flat_radial's
+    verify roots and ``log(x1)`` over ``count`` points raises DomainError at
+    the last sample, the only singular one."""
+    code = textwrap.dedent(f"""
+        from np3kit import catalog, suites
+        from np3kit import expr as E
+        from np3kit.cexpr import residual
+        from np3kit.classify import _ts_gate
+        from np3kit.frame import default_samples
+        spec = catalog.get_spec("flat_radial")
+        roots = [residual(tree) for name in suites.SUITE_NAMES
+                 for tree in suites._suite(name)(spec).values()]
+        roots += [_ts_gate(spec), E.log(E.coord(1))]
+        pts = default_samples(spec, {count}, seed=0).copy()
+        pts[-1, 0] = 0.0
+        try:
+            E.eval_batch(roots, pts, spec.params)
+        except E.DomainError as exc:
+            assert exc.index == {count} - 1
+        else:
+            raise SystemExit("no DomainError")
+        with open("/proc/self/status", encoding="ascii") as fh:
+            print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    """)
+    src = str(pathlib.Path(E.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_domain_error_memory_does_not_grow_with_the_sample_count():
+    # the rerun that names the error is one pass wide, like the tape it reruns
+    assert _error_peak_mb(20000) <= _error_peak_mb(5000) + 10
+
+
+@pytest.mark.parametrize("name,streamed", [("flat_radial", 1100), ("example1", 225)])
+def test_a_streamed_tape_is_scheduled_for_fewer_slots(name, streamed, monkeypatch):
+    spec = catalog.get_spec(name)
+    run_suites(spec, "all", default_samples(spec, 30))  # the symbolic build, before counting
+    many, one = default_samples(spec, N, seed=2), default_samples(spec, E.CHUNK, seed=2)
+    compiled, real_init = [], E._Tape.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        compiled.append(self.slots)
+
+    monkeypatch.setattr(E._Tape, "__init__", init)
+    run_suites(spec, "all", many)
+    run_suites(spec, "all", one)
+    canonical = {"flat_radial": 1499, "example1": 241}[name]
+    scheduled, single = compiled
+    assert scheduled <= streamed < canonical  # several passes: the scheduled order
+    assert single == canonical  # one pass: the canonical order
 
 
 def _traced_peak(spec, n):
