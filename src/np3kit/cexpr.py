@@ -33,7 +33,7 @@ from .expr import Expr
 __all__ = ["CExpr", "c_const", "as_cexpr", "eval_parts", "eval_forms", "fold", "residual"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CExpr:
     re: Expr
     im: Expr

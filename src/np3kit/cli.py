@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -150,14 +151,16 @@ def cmd_ektau(args) -> int:
         us = np.linspace(0.0, np.pi, 52)[1:-1]
         obstruction, expected_zero = rigidity_sweep(kappas, taus, us)
         kappas_s, taus_s, us_s = ([repr(v) for v in a.tolist()] for a in (kappas, taus, us))
+        middles = [f",{t},{u}," for t in taus_s for u in us_s]  # a row's (tau, u), once
+        flag = (",0\n", ",1\n").__getitem__
+        rows = len(middles)
         writer = sys.stdout
         writer.write("kappa,tau,u,obstruction,expected_zero\n")
-        # one block per kappa: 2,500 rows, about 150 KB
-        for k, obs_k, zero_k in zip(kappas_s, obstruction.tolist(), expected_zero.tolist()):
-            writer.write("".join(
-                f"{k},{t},{u},{o!r},{int(z)}\n"
-                for t, obs_kt, zero_kt in zip(taus_s, obs_k, zero_k)
-                for u, o, z in zip(us_s, obs_kt, zero_kt)))
+        # one block per kappa: 2,500 rows, about 200 KB
+        for k, obs_k, zero_k in zip(kappas_s, obstruction.reshape(-1, rows).tolist(),
+                                    expected_zero.reshape(-1, rows).tolist()):
+            writer.write("".join(chain.from_iterable(
+                zip(repeat(k), middles, map(repr, obs_k), map(flag, zero_k)))))
         return EXIT_OK
     rep = rigidity_obstruction(params, args.u)
     report = base_report(None)

@@ -38,8 +38,13 @@ exponent via ``a^b = exp(b*log(a))``.
 Expressions are immutable, hashable and freely shared.  All construction
 paths intern nodes (hash-consing), so structurally equal subterms are the
 *same* object, and repeated differentiation produces compact DAGs.  The
-intern and derivative tables only ever deduplicate work; under concurrent
-use they may recompute, never corrupt.
+constructors dispatch on the exact type of each operand: only this module
+makes nodes, and a number is coerced once.  :func:`differentiate` keeps
+one row per node, the node and its derivatives by x1, x2 and x3 as each
+is first asked for, so the three derivatives of a subterm share one entry.
+The intern and derivative tables are module-global and never freed; they
+only ever deduplicate work, and under concurrent use they may recompute,
+never corrupt.
 
 Evaluation has one driver, :func:`sweep`.  It compiles the distinct nodes
 of the requested expressions into a tape for passes of ``min(CHUNK, N)``
@@ -112,6 +117,11 @@ class ParseError(Exception):
         return f"parse error at offset {self.offset}: {self.message}{hint}"
 
 
+# ``repr`` renders at most this many nodes of an expression and at most
+# this many characters of text; the rest is ``…``
+REPR_NODES, REPR_CHARS = 40, 160
+
+
 class Expr:
     """Base class for AST nodes. Use the smart constructors, not subclasses."""
 
@@ -148,7 +158,10 @@ class Expr:
         return neg(self)
 
     def __repr__(self):
-        return f"<Expr {unparse(self)!r}>"
+        text = _unparse(self, [REPR_NODES])[0]
+        if len(text) > REPR_CHARS:
+            text = text[:REPR_CHARS - 1] + "…"
+        return f"<Expr {text!r}>"
 
 
 @dataclass(frozen=True, repr=False, slots=True)
@@ -227,6 +240,7 @@ def _mk_binary(op: str, left: Expr, right: Expr) -> Binary:
 
 _ZERO = _mk_const(0.0)
 _ONE = _mk_const(1.0)
+_TWO = _mk_const(2.0)
 
 
 def const(v) -> Const:
@@ -255,78 +269,136 @@ def _is_const(e: Expr, v=None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
+# The constructors below are the inner loop of every symbolic build, so each
+# tests ``type(x)`` once per operand and interns inline.  Only this module
+# makes nodes, and only of these five types, so a value of any other type
+# is a number (or an error) for :func:`as_expr`.
+_NODE_TYPES = frozenset((Const, Coord, Param, Unary, Binary))
+
+
 def add(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _mk_const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    ta, tb = type(a), type(b)
+    if ta not in _NODE_TYPES or tb not in _NODE_TYPES:
+        a, b = as_expr(a), as_expr(b)
+        ta, tb = type(a), type(b)
+    if ta is Const:
+        if tb is Const:
+            return _mk_const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif tb is Const and b.value == 0.0:
         return a
-    return _mk_binary("add", a, b)
+    key = ("add", id(a), id(b))
+    node = _INTERN.get(key)
+    if node is None:
+        node = _INTERN[key] = Binary("add", a, b)
+    return node
 
 
 def sub(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _mk_const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    ta, tb = type(a), type(b)
+    if ta not in _NODE_TYPES or tb not in _NODE_TYPES:
+        a, b = as_expr(a), as_expr(b)
+        ta, tb = type(a), type(b)
+    if tb is Const:
+        if ta is Const:
+            return _mk_const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif ta is Const and a.value == 0.0:
         return neg(b)
-    return _mk_binary("sub", a, b)
+    key = ("sub", id(a), id(b))
+    node = _INTERN.get(key)
+    if node is None:
+        node = _INTERN[key] = Binary("sub", a, b)
+    return node
 
 
 def mul(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _mk_const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO  # symbolic zero annihilates, by convention
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
-        return neg(b)
-    if _is_const(b, -1.0):
-        return neg(a)
-    return _mk_binary("mul", a, b)
+    ta, tb = type(a), type(b)
+    if ta not in _NODE_TYPES or tb not in _NODE_TYPES:
+        a, b = as_expr(a), as_expr(b)
+        ta, tb = type(a), type(b)
+    if ta is Const:
+        if tb is Const:
+            return _mk_const(a.value * b.value)
+        v = a.value
+        if v == 0.0:
+            return _ZERO  # symbolic zero annihilates, by convention
+        if v == 1.0:
+            return b
+        if v == -1.0:
+            return neg(b)
+    elif tb is Const:
+        v = b.value
+        if v == 0.0:
+            return _ZERO
+        if v == 1.0:
+            return a
+        if v == -1.0:
+            return neg(a)
+    key = ("mul", id(a), id(b))
+    node = _INTERN.get(key)
+    if node is None:
+        node = _INTERN[key] = Binary("mul", a, b)
+    return node
 
 
 def div(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return _mk_const(a.value / b.value)
-    if _is_const(a, 0.0):
-        return _ZERO
-    if _is_const(b, 1.0):
+    ta, tb = type(a), type(b)
+    if ta not in _NODE_TYPES or tb not in _NODE_TYPES:
+        a, b = as_expr(a), as_expr(b)
+        ta, tb = type(a), type(b)
+    if ta is Const:
+        if tb is Const and b.value != 0.0:
+            return _mk_const(a.value / b.value)
+        if a.value == 0.0:
+            return _ZERO
+    if tb is Const and b.value == 1.0:
         return a
-    return _mk_binary("div", a, b)
+    key = ("div", id(a), id(b))
+    node = _INTERN.get(key)
+    if node is None:
+        node = _INTERN[key] = Binary("div", a, b)
+    return node
 
 
 def power(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(b, 0.0):
-        return _ONE
-    if isinstance(a, Const) and isinstance(b, Const):
-        try:
-            v = math.pow(a.value, b.value)
-        except (ValueError, OverflowError):
-            return _mk_binary("pow", a, b)
-        return _mk_const(v)
-    return _mk_binary("pow", a, b)
+    ta, tb = type(a), type(b)
+    if ta not in _NODE_TYPES or tb not in _NODE_TYPES:
+        a, b = as_expr(a), as_expr(b)
+        ta, tb = type(a), type(b)
+    if tb is Const:
+        v = b.value
+        if v == 1.0:
+            return a
+        if v == 0.0:
+            return _ONE
+        if ta is Const:
+            try:
+                return _mk_const(math.pow(a.value, v))
+            except (ValueError, OverflowError):
+                pass  # e.g. (-1)^0.5: keep symbolic
+    key = ("pow", id(a), id(b))
+    node = _INTERN.get(key)
+    if node is None:
+        node = _INTERN[key] = Binary("pow", a, b)
+    return node
 
 
 def neg(a) -> Expr:
-    a = as_expr(a)
-    if isinstance(a, Const):
+    if type(a) not in _NODE_TYPES:
+        a = as_expr(a)
+    ta = type(a)
+    if ta is Const:
         return _mk_const(-a.value)
-    if isinstance(a, Unary) and a.op == "neg":
+    if ta is Unary and a.op == "neg":
         return a.arg
-    return _mk_unary("neg", a)
+    key = ("neg", id(a))
+    node = _INTERN.get(key)
+    if node is None:
+        node = _INTERN[key] = Unary("neg", a)
+    return node
 
 
 def func(name: str, arg) -> Expr:
@@ -334,13 +406,18 @@ def func(name: str, arg) -> Expr:
         raise ValueError(f"unknown function {name!r}")
     if name == "neg":
         return neg(arg)
-    arg = as_expr(arg)
-    if isinstance(arg, Const):
+    if type(arg) not in _NODE_TYPES:
+        arg = as_expr(arg)
+    if type(arg) is Const:
         try:
             return _mk_const(getattr(math, name)(arg.value))
         except (ValueError, OverflowError):
             pass  # e.g. log(-1) or exp(huge): keep symbolic
-    return _mk_unary(name, arg)
+    key = (name, id(arg))
+    node = _INTERN.get(key)
+    if node is None:
+        node = _INTERN[key] = Unary(name, arg)
+    return node
 
 
 def sin(a) -> Expr:
@@ -403,8 +480,11 @@ def cabs(re, im) -> Expr:
 # --------------------------------------------------------------------------
 # differentiation
 
-# derivative cache across calls: the geometry pipeline differentiates many
-# expressions sharing the same subterms.  Keys pin their node so ids stay valid.
+# derivatives across calls, one row per node: ``_DIFF_CACHE[id(node)] =
+# [node, d/dx1, d/dx2, d/dx3]``, a coordinate's entry None until it is
+# asked for.  The geometry pipeline differentiates many expressions sharing
+# the same subterms, often by all three coordinates; the row pins its node,
+# so the id key stays valid.  Like ``_INTERN`` it is never freed.
 _DIFF_CACHE: dict = {}
 
 
@@ -416,76 +496,81 @@ def differentiate(f: Expr, coord_index: int) -> Expr:
     """
     if coord_index not in (1, 2, 3):
         raise ValueError(f"coordinate index must be 1..3, got {coord_index}")
-    cache = _DIFF_CACHE
-
-    def lookup(e):
-        hit = cache.get((id(e), coord_index))
-        return hit[1] if hit is not None else None
-
+    i, cache = coord_index, _DIFF_CACHE
+    row = cache.get(id(f))
+    if row is not None and row[i] is not None:
+        return row[i]
     stack = [f]
     while stack:
         e = stack[-1]
-        if lookup(e) is not None:
+        row = cache.get(id(e))
+        if row is None:  # a row, once made, is never replaced
+            row = cache.setdefault(id(e), [e, None, None, None])
+        elif row[i] is not None:
             stack.pop()
             continue
-        pending = [k for k in _children(e) if lookup(k) is None]
-        if pending:
-            stack.extend(pending)
-            continue
+        kind = type(e)
+        if kind is Binary:
+            ra, rb = cache.get(id(e.left)), cache.get(id(e.right))
+            da, db = ra and ra[i], rb and rb[i]
+            if da is None or db is None:  # the right operand first
+                if da is None:
+                    stack.append(e.left)
+                if db is None:
+                    stack.append(e.right)
+                continue
+            row[i] = _diff_binary(e, da, db)
+        elif kind is Unary:
+            ra = cache.get(id(e.arg))
+            du = ra and ra[i]
+            if du is None:
+                stack.append(e.arg)
+                continue
+            row[i] = _diff_unary(e, du)
+        elif kind is Coord:
+            row[i] = _ONE if e.index == i else _ZERO
+        else:  # a constant or a parameter
+            row[i] = _ZERO
         stack.pop()
-        cache[(id(e), coord_index)] = (e, _diff_node(e, coord_index, lookup))
-    return lookup(f)
+    return cache[id(f)][i]
 
 
-def _children(e: Expr):
-    if isinstance(e, Unary):
-        return (e.arg,)
-    if isinstance(e, Binary):
-        return (e.left, e.right)
-    return ()
+def _diff_unary(e: Unary, du: Expr) -> Expr:
+    op, u = e.op, e.arg
+    if op == "neg":
+        return neg(du)
+    if op == "sin":
+        return mul(cos(u), du)
+    if op == "cos":
+        return neg(mul(sin(u), du))
+    if op == "tan":
+        return div(du, power(cos(u), _TWO))
+    if op == "exp":
+        return mul(e, du)
+    if op == "log":
+        return div(du, u)
+    if op == "sqrt":
+        return div(du, mul(_TWO, e))
+    raise ValueError(f"{op!r} is an evaluation-only op and has no derivative")
 
 
-def _diff_node(e: Expr, i: int, d) -> Expr:
-    if isinstance(e, (Unary, Binary)) and e.op in EVAL_ONLY:
-        raise ValueError(f"{e.op!r} is an evaluation-only op and has no derivative")
-    if isinstance(e, Const) or isinstance(e, Param):
-        return _ZERO
-    if isinstance(e, Coord):
-        return _ONE if e.index == i else _ZERO
-    if isinstance(e, Unary):
-        u, du = e.arg, d(e.arg)
-        if e.op == "neg":
-            return neg(du)
-        if e.op == "sin":
-            return mul(cos(u), du)
-        if e.op == "cos":
-            return neg(mul(sin(u), du))
-        if e.op == "tan":
-            return div(du, power(cos(u), 2))
-        if e.op == "exp":
-            return mul(e, du)
-        if e.op == "log":
-            return div(du, u)
-        if e.op == "sqrt":
-            return div(du, mul(2.0, e))
-        raise AssertionError(e.op)
-    assert isinstance(e, Binary)
-    a, b = e.left, e.right
-    if e.op == "add":
-        return add(d(a), d(b))
-    if e.op == "sub":
-        return sub(d(a), d(b))
-    if e.op == "mul":
-        return add(mul(d(a), b), mul(a, d(b)))
-    if e.op == "div":
-        return div(sub(mul(d(a), b), mul(a, d(b))), power(b, 2))
-    if e.op == "pow":
-        if isinstance(b, Const) and float(b.value).is_integer():
+def _diff_binary(e: Binary, da: Expr, db: Expr) -> Expr:
+    op, a, b = e.op, e.left, e.right
+    if op == "mul":
+        return add(mul(da, b), mul(a, db))
+    if op == "add":
+        return add(da, db)
+    if op == "sub":
+        return sub(da, db)
+    if op == "div":
+        return div(sub(mul(da, b), mul(a, db)), power(b, _TWO))
+    if op == "pow":
+        if type(b) is Const and float(b.value).is_integer():
             n = b.value
-            return mul(mul(n, power(a, n - 1.0)), d(a))
+            return mul(mul(n, power(a, n - 1.0)), da)
         # general exponent: a^b = exp(b log a)
-        return mul(e, add(mul(d(b), log(a)), mul(b, div(d(a), a))))
-    raise AssertionError(e.op)
+        return mul(e, add(mul(db, log(a)), mul(b, div(da, a))))
+    raise ValueError(f"{op!r} is an evaluation-only op and has no derivative")
 
 
 # --------------------------------------------------------------------------
@@ -989,9 +1074,21 @@ def unparse(e: Expr) -> str:
     return s
 
 
-def _unparse(e: Expr):
-    """Returns (text, precedence-of-root)."""
-    if isinstance(e, (Unary, Binary)) and e.op in EVAL_ONLY:
+def _unparse(e: Expr, budget: list | None = None):
+    """Returns (text, precedence-of-root).
+
+    With a ``budget`` (a one-item list: the nodes left to render), renders
+    the evaluation-only ops as calls and each subterm past the budget as
+    ``…``, so the text is short however large the DAG; that is ``repr``'s.
+    """
+    if budget is not None:
+        if budget[0] <= 0:
+            return "…", 5
+        budget[0] -= 1
+        if isinstance(e, (Unary, Binary)) and e.op in EVAL_ONLY:
+            args = (e.arg,) if isinstance(e, Unary) else (e.left, e.right)
+            return f"{e.op}({', '.join(_unparse(k, budget)[0] for k in args)})", 5
+    elif isinstance(e, (Unary, Binary)) and e.op in EVAL_ONLY:
         raise ValueError(f"{e.op!r} is an evaluation-only op and has no text form")
     if isinstance(e, Const):
         return _fmt_const(e.value), (3 if e.value < 0 else 5)
@@ -1001,17 +1098,17 @@ def _unparse(e: Expr):
         return e.name, 5
     if isinstance(e, Unary):
         if e.op == "neg":
-            s, p = _unparse(e.arg)
+            s, p = _unparse(e.arg, budget)
             # parens keep an explicit neg node distinct from a negative literal
             if p < _PREC["neg"] or isinstance(e.arg, Const):
                 s = f"({s})"
             return f"-{s}", _PREC["neg"]
-        s, _ = _unparse(e.arg)
+        s, _ = _unparse(e.arg, budget)
         return f"{e.op}({s})", 5
     assert isinstance(e, Binary)
     p = _PREC[e.op]
-    ls, lp = _unparse(e.left)
-    rs, rp = _unparse(e.right)
+    ls, lp = _unparse(e.left, budget)
+    rs, rp = _unparse(e.right, budget)
     if e.op == "pow":
         # right-associative; left operand must be an atom-level item
         if lp < 5:

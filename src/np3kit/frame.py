@@ -236,11 +236,9 @@ def _frame_inverse(spec):
 
 def frame_directional(spec: ManifoldSpec, f: Expr, i: int) -> Expr:
     """E_i(f) = sum_l F[i][l] df/dx_l for frame index i in 0..2."""
-    F = spec.frame
-    out = E.const(0.0)
-    for l in range(3):
-        out = E.add(out, E.mul(F[i][l], E.differentiate(f, l + 1)))
-    return out
+    F = spec.frame[i]
+    return E.add(E.add(E.mul(F[0], E.differentiate(f, 1)), E.mul(F[1], E.differentiate(f, 2))),
+                 E.mul(F[2], E.differentiate(f, 3)))
 
 
 @spec_cached

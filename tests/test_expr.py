@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 
 import numpy as np
@@ -562,3 +563,259 @@ def test_point_evaluations_do_not_accumulate_memory():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""  # nothing printed at interpreter exit either
     assert int(proc.stdout) < 256 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the smart constructors and differentiate against reference copies of the
+# rules they had before their type-dispatched fast paths
+
+
+def _ref_add(a, b):
+    a, b = E.as_expr(a), E.as_expr(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return E._mk_const(a.value + b.value)
+    if E._is_const(a, 0.0):
+        return b
+    if E._is_const(b, 0.0):
+        return a
+    return E._mk_binary("add", a, b)
+
+
+def _ref_sub(a, b):
+    a, b = E.as_expr(a), E.as_expr(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return E._mk_const(a.value - b.value)
+    if E._is_const(b, 0.0):
+        return a
+    if E._is_const(a, 0.0):
+        return _ref_neg(b)
+    return E._mk_binary("sub", a, b)
+
+
+def _ref_mul(a, b):
+    a, b = E.as_expr(a), E.as_expr(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return E._mk_const(a.value * b.value)
+    if E._is_const(a, 0.0) or E._is_const(b, 0.0):
+        return E._ZERO
+    if E._is_const(a, 1.0):
+        return b
+    if E._is_const(b, 1.0):
+        return a
+    if E._is_const(a, -1.0):
+        return _ref_neg(b)
+    if E._is_const(b, -1.0):
+        return _ref_neg(a)
+    return E._mk_binary("mul", a, b)
+
+
+def _ref_div(a, b):
+    a, b = E.as_expr(a), E.as_expr(b)
+    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
+        return E._mk_const(a.value / b.value)
+    if E._is_const(a, 0.0):
+        return E._ZERO
+    if E._is_const(b, 1.0):
+        return a
+    return E._mk_binary("div", a, b)
+
+
+def _ref_power(a, b):
+    a, b = E.as_expr(a), E.as_expr(b)
+    if E._is_const(b, 1.0):
+        return a
+    if E._is_const(b, 0.0):
+        return E._ONE
+    if isinstance(a, Const) and isinstance(b, Const):
+        try:
+            v = math.pow(a.value, b.value)
+        except (ValueError, OverflowError):
+            return E._mk_binary("pow", a, b)
+        return E._mk_const(v)
+    return E._mk_binary("pow", a, b)
+
+
+def _ref_neg(a):
+    a = E.as_expr(a)
+    if isinstance(a, Const):
+        return E._mk_const(-a.value)
+    if isinstance(a, Unary) and a.op == "neg":
+        return a.arg
+    return E._mk_unary("neg", a)
+
+
+def _ref_func(name, arg):
+    if name not in E.FUNCTIONS:
+        raise ValueError(f"unknown function {name!r}")
+    if name == "neg":
+        return _ref_neg(arg)
+    arg = E.as_expr(arg)
+    if isinstance(arg, Const):
+        try:
+            return E._mk_const(getattr(math, name)(arg.value))
+        except (ValueError, OverflowError):
+            pass
+    return E._mk_unary(name, arg)
+
+
+_REF_BINARY = {E.add: _ref_add, E.sub: _ref_sub, E.mul: _ref_mul, E.div: _ref_div,
+               E.power: _ref_power}
+
+
+def _ref_diff(f, i, memo):
+    """d f / d x_i by the rules differentiate had, recursively, through the
+    reference constructors; ``memo`` maps id(node) to its derivative."""
+    if id(f) in memo:
+        return memo[id(f)]
+    if isinstance(f, (Const, E.Param)):
+        d = E._ZERO
+    elif isinstance(f, Coord):
+        d = E._ONE if f.index == i else E._ZERO
+    elif isinstance(f, Unary):
+        u, du = f.arg, _ref_diff(f.arg, i, memo)
+        d = {"neg": lambda: _ref_neg(du),
+             "sin": lambda: _ref_mul(_ref_func("cos", u), du),
+             "cos": lambda: _ref_neg(_ref_mul(_ref_func("sin", u), du)),
+             "tan": lambda: _ref_div(du, _ref_power(_ref_func("cos", u), 2)),
+             "exp": lambda: _ref_mul(f, du),
+             "log": lambda: _ref_div(du, u),
+             "sqrt": lambda: _ref_div(du, _ref_mul(2.0, f))}[f.op]()
+    else:
+        a, b = f.left, f.right
+        da, db = _ref_diff(a, i, memo), _ref_diff(b, i, memo)
+        if f.op == "add":
+            d = _ref_add(da, db)
+        elif f.op == "sub":
+            d = _ref_sub(da, db)
+        elif f.op == "mul":
+            d = _ref_add(_ref_mul(da, b), _ref_mul(a, db))
+        elif f.op == "div":
+            d = _ref_div(_ref_sub(_ref_mul(da, b), _ref_mul(a, db)), _ref_power(b, 2))
+        elif isinstance(b, Const) and float(b.value).is_integer():
+            n = b.value
+            d = _ref_mul(_ref_mul(n, _ref_power(a, n - 1.0)), da)
+        else:
+            d = _ref_mul(f, _ref_add(_ref_mul(db, _ref_func("log", a)),
+                                     _ref_mul(b, _ref_div(da, a))))
+    memo[id(f)] = d
+    return d
+
+
+_X = [E.coord(1), E.coord(2), E.param("a")]
+_OPERANDS = (
+    E.const(0.0), E.const(-0.0), E.const(1.0), E.const(-1.0), E.const(2.5),
+    E.const(float("nan")), E.const(float("inf")), E.const(float("-inf")),
+    0, 1, -1, 3, True, False, 0.0, -0.0, 1.0, -1.0, 2.5, float("nan"), float("inf"),
+    np.float64(0.0), np.float64(-1.0), np.float64(2.5),
+    *_X, E.sin(_X[0]), E.neg(_X[1]), E.mul(_X[0], _X[2]), E.add(_X[1], 2.0),
+    E.power(_X[0], 3.0), E.neg(E.const(2.0)),
+    np.int64(2), "x1",  # not coercible: both raise TypeError
+)
+
+
+def _same(got, want) -> bool:
+    """The very node; a NaN constant is folded to a fresh node each time."""
+    return got is want or (type(got) is type(want) is Const
+                           and math.isnan(got.value) and math.isnan(want.value))
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args), None
+    except (TypeError, ValueError) as exc:
+        return None, type(exc)
+
+
+def _check_binary(ctor, a, b):
+    got, got_err = _result_or_error(ctor, a, b)
+    want, want_err = _result_or_error(_REF_BINARY[ctor], a, b)
+    assert got_err == want_err
+    assert want_err is not None or _same(got, want), (ctor.__name__, a, b, got, want)
+
+
+def _check_unary(name, a):
+    got, got_err = _result_or_error(E.func, name, a)
+    want, want_err = _result_or_error(_ref_func, name, a)
+    assert got_err == want_err
+    assert want_err is not None or _same(got, want), (name, a, got, want)
+
+
+_CTORS = sorted(_REF_BINARY, key=lambda f: f.__name__)
+_NAMES = [*E.FUNCTIONS, "cosh"]  # and one unknown function
+
+
+def test_constructors_build_the_reference_nodes_on_every_pair():
+    for ctor in _CTORS:
+        for a in _OPERANDS:
+            for b in _OPERANDS:
+                _check_binary(ctor, a, b)
+    for name in _NAMES:
+        for a in _OPERANDS:
+            _check_unary(name, a)
+
+
+_operand = st.one_of(st.sampled_from(_OPERANDS), st.floats(), st.floats().map(E.const),
+                     st.integers(min_value=-3, max_value=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_CTORS), _operand, _operand)
+def test_binary_constructors_build_the_reference_nodes(ctor, a, b):
+    _check_binary(ctor, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_NAMES), _operand)
+def test_unary_constructors_build_the_reference_nodes(name, a):
+    _check_unary(name, a)
+
+
+def _random_dag(rng: random.Random, size: int) -> E.Expr:
+    """A DAG built through the constructors: each new node combines nodes
+    made before it, so subterms are shared.  Constants stay moderate, so no
+    fold makes a NaN (a fresh node each time)."""
+    nodes = [*_X, E.coord(3), *map(E.const, (0.0, 1.0, -1.0, 2.0, 0.5, -3.0))]
+    for _ in range(size):
+        roll, a, b = rng.random(), rng.choice(nodes), rng.choice(nodes)
+        if roll < 0.3:
+            node = E.func(rng.choice(E.FUNCTIONS), a)
+        elif roll < 0.4:
+            node = E.power(a, rng.choice((2.0, 3.0, -1.0, 0.5, b)))
+        else:
+            node = rng.choice((E.add, E.sub, E.mul, E.div))(a, b)
+        if type(node) is not Const or abs(node.value) < 1e3:
+            nodes.append(node)
+    return E.add(nodes[-1], nodes[-2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=40))
+def test_differentiate_builds_the_reference_nodes(seed, size):
+    f = _random_dag(random.Random(seed), size)
+    for i in (3, 1, 2):
+        assert differentiate(f, i) is _ref_diff(f, i, {})
+
+
+def test_repr_of_an_expression():
+    x1 = E.coord(1)
+    assert repr(x1 + 1) == "<Expr 'x1 + 1'>"
+    assert repr(E.absolute(x1)) == "<Expr 'abs(x1)'>"
+    assert repr(E.maximum(E.absolute(x1), E.cabs(x1, E.param("a")))) == \
+        "<Expr 'max(abs(x1), cabs(x1, a))'>"
+    with pytest.raises(ValueError, match="evaluation-only"):
+        unparse(E.maximum(x1, E.coord(2)))
+    deep = x1
+    for _ in range(60):  # a tree of 2^60 leaves, as a DAG of 61 nodes
+        deep = deep * deep + x1
+    text = repr(deep)
+    assert len(text) < 300 and "…" in text
+
+
+def test_repr_of_a_residual_root_is_short():
+    from np3kit import catalog, suites
+    spec = catalog.get_spec("flat_radial")
+    root = residual(suites._bianchi(spec)["bianchi_xi_component"])
+    start = time.process_time()
+    text = repr(root)
+    assert time.process_time() - start < 1.0
+    assert len(text) < 300 and text.startswith("<Expr 'cabs(") and "…" in text

@@ -7,7 +7,8 @@ and values explicitly.  A check's residual arithmetic lives in its forms,
 so the suites, xi and catalog modules take no modulus and permute no array
 themselves, and every check record comes from ``suites._check``.  Only
 ``expr`` runs passes over a tape; every other module evaluates through
-``expr.sweep`` or its reductions.
+``expr.sweep`` or its reductions.  Only ``expr`` makes nodes, so its
+constructors may take ``type(x) is Const`` to mean "a constant node".
 """
 
 import ast
@@ -181,3 +182,35 @@ def test_pass_driver_rule_flags_a_second_loop():
         "    return E.sweep([], [], None, len)\n"
     )
     assert pass_driver_names(source) == ["_Tape", "_points", "_windows"]
+
+
+NODE_CLASSES = ("Const", "Coord", "Param", "Unary", "Binary")
+
+
+def node_constructions(source: str) -> list[str]:
+    """The node classes a source calls, bare or as an attribute, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            found.add(fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None))
+    return sorted(found.intersection(NODE_CLASSES))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_expr_makes_nodes(path):
+    if path.name != "expr.py":
+        assert node_constructions(path.read_text(encoding="utf-8")) == []
+
+
+def test_node_rule_flags_a_second_maker():
+    source = (
+        "from . import expr as E\n"
+        "from .expr import Binary, Const\n"
+        "def twice(e):\n"
+        "    return Binary('mul', E.Const(2.0), e)\n"
+        "def is_zero(e):\n"
+        "    return isinstance(e, E.Const) and e == Const\n"
+        "UNIT = E.Coord(1)\n"
+    )
+    assert node_constructions(source) == ["Binary", "Const", "Coord"]

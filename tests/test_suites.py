@@ -266,6 +266,29 @@ def test_a_streamed_tape_is_scheduled_for_fewer_slots(name, streamed, monkeypatc
     assert single == canonical  # one pass: the canonical order
 
 
+# ops and slots of each entry's verify tape (all suites, one pass): a change
+# that builds a different DAG moves these, and one that shrinks it on purpose
+# updates them
+VERIFY_TAPES = {"c6": (606, 65), "example1": (2824, 241), "example2": (2804, 229),
+                "flat_cosymplectic": (0, 2), "flat_radial": (16464, 1499), "h2xr": (338, 38),
+                "kenmotsu": (473, 47), "nil3": (15, 7), "sasakian": (16, 8), "sol": (677, 72)}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_the_verify_dag_did_not_move(name, monkeypatch):
+    spec = catalog.get_spec(name)
+    pts = default_samples(spec, 200, seed=1)
+    compiled, real_init = [], E._Tape.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        compiled.append((len(self.code), self.slots))
+
+    monkeypatch.setattr(E._Tape, "__init__", init)
+    run_suites(spec, "all", pts)
+    assert compiled == [VERIFY_TAPES[name]]
+
+
 def _traced_peak(spec, n):
     pts = default_samples(spec, n, seed=5)
     tracemalloc.start()
