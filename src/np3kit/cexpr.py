@@ -110,7 +110,9 @@ def fold(maxima: dict, sums: dict, points, params=None) -> dict:
 
     def reduce(tape, pts):
         hi, parts = np.full(m, -np.inf), [[] for _ in sums]
-        for _, new in tape.passes(pts):
+        for _, new, bad in tape.passes(pts):
+            if bad.any():  # NaNs and infinities, and the sweep raises after its last pass
+                continue
             cols = [buf[new:] for buf in tape.outputs]
             hi = np.maximum(hi, [np.max(col) for col in cols[:m]])
             for part, col in zip(parts, cols[m:]):

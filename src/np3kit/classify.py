@@ -137,10 +137,12 @@ def _summary(values: dict, name: str, n: int) -> tuple:
 
 def _verdict(values: dict, n: int, tol, tol_const) -> str:
     """The verdict lattice over :func:`_spin_scalars` of ``n`` samples."""
-    # each max is tested on its own: max(x, nan) drops the NaN, and NaN fails <=
-    if not (values["max_abs_kappa"] <= tol and values["max_abs_sigma"] <= tol):
+    # each max is tested on its own: max(x, nan) drops the NaN, and NaN fails
+    # <=; a NaN in rho, which its modulus carries into its max, decides no class
+    rho = values["max_abs_rho"]
+    if not (values["max_abs_kappa"] <= tol and values["max_abs_sigma"] <= tol) or rho != rho:
         return "NotTransSasakian"
-    if values["max_abs_rho"] <= tol:
+    if rho <= tol:
         return "Cosymplectic"
     if values["max_abs_beta"] <= tol:
         mean, spread = _summary(values, "alpha", n)

@@ -26,9 +26,9 @@ from .ektau import ektau_params, rigidity_obstruction, rigidity_sweep
 from .expr import DomainError, ParseError, UnboundParameter
 from .frame import (DegenerateFrame, ManifoldSpec, SchemaError,
                     default_samples, load_manifold)
-from .npcore import kinematics, spin_coefficients
+from .npcore import spin_coefficients
 from .report import base_report, render_json, render_table
-from .sampling import InsufficientSamples
+from .sampling import InsufficientSamples, in_domain
 from .suites import SUITE_NAMES, run_suites, suite_passed
 
 EXIT_OK = 0
@@ -64,17 +64,6 @@ def _emit(report, fmt, stream=None):
     print(text, file=stream if stream is not None else sys.stdout)
 
 
-def _in_domain(spec: ManifoldSpec, point) -> bool:
-    from . import expr as E
-    for pred in spec.domain:
-        try:
-            if E.evaluate(pred, point, spec.params) <= 0.0:
-                return False
-        except DomainError:
-            return False
-    return True
-
-
 def cmd_spin(args) -> int:
     spec = _load_spec(args.spec)
     try:
@@ -83,21 +72,16 @@ def cmd_spin(args) -> int:
         raise _CliError(EXIT_INPUT, f"--at expects x,y,z, got {args.at!r}") from None
     if len(point) != 3:
         raise _CliError(EXIT_INPUT, "--at expects exactly three coordinates")
-    if not _in_domain(spec, point):
+    if not in_domain(spec.domain, np.asarray([point]), spec.params)[0]:
         raise _CliError(EXIT_DOMAIN, f"point {point} violates the domain of {spec.name!r}")
     t0 = time.perf_counter()
-    co = spin_coefficients(spec)
-    vals = co.evaluate(point, spec.params)
-    kin = kinematics(co)
-    from . import expr as E
-    theta = E.evaluate(kin.theta, point, spec.params)
-    omega = E.evaluate(kin.omega, point, spec.params)
+    vals = spin_coefficients(spec).evaluate(point, spec.params)
     elapsed = time.perf_counter() - t0
     report = base_report(spec, timing={"seconds": elapsed} if args.timing else None)
     report["point"] = list(point)
     report["values"] = {k: [v.real, v.imag] for k, v in vals.items()}
-    report["values"]["theta"] = theta
-    report["values"]["omega"] = omega
+    report["values"]["theta"] = vals["rho"].real  # the expansion and the twist
+    report["values"]["omega"] = vals["rho"].imag
     _emit(report, args.format)
     return EXIT_OK
 

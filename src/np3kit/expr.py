@@ -57,10 +57,12 @@ pass runs the same bound program.  A reduction reads each pass's new points
 off the root buffers: :func:`eval_batch` writes them into result columns,
 ``cexpr.fold`` keeps one max or sum per root.  A tape of one pass runs its
 ops in the canonical order (the roots in order, each node after its
-operands, the right one first), the order in which the domain checks name
-an error.  A tape of more passes runs them in an order that keeps fewer
-values live, so it needs fewer slots, and an error it raises is named by
-the canonical tape, rerun from the failing pass on.  A request declares
+operands, the right one first).  A tape of more passes runs them in an
+order that keeps fewer values live, so it needs fewer slots.  A domain
+fault (a log of 0, say) is data: the op writes its values, the pass runs
+on and masks the failing samples, which is how ``sampling.in_domain``
+filters points, and after the last pass the fault at the earliest op in
+the canonical order, and its first sample, is raised.  A request declares
 everything it evaluates up front, as one tree of forms
 (``cexpr.eval_forms``), so work shared across its checks is shared inside
 one tape.
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +96,9 @@ class DomainError(ArithmeticError):
     """Evaluation hit a singularity (division by zero, log<=0, sqrt<0, ...).
 
     ``index`` is the first failing sample among all the points evaluated,
-    and ``point`` its coordinates.  When a pass of :func:`sweep` fails, the
-    passes from it on are rerun in the canonical order, so both name the
-    sample, and the error, that an unchunked evaluation names.
+    and ``point`` its coordinates.  A pass of :func:`sweep` records its
+    failures and runs on; after the last pass the error, and the sample,
+    that one unchunked pass in the canonical order names is raised.
     """
 
     index: int | None = None
@@ -202,7 +205,11 @@ def _mk_const(v: float) -> Const:
     key = ("C", v)
     node = _INTERN.get(key)
     if node is None:
-        node = _INTERN[key] = Const(v)
+        if v != v:  # a NaN equals no NaN, not even itself: all are one node
+            key = ("C", "nan")
+            node = _INTERN.get(key)
+        if node is None:
+            node = _INTERN[key] = Const(v)
     return node
 
 
@@ -606,7 +613,7 @@ def eval_batch(exprs, points, params=None) -> list[np.ndarray]:
     """
     def columns(tape, pts):
         cols = {id(buf): (buf, np.empty(len(pts))) for buf in tape.outputs}
-        for lo, new in tape.passes(pts):
+        for lo, new, _ in tape.passes(pts):
             for buf, col in cols.values():
                 col[lo:lo + tape.width - new] = buf[new:]
         return [cols[id(buf)][1] for buf in tape.outputs]
@@ -617,54 +624,53 @@ def eval_batch(exprs, points, params=None) -> list[np.ndarray]:
 def sweep(exprs, points, params, reduce):
     """``reduce(tape, pts)`` over one tape of the distinct nodes reachable
     from ``exprs``, compiled for passes of ``min(CHUNK, N)`` points (see
-    :meth:`_Tape.passes`), and scheduled for fewer slots when it makes more
-    than one pass.  If a pass of such a tape raises DomainError, a canonical
-    tape of the same width names the error (:meth:`_Tape.first_error`): the
-    node and the sample that an unchunked evaluation names.
-    """
+    :meth:`_Tape.passes`)."""
     pts, roots, params = np.asarray(points, dtype=float), list(exprs), params or {}
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (N, 3)")
     n = len(pts)
     width = min(CHUNK, n)
-    try:
-        return reduce(_Tape(roots, params, width, scheduled=n > width), pts)
-    except DomainError as exc:
-        if n <= width:
-            raise
-        # the pass that raised is the first to read the failing sample
-        lo = exc.index - exc.index % width
-    raise _Tape(roots, params, width).first_error(pts, lo)
+    # only a tape of several passes is scheduled for fewer slots: scheduling
+    # every tape cost 0.022 CPU s more of compile per ``catalog.run_all``
+    return reduce(_Tape(roots, params, width, scheduled=n > width), pts)
 
 
-def _domain(bad, message: str):
-    """Raise DomainError(message) naming the first sample where ``bad`` holds."""
-    if np.any(bad):
-        exc = DomainError(message)
-        exc.index = int(np.argmax(bad))
-        raise exc
+def _check(result, *checks):
+    """``result`` unless one of ``checks``, (mask, message) pairs in the
+    order an op tests them, holds somewhere.  Then DomainError(message)
+    names the first such sample (``index``) and the check's ``rank``, and
+    ``bad`` masks every failing sample.  An op takes its masks before it
+    writes, since its output may be an operand's buffer."""
+    for rank, (mask, message) in enumerate(checks):
+        if mask.any():
+            exc = DomainError(message)
+            exc.index, exc.rank = int(np.argmax(mask)), rank
+            exc.bad = np.logical_or.reduce([m for m, _ in checks])
+            raise exc
+    return result
 
 
+# the masks come from ufuncs, so an op on constants alone has one too
 def _log(u, out=None):
-    _domain(u <= 0.0, "log of non-positive value")
-    return np.log(u, out=out)
+    bad = np.less_equal(u, 0.0)
+    return _check(np.log(u, out=out), (bad, "log of non-positive value"))
 
 
 def _sqrt(u, out=None):
-    _domain(u < 0.0, "sqrt of negative value")
-    return np.sqrt(u, out=out)
+    bad = np.less(u, 0.0)
+    return _check(np.sqrt(u, out=out), (bad, "sqrt of negative value"))
 
 
 def _div(a, b, out=None):
-    _domain(b == 0.0, "division by zero")
-    return np.true_divide(a, b, out=out)
+    bad = np.equal(b, 0.0)
+    return _check(np.true_divide(a, b, out=out), (bad, "division by zero"))
 
 
 def _pow(a, b, out=None):
-    frac = b != np.floor(b)
-    _domain((a < 0.0) & frac, "negative base with non-integer exponent")
-    _domain((a == 0.0) & (b < 0.0), "zero base with negative exponent")
-    return np.power(a, b, out=out)
+    negative = np.less(a, 0.0) & np.not_equal(b, np.floor(b))
+    zero = np.equal(a, 0.0) & np.less(b, 0.0)
+    return _check(np.power(a, b, out=out), (negative, "negative base with non-integer exponent"),
+                  (zero, "zero base with negative exponent"))
 
 
 def _cabs(re, im, out=None):
@@ -682,9 +688,9 @@ class _Tape:
     that runs in place, ``width`` points a pass.
 
     Nodes are numbered in a depth-first post-order walk (right operand
-    first).  The ops run in that order, and their domain checks with them,
-    unless the tape is ``scheduled``: then :func:`_schedule` reorders them
-    to keep fewer values live.  Each value other than a constant gets a
+    first), the canonical order.  The ops run in that order unless the tape
+    is ``scheduled``: then :func:`_schedule` reorders them to keep fewer
+    values live.  Each value other than a constant gets a
     slot, and a slot is reused once its value has had its last use, so the
     slots (``slots`` of them) hold only live values; roots stay live to the
     end of the pass.  Every slot owns one buffer of ``width`` points,
@@ -740,6 +746,8 @@ class _Tape:
         if scheduled:
             code = _schedule(code, len(num), [v for v, _ in coords], outputs)
         del num
+        # the ops' value numbers, which rise along the canonical order
+        self.number = np.array([v for _, v, _, _ in code], dtype=np.int64)
 
         last = {}
         for pos, (_, _, a, b) in enumerate(code):
@@ -779,52 +787,51 @@ class _Tape:
         self.coords = [(bufs[s], k) for s, k in coords]
         self.outputs = [bufs[s] for s in outputs]
 
-    def passes(self, pts: np.ndarray, lo: int = 0):
+    def passes(self, pts: np.ndarray):
         """Run over ``pts`` (no points, or at least ``width``) one pass at a
-        time, yielding ``(lo, new)`` after each: the pass read the ``width``
-        points from ``lo - new`` on, and those from ``lo`` on are its own.
+        time, yielding ``(lo, new, bad)`` after each: the pass read the
+        ``width`` points from ``lo - new`` on, those from ``lo`` on are its
+        own, and ``bad`` masks the points read where a checked op failed.
         Passes step by ``width``, and the last one ends at the last point,
         overlapping the pass before it.  The root buffers (``outputs``) hold
-        a pass's values until the next pass.  The passes start at the one
-        whose own points start at ``lo``.  A DomainError carries the index of
-        its sample in ``pts``, its point and the failing ``op``."""
-        n, width = len(pts), self.width
-        for lo in range(lo, n, width or 1):
+        a pass's values until the next pass.
+
+        A failed check does not stop the pass: its op has written its values
+        (a NaN or an infinity) before it raised, and the ops after it run on.
+        After the last pass the failure that one canonical pass over all of
+        ``pts`` names is raised, with its sample's index in ``pts`` and its
+        point: the one at the earliest op in the canonical order, then at its
+        earlier check (``_pow`` tests a negative base first), then at the
+        earliest sample.
+        """
+        n, width, code = len(pts), self.width, self.code
+        first = None  # the error to raise
+        for lo in range(0, n, width or 1):
             start = min(lo, n - width)
             for buf, k in self.coords:
                 buf[:] = pts[start:start + width, k]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for op in self.code:
-                        fn, out, a, b = op
-                        if b is None:
-                            fn(a, out=out)
-                        else:
-                            fn(a, b, out=out)
-            except DomainError as exc:
-                exc.index += start
-                exc.point = tuple(pts[exc.index].tolist())
-                exc.op = op
-                raise
-            yield lo, lo - start
-
-    def first_error(self, pts: np.ndarray, lo: int) -> DomainError:
-        """The DomainError that one pass over all of ``pts`` would raise,
-        found one pass at a time from the pass at ``lo`` on (the passes
-        before it raise nothing).  Each failing pass names its first failing
-        op, that op's first failing check and the first sample failing it;
-        of those, the error at the earliest op wins, then at the earlier
-        check (``_pow`` tests a negative base first), then the earliest
-        sample."""
-        at = {id(op): pos for pos, op in enumerate(self.code)}
-        errors = []
-        for lo in range(lo, len(pts), self.width):
-            try:
-                next(self.passes(pts, lo))
-            except DomainError as exc:
-                errors.append(exc)
-        return min(errors, key=lambda exc: (
-            at[id(exc.op)], str(exc) == "zero base with negative exponent", exc.index))
+            bad = np.zeros(width, dtype=bool)
+            ops = iter(code)
+            with np.errstate(all="ignore"):
+                while True:
+                    try:
+                        for fn, out, a, b in ops:
+                            if b is None:
+                                fn(a, out=out)
+                            else:
+                                fn(a, b, out=out)
+                        break
+                    except DomainError as exc:  # resume after the op that raised
+                        bad |= exc.bad
+                        exc.index += start
+                        op = self.number[len(code) - operator.length_hint(ops) - 1]
+                        exc.key = (op, exc.rank, exc.index)
+                        if first is None or exc.key < first.key:
+                            first = exc
+            yield lo, lo - start, bad
+        if first is not None:
+            first.point = tuple(pts[first.index].tolist())
+            raise first
 
 
 def _schedule(code, count: int, coords, outputs) -> list:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import expr as E
 
-__all__ = ["halton_points", "sample_box", "InsufficientSamples"]
+__all__ = ["halton_points", "sample_box", "in_domain", "InsufficientSamples"]
 
 _BASES = (2, 3, 5)
 
@@ -59,9 +59,8 @@ def sample_box(box, count: int, seed: int = 0, domain=None, params=None,
                min_fraction: float = 0.5) -> np.ndarray:
     """Low-discrepancy points in `box` = [(lo,hi)]*3, filtered by domain predicates.
 
-    Oversamples, keeps points where every domain expression is > 0, and
-    returns exactly `count` of them (deterministically); `count` is at
-    least 1.
+    Oversamples, keeps the points :func:`in_domain`, and returns exactly
+    `count` of them (deterministically); `count` is at least 1.
     """
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
@@ -72,22 +71,27 @@ def sample_box(box, count: int, seed: int = 0, domain=None, params=None,
         u = halton_points(max(8, count * factor), seed)
         pts = box[:, 0] + u * (box[:, 1] - box[:, 0])
         if domain:
-            mask = np.ones(len(pts), dtype=bool)
-            for pred in domain:
-                try:
-                    vals = E.evaluate_many(pred, pts, params)
-                except E.DomainError:
-                    vals = np.array([_safe_eval(pred, p, params) for p in pts])
-                mask &= np.where(np.isfinite(vals), vals > 0.0, False)
-            pts = pts[mask]
+            pts = pts[in_domain(domain, pts, params)]
         if len(pts) >= count:
             return pts[:count]
     raise InsufficientSamples(
         f"requested {count} points in box, only {len(pts)} satisfy the domain")
 
 
-def _safe_eval(pred, point, params) -> float:
-    try:
-        return E.evaluate(pred, tuple(point), params)
-    except E.DomainError:
-        return float("nan")
+def in_domain(domain, pts, params=None) -> np.ndarray:
+    """The mask of the (N,3) ``pts`` where every predicate in ``domain`` is
+    finite and > 0, from one sweep of them all.  A domain fault (``log(x3)``
+    at x3 <= 0, say) masks its samples; the mask answers its DomainError."""
+    def mask(tape, pts):
+        ok = np.empty(len(pts), dtype=bool)
+        try:
+            for lo, new, bad in tape.passes(pts):
+                own = ok[lo:lo + tape.width - new]
+                np.logical_not(bad[new:], out=own)
+                for buf in tape.outputs:
+                    own &= np.isfinite(buf[new:]) & (buf[new:] > 0.0)
+        except E.DomainError:
+            pass
+        return ok
+
+    return E.sweep(domain, pts, params, mask)

@@ -16,7 +16,8 @@ verdict, flags and Einstein test) ride along as more roots, each folded to a
 max or a sum, so peak memory is set by the chunk size and the width of the
 DAG, not by the sample count.  The ts suite is skipped as NotTransSasakian
 when max(|kappa|, |sigma|), one more root, exceeds the tolerance anywhere,
-and a DomainError names the node and sample it would name unchunked.
+and a DomainError, raised after the last slice, names the node and sample
+it would name unchunked.
 """
 
 from __future__ import annotations

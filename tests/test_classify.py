@@ -226,6 +226,15 @@ def test_a_nan_kappa_or_sigma_is_not_trans_sasakian(nan_in):
     assert verdict_from_samples(*args) == "NotTransSasakian"
 
 
+@pytest.mark.parametrize("rho", [0.0, 1j], ids=["zero", "twist"])
+def test_a_nan_rho_is_not_trans_sasakian(rho):
+    # a NaN rho would otherwise read as C5 (beside zeros) or TransSasakian (beside 1j)
+    zero = np.zeros(30, dtype=complex)
+    r = np.full(30, rho, dtype=complex)
+    r[7] = complex(np.nan, np.imag(rho))
+    assert verdict_from_samples(zero, zero, r) == "NotTransSasakian"
+
+
 @pytest.mark.parametrize("key", ["max_abs_kappa", "max_abs_sigma"])
 def test_a_nan_kappa_or_sigma_fails_the_einstein_gate(key):
     spec = catalog.get_spec("kenmotsu")
