@@ -16,7 +16,7 @@ from .classify import (EinsteinVerdict, NotTransSasakian, StructureClass,
                        classify, conformal_foliation_residual_many, einstein_check,
                        induced_structure, ts_identity_residuals_many)
 from .expr import (DomainError, Expr, ParseError, UnboundParameter,
-                   differentiate, evaluate, parse, simplify, unparse)
+                   differentiate, evaluate, parse, unparse)
 from .frame import (CurvatureData, DegenerateFrame, ManifoldSpec, SchemaError,
                     connection_table, covariant_derivative, default_samples,
                     kulkarni_nomizu_residual, load_manifold, riemann,

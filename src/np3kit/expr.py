@@ -20,10 +20,11 @@ precedence, ``^`` binds tightest and associates right)::
 identifier is a parameter, bound at evaluation time.
 
 Construction goes through the smart constructors (:func:`add`, :func:`mul`,
-...), which fold constants and apply the 0/1 identities.  In particular a
-symbolic zero annihilates products outright, even when the other factor is
-singular somewhere; every downstream evaluation is restricted to a
-manifold's domain, where both sides agree.
+...), which fold constants and apply the 0/1 identities; :func:`parse`
+builds through them too.  In particular a symbolic zero annihilates
+products outright, even when the other factor is singular somewhere; every
+downstream evaluation is restricted to a manifold's domain, where both
+sides agree.
 
 Three more ops exist for evaluation only, to take a check's residual on
 the tape: :func:`absolute` (``abs``), :func:`maximum` (``max``, pointwise
@@ -35,14 +36,16 @@ Exponents: an integer exponent differentiates by the power rule (the
 collected form of differentiating the repeated product), a non-integer
 exponent via ``a^b = exp(b*log(a))``.
 
-Expressions are immutable, hashable and freely shared.  All construction
-paths intern nodes (hash-consing), so structurally equal subterms are the
-*same* object, and repeated differentiation produces compact DAGs.  The
-constructors dispatch on the exact type of each operand: only this module
-makes nodes, and a number is coerced once.  :func:`differentiate` keeps
-one row per node, the node and its derivatives by x1, x2 and x3 as each
-is first asked for, so the three derivatives of a subterm share one entry.
-The intern and derivative tables are module-global and never freed; they
+Expressions are immutable and freely shared.  The constructors intern
+every node they make (hash-consing), so structurally equal subterms are
+the *same* object: a node is its own identity, and ``==`` and ``hash`` are
+``object``'s, O(1) however large the DAG.  The constructors dispatch on the
+exact type of each operand: only this module makes nodes, and a number is
+coerced once.  A node carries its own derivatives: :func:`differentiate`
+attaches one row to it, its derivatives by x1, x2 and x3 as each is first
+asked for, so the three derivatives of a subterm share one row, and
+repeated differentiation produces compact DAGs.  The intern table is
+module-global and never freed, and a row lives as long as its node; both
 only ever deduplicate work, and under concurrent use they may recompute,
 never corrupt.
 
@@ -73,7 +76,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +88,7 @@ __all__ = [
     "absolute", "maximum", "cabs",
     "const", "coord", "param", "as_expr",
     "parse", "unparse", "differentiate", "evaluate", "evaluate_many",
-    "eval_batch", "sweep", "CHUNK", "simplify",
+    "eval_batch", "sweep", "CHUNK",
 ]
 
 FUNCTIONS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
@@ -167,32 +170,39 @@ class Expr:
         return f"<Expr {text!r}>"
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+# ``eq=False``: interning makes identity the structural equality.  ``d`` is
+# the node's derivative row, ``[None, d/dx1, d/dx2, d/dx3]``.
+@dataclass(frozen=True, repr=False, slots=True, eq=False)
 class Const(Expr):
     value: float
+    d: list | None = field(default=None, init=False)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True, eq=False)
 class Coord(Expr):
     index: int  # 1..3
+    d: list | None = field(default=None, init=False)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True, eq=False)
 class Param(Expr):
     name: str
+    d: list | None = field(default=None, init=False)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True, eq=False)
 class Unary(Expr):
     op: str
     arg: Expr
+    d: list | None = field(default=None, init=False)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True, eq=False)
 class Binary(Expr):
     op: str
     left: Expr
     right: Expr
+    d: list | None = field(default=None, init=False)
 
 
 # --------------------------------------------------------------------------
@@ -226,22 +236,6 @@ def _mk_param(name: str) -> Param:
     node = _INTERN.get(key)
     if node is None:
         node = _INTERN[key] = Param(name)
-    return node
-
-
-def _mk_unary(op: str, arg: Expr) -> Unary:
-    key = (op, id(arg))
-    node = _INTERN.get(key)
-    if node is None:
-        node = _INTERN[key] = Unary(op, arg)
-    return node
-
-
-def _mk_binary(op: str, left: Expr, right: Expr) -> Binary:
-    key = (op, id(left), id(right))
-    node = _INTERN.get(key)
-    if node is None:
-        node = _INTERN[key] = Binary(op, left, right)
     return node
 
 
@@ -487,38 +481,35 @@ def cabs(re, im) -> Expr:
 # --------------------------------------------------------------------------
 # differentiation
 
-# derivatives across calls, one row per node: ``_DIFF_CACHE[id(node)] =
-# [node, d/dx1, d/dx2, d/dx3]``, a coordinate's entry None until it is
-# asked for.  The geometry pipeline differentiates many expressions sharing
-# the same subterms, often by all three coordinates; the row pins its node,
-# so the id key stays valid.  Like ``_INTERN`` it is never freed.
-_DIFF_CACHE: dict = {}
-
-
 def differentiate(f: Expr, coord_index: int) -> Expr:
     """Exact symbolic d f / d x_i for i in {1,2,3}.
 
     Iterative post-order walk: derived curvature expressions form deep DAGs
-    and must not be limited by the interpreter recursion limit.
+    and must not be limited by the interpreter recursion limit.  Each node
+    keeps its derivatives in its row ``d``, a coordinate's entry None until
+    it is asked for: the geometry pipeline differentiates many expressions
+    sharing the same subterms, often by all three coordinates.
     """
     if coord_index not in (1, 2, 3):
         raise ValueError(f"coordinate index must be 1..3, got {coord_index}")
-    i, cache = coord_index, _DIFF_CACHE
-    row = cache.get(id(f))
+    i = coord_index
+    row = f.d
     if row is not None and row[i] is not None:
         return row[i]
     stack = [f]
     while stack:
         e = stack[-1]
-        row = cache.get(id(e))
-        if row is None:  # a row, once made, is never replaced
-            row = cache.setdefault(id(e), [e, None, None, None])
+        row = e.d
+        if row is None:  # the one write to a frozen node
+            row = [None, None, None, None]
+            object.__setattr__(e, "d", row)
         elif row[i] is not None:
+            df = row[i]
             stack.pop()
             continue
         kind = type(e)
         if kind is Binary:
-            ra, rb = cache.get(id(e.left)), cache.get(id(e.right))
+            ra, rb = e.left.d, e.right.d
             da, db = ra and ra[i], rb and rb[i]
             if da is None or db is None:  # the right operand first
                 if da is None:
@@ -526,20 +517,20 @@ def differentiate(f: Expr, coord_index: int) -> Expr:
                 if db is None:
                     stack.append(e.right)
                 continue
-            row[i] = _diff_binary(e, da, db)
+            row[i] = df = _diff_binary(e, da, db)
         elif kind is Unary:
-            ra = cache.get(id(e.arg))
+            ra = e.arg.d
             du = ra and ra[i]
             if du is None:
                 stack.append(e.arg)
                 continue
-            row[i] = _diff_unary(e, du)
+            row[i] = df = _diff_unary(e, du)
         elif kind is Coord:
-            row[i] = _ONE if e.index == i else _ZERO
+            row[i] = df = _ONE if e.index == i else _ZERO
         else:  # a constant or a parameter
-            row[i] = _ZERO
+            row[i] = df = _ZERO
         stack.pop()
-    return cache[id(f)][i]
+    return df  # f's, as f is popped last
 
 
 def _diff_unary(e: Unary, du: Expr) -> Expr:
@@ -880,35 +871,6 @@ def _schedule(code, count: int, coords, outputs) -> list:
 
 
 # --------------------------------------------------------------------------
-# simplification / traversal
-
-def simplify(f: Expr) -> Expr:
-    """Rebuild bottom-up through the smart constructors.
-
-    Constant folding plus the 0/1 identities only: semantics are preserved
-    at every point where both sides are defined.
-    """
-    memo: dict[int, Expr] = {}
-
-    def s(e: Expr) -> Expr:
-        key = id(e)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(e, Unary):
-            r = func(e.op, s(e.arg)) if e.op != "neg" else neg(s(e.arg))
-        elif isinstance(e, Binary):
-            ctor = {"add": add, "sub": sub, "mul": mul, "div": div, "pow": power}[e.op]
-            r = ctor(s(e.left), s(e.right))
-        else:
-            r = e
-        memo[key] = r
-        return r
-
-    return s(f)
-
-
-# --------------------------------------------------------------------------
 # parser
 
 _COORD_TOKENS = {"x1": 1, "x2": 2, "x3": 3}
@@ -993,7 +955,7 @@ class _Parser:
             op = self.lex.tok[0]
             self.lex._advance()
             rhs = self.term()
-            e = _mk_binary("add" if op == "+" else "sub", e, rhs)
+            e = add(e, rhs) if op == "+" else sub(e, rhs)
         return e
 
     def term(self) -> Expr:
@@ -1002,21 +964,13 @@ class _Parser:
             op = self.lex.tok[0]
             self.lex._advance()
             rhs = self.factor()
-            e = _mk_binary("mul" if op == "*" else "div", e, rhs)
+            e = mul(e, rhs) if op == "*" else div(e, rhs)
         return e
 
     def factor(self) -> Expr:
         if self.lex.tok[0] == "-":
             self.lex._advance()
-            # fold '-NUMBER' (immediately adjacent literal) into a constant
-            if self.lex.tok[0] == "number":
-                v = self.lex.tok[1]
-                self.lex._advance()
-                if self.lex.tok[0] == "^":  # exponent binds tighter: -2^x = -(2^x)
-                    self.lex._advance()
-                    return _mk_unary("neg", _mk_binary("pow", _mk_const(v), self.factor()))
-                return _mk_const(-v)
-            return _mk_unary("neg", self.factor())
+            return neg(self.factor())  # -2 is a constant, -2^x is -(2^x)
         return self.power()
 
     def power(self) -> Expr:
@@ -1024,7 +978,7 @@ class _Parser:
         if self.lex.tok[0] == "^":
             self.lex._advance()
             expo = self.factor()
-            return _mk_binary("pow", base, expo)
+            return power(base, expo)
         return base
 
     def atom(self) -> Expr:
@@ -1046,7 +1000,7 @@ class _Parser:
                 self.lex._advance()
                 arg = self.expr()
                 self._eat(")")
-                return _mk_unary(value, arg)
+                return func(value, arg)
             if value in _FUNC_TOKENS:
                 raise ParseError(offset, f"function {value!r} used without arguments", "'('")
             if value in self.coords:
@@ -1056,7 +1010,12 @@ class _Parser:
 
 
 def parse(text: str, coord_names=None) -> Expr:
-    """Parse an expression string; raises ParseError with a byte offset."""
+    """Parse an expression string; raises ParseError with a byte offset.
+
+    The parser builds through the smart constructors, so parsed text folds
+    as constructed text does: ``0*log(x1)`` parses to ``0``, and its domain
+    check goes with it, as :func:`mul` drops it.
+    """
     if not text or not text.strip():
         raise ParseError(0, "empty input", "expression")
     return _Parser(text, coord_names).parse()
@@ -1070,13 +1029,18 @@ _SYM = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
 
 def _fmt_const(v: float) -> str:
+    if v != v:  # parses back to the one NaN node
+        return "(1e999 - 1e999)"
+    if math.isinf(v):
+        return "1e999" if v > 0 else "-1e999"
     if float(v).is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
 
 def unparse(e: Expr) -> str:
-    """Render back to the grammar; parse(unparse(e)) is structurally e."""
+    """Render back to the grammar: ``parse(unparse(e)) is e`` for every
+    constructor-made node."""
     s, _ = _unparse(e)
     return s
 
@@ -1106,8 +1070,7 @@ def _unparse(e: Expr, budget: list | None = None):
     if isinstance(e, Unary):
         if e.op == "neg":
             s, p = _unparse(e.arg, budget)
-            # parens keep an explicit neg node distinct from a negative literal
-            if p < _PREC["neg"] or isinstance(e.arg, Const):
+            if p < _PREC["neg"]:
                 s = f"({s})"
             return f"-{s}", _PREC["neg"]
         s, _ = _unparse(e.arg, budget)

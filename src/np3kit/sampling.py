@@ -55,27 +55,33 @@ def halton_points(count: int, seed: int = 0) -> np.ndarray:
     return (u + _seed_shift(seed)) % 1.0
 
 
-def sample_box(box, count: int, seed: int = 0, domain=None, params=None,
-               min_fraction: float = 0.5) -> np.ndarray:
+def sample_box(box, count: int, seed: int = 0, domain=None, params=None) -> np.ndarray:
     """Low-discrepancy points in `box` = [(lo,hi)]*3, filtered by domain predicates.
 
     Oversamples, keeps the points :func:`in_domain`, and returns exactly
-    `count` of them (deterministically); `count` is at least 1.
+    `count` of them (deterministically); `count` is at least 1.  Each
+    attempt doubles the Halton points, and only the points it adds are
+    filtered: a point's coordinates and mask do not depend on the count.
     """
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
     box = np.asarray(box, dtype=float)
     if box.shape != (3, 2):
         raise ValueError("box must be [(lo, hi), (lo, hi), (lo, hi)]")
+    kept, done, found = [], 0, 0
     for factor in (1, 2, 4, 8) if domain else (1,):
-        u = halton_points(max(8, count * factor), seed)
-        pts = box[:, 0] + u * (box[:, 1] - box[:, 0])
+        n = max(8, count * factor)
+        if n == done:  # no new points: at most 4 requested, 8 drawn
+            continue
+        pts = box[:, 0] + halton_points(n, seed)[done:] * (box[:, 1] - box[:, 0])
         if domain:
             pts = pts[in_domain(domain, pts, params)]
-        if len(pts) >= count:
-            return pts[:count]
+        kept.append(pts)
+        done, found = n, found + len(pts)
+        if found >= count:
+            return np.concatenate(kept)[:count]
     raise InsufficientSamples(
-        f"requested {count} points in box, only {len(pts)} satisfy the domain")
+        f"requested {count} points in box, only {found} satisfy the domain")
 
 
 def in_domain(domain, pts, params=None) -> np.ndarray:

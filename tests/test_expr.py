@@ -18,21 +18,22 @@ from np3kit import expr as E
 from np3kit.cexpr import CExpr, c_const, eval_forms, residual
 from np3kit.expr import (
     Binary, Const, Coord, DomainError, ParseError, Unary, UnboundParameter,
-    differentiate, evaluate, evaluate_many, parse, simplify, unparse,
+    differentiate, evaluate, evaluate_many, parse, unparse,
 )
+
+X1, X2, X3 = E.coord(1), E.coord(2), E.coord(3)
 
 
 def test_parse_exp():
     ast = parse("exp(2*x3)")
-    assert ast == Unary("exp", Binary("mul", Const(2.0), Coord(3)))
+    assert ast is E.exp(E.mul(E.const(2.0), X3))
 
 
 def test_parse_precedence():
     ast = parse("1/x3 + x3^2/2")
-    assert ast == Binary(
-        "add",
-        Binary("div", Const(1.0), Coord(3)),
-        Binary("div", Binary("pow", Coord(3), Const(2.0)), Const(2.0)),
+    assert ast is E.add(
+        E.div(E.const(1.0), X3),
+        E.div(E.power(X3, E.const(2.0)), E.const(2.0)),
     )
 
 
@@ -58,7 +59,7 @@ def test_unknown_identifier_is_parameter():
 
 def test_coordinate_aliases():
     ast = parse("r + x1", coord_names=["r", "s", "t"])
-    assert ast == Binary("add", Coord(1), Coord(1))
+    assert ast is E.add(X1, X1)
 
 
 def test_differentiate_examples():
@@ -67,7 +68,7 @@ def test_differentiate_examples():
     for z in (0.0, 0.3, -1.0):
         assert evaluate(df, (0, 0, z)) == pytest.approx(2 * math.exp(2 * z), rel=1e-12)
 
-    assert differentiate(parse("x2"), 1) == Const(0.0)
+    assert differentiate(parse("x2"), 1) is E.const(0.0)
 
     g = differentiate(parse("1/x3"), 3)
     for z in (1.0, 2.0, -0.5):
@@ -105,12 +106,31 @@ def test_evaluate_many_matches_scalar():
         assert evaluate(f, tuple(p)) == pytest.approx(v, rel=1e-15)
 
 
-def test_simplify_examples():
-    assert simplify(Binary("add", Const(0.0), Coord(1))) == Coord(1)
-    e = Unary("exp", Coord(3))
-    assert simplify(Binary("mul", Const(1.0), e)) == e
-    singular = Binary("div", Const(1.0), Coord(3))
-    assert simplify(Binary("mul", Const(0.0), singular)) == Const(0.0)
+def test_parse_folds_as_the_constructors_do():
+    assert parse("0 + x1") is X1
+    assert parse("1*exp(x3)") is E.exp(X3)
+    assert parse("0*(1/x3)") is E.const(0)
+    assert parse("-2^x1") is E.neg(E.power(2, X1))
+
+
+def test_nodes_are_their_own_identity():
+    for cls in (Const, Coord, E.Param, Unary, Binary):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    raw = [Binary("add", Coord(1), Const(2.0)), Binary("add", Coord(1), Const(2.0))]
+    assert raw[0] != raw[1] and len(set(raw)) == 2
+
+
+def test_differentiate_keeps_the_derivative_on_a_raw_node():
+    raw = Binary("mul", Unary("sin", Coord(1)), Coord(1))  # not interned
+    first = differentiate(raw, 1)
+    assert differentiate(raw, 1) is first
+    assert evaluate(first, (0.5, 0, 0)) == pytest.approx(math.cos(0.5) * 0.5 + math.sin(0.5))
+
+
+@pytest.mark.parametrize("c", [E.const(float("inf")), E.const(float("-inf")),
+                               E.const(float("nan")), E.mul(E.const(float("inf")), X1)])
+def test_unparse_of_a_non_finite_constant_parses_back(c):
+    assert parse(unparse(c)) is c
 
 
 def test_operator_overloads_build_same_ast():
@@ -197,30 +217,33 @@ def test_derivative_matches_central_difference_on_1000_random_exprs():
         checked += 1
 
 
-def test_simplify_preserves_evaluation_on_random_exprs():
+def test_parsed_text_of_a_raw_tree_evaluates_as_the_tree():
     rng = random.Random(7)
     for _ in range(300):
-        f = _random_expr(rng, rng.randint(1, 6))
-        g = simplify(f)
-        p = _regular_point(f, rng)
+        raw = _random_expr(rng, rng.randint(1, 6))  # built from the classes, unfolded
+        g = parse(unparse(raw))
+        p = _regular_point(raw, rng)
         if p is None:
             continue
-        assert evaluate(g, tuple(p)) == pytest.approx(evaluate(f, tuple(p)), rel=1e-12, abs=1e-12)
+        assert evaluate(g, tuple(p)) == pytest.approx(evaluate(raw, tuple(p)), rel=1e-12, abs=1e-12)
 
 
-# hypothesis strategy for raw ASTs (round-trip property)
+# hypothesis strategy for constructor-built expressions (round-trip property)
+
+_CTOR_BINARY = [E.add, E.sub, E.mul, E.div, E.power]
 
 _leaf = st.one_of(
-    st.builds(Const, st.floats(min_value=-50, max_value=50, allow_nan=False).map(float)),
-    st.builds(Coord, st.integers(min_value=1, max_value=3)),
-    st.builds(E.Param, st.sampled_from(["a", "b2", "tau"])),
+    st.builds(E.const, st.floats(min_value=-50, max_value=50, allow_nan=False)),
+    st.builds(E.coord, st.integers(min_value=1, max_value=3)),
+    st.builds(E.param, st.sampled_from(["a", "b2", "tau"])),
 )
 
 _ast = st.recursive(
     _leaf,
     lambda children: st.one_of(
-        st.builds(Unary, st.sampled_from(list(E.FUNCTIONS)), children),
-        st.builds(Binary, st.sampled_from(list(E.BINOPS)), children, children),
+        st.builds(E.func, st.sampled_from(list(E.FUNCTIONS)), children),
+        st.builds(lambda ctor, a, b: ctor(a, b), st.sampled_from(_CTOR_BINARY), children,
+                  children),
     ),
     max_leaves=25,
 )
@@ -229,7 +252,7 @@ _ast = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_ast)
 def test_parse_unparse_roundtrip(ast):
-    assert parse(unparse(ast)) == ast
+    assert parse(unparse(ast)) is ast
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +534,7 @@ def test_evaluation_only_ops():
     assert np.array_equal(got[1], np.maximum(re, im))
     assert np.array_equal(got[2], np.abs(re + 1j * im))  # numpy's modulus, not hypot
     assert np.isnan(evaluate(E.maximum(x, float("nan")), (1.0, 0.0, 0.0)))
-    assert E.cabs(Const(-2.0), 0.0) == Const(2.0)
+    assert E.cabs(Const(-2.0), 0.0) is E.const(2.0)
     for node in (E.absolute(x), E.maximum(x, y), E.cabs(x, y)):
         with pytest.raises(ValueError, match="evaluation-only"):
             differentiate(node, 1)
@@ -525,8 +548,8 @@ def test_residual_folds_to_one_root():
     tree = {"a": [x, E.const(0.0), (y,)], "b": CExpr(x, y), "c": c_const(-1.5)}
     got = eval_forms(residual(tree), pts)
     assert np.array_equal(got, [5.0, 1.5])
-    assert residual([E.const(0.0), c_const(0)]) == Const(0.0)
-    assert residual([E.const(-2.0), c_const(1.0)]) == Const(2.0)
+    assert residual([E.const(0.0), c_const(0)]) is E.const(0.0)
+    assert residual([E.const(-2.0), c_const(1.0)]) is E.const(2.0)
     assert np.isnan(evaluate(residual([x, E.const(float("nan"))]), (1.0, 0.0, 0.0)))
 
 
@@ -572,6 +595,16 @@ def test_point_evaluations_do_not_accumulate_memory():
 # rules they had before their type-dispatched fast paths
 
 
+def _interned(op, *args):
+    """The node for ``op`` over ``args``, interned as the constructors key
+    it: by the op and its operands' ids."""
+    key = (op, *map(id, args))
+    node = E._INTERN.get(key)
+    if node is None:
+        node = E._INTERN[key] = (Unary if len(args) == 1 else Binary)(op, *args)
+    return node
+
+
 def _ref_add(a, b):
     a, b = E.as_expr(a), E.as_expr(b)
     if isinstance(a, Const) and isinstance(b, Const):
@@ -580,7 +613,7 @@ def _ref_add(a, b):
         return b
     if E._is_const(b, 0.0):
         return a
-    return E._mk_binary("add", a, b)
+    return _interned("add", a, b)
 
 
 def _ref_sub(a, b):
@@ -591,7 +624,7 @@ def _ref_sub(a, b):
         return a
     if E._is_const(a, 0.0):
         return _ref_neg(b)
-    return E._mk_binary("sub", a, b)
+    return _interned("sub", a, b)
 
 
 def _ref_mul(a, b):
@@ -608,7 +641,7 @@ def _ref_mul(a, b):
         return _ref_neg(b)
     if E._is_const(b, -1.0):
         return _ref_neg(a)
-    return E._mk_binary("mul", a, b)
+    return _interned("mul", a, b)
 
 
 def _ref_div(a, b):
@@ -619,7 +652,7 @@ def _ref_div(a, b):
         return E._ZERO
     if E._is_const(b, 1.0):
         return a
-    return E._mk_binary("div", a, b)
+    return _interned("div", a, b)
 
 
 def _ref_power(a, b):
@@ -632,9 +665,9 @@ def _ref_power(a, b):
         try:
             v = math.pow(a.value, b.value)
         except (ValueError, OverflowError):
-            return E._mk_binary("pow", a, b)
+            return _interned("pow", a, b)
         return E._mk_const(v)
-    return E._mk_binary("pow", a, b)
+    return _interned("pow", a, b)
 
 
 def _ref_neg(a):
@@ -643,7 +676,7 @@ def _ref_neg(a):
         return E._mk_const(-a.value)
     if isinstance(a, Unary) and a.op == "neg":
         return a.arg
-    return E._mk_unary("neg", a)
+    return _interned("neg", a)
 
 
 def _ref_func(name, arg):
@@ -657,7 +690,7 @@ def _ref_func(name, arg):
             return E._mk_const(getattr(math, name)(arg.value))
         except (ValueError, OverflowError):
             pass
-    return E._mk_unary(name, arg)
+    return _interned(name, arg)
 
 
 _REF_BINARY = {E.add: _ref_add, E.sub: _ref_sub, E.mul: _ref_mul, E.div: _ref_div,

@@ -92,4 +92,22 @@ def test_each_sampling_attempt_compiles_one_tape(tapes):
     box = [(-1.0, 1.0), (-1.0, 1.0), (-1.0, 2.0)]
     pts = sample_box(box, 1500, seed=0, domain=[E.parse("sqrt(x3)"), E.parse("x1 + 2")])
     assert len(pts) == 1500 and np.all(pts[:, 2] > 0.0)
-    assert tapes == [[1500], [E.CHUNK, E.CHUNK]]
+    assert tapes == [[1500], [1500]]  # the second attempt filters only the points it adds
+
+
+@pytest.mark.parametrize("count,domain,attempts", [
+    (3, ["x3 - 0.6"], 3),  # 8, 8 (no new points, skipped), 12
+    (200, ["sqrt(x3)"], 2),
+    (200, ["x1", "log(x2 + 0.6)"], 4),  # log faults at x2 <= -0.6
+])
+def test_sample_box_is_the_whole_final_attempt_filtered(count, domain, attempts, tapes):
+    box = np.array([(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)])
+    exprs = [E.parse(d) for d in domain]
+    got = sample_box(box, count, seed=3, domain=exprs)
+    drawn = max(8, count * 2 ** (attempts - 1))
+    assert sum(map(sum, tapes)) == drawn  # each drawn point is filtered once
+    pts = box[:, 0] + sampling.halton_points(drawn, 3) * (box[:, 1] - box[:, 0])
+    kept = pts[in_domain(exprs, pts)]
+    assert got.tobytes() == kept[:count].tobytes()
+    if attempts > 1:  # and the attempt before kept too few
+        assert np.count_nonzero(in_domain(exprs, pts[:max(8, drawn // 2)])) < count

@@ -8,7 +8,10 @@ so the suites, xi and catalog modules take no modulus and permute no array
 themselves, and every check record comes from ``suites._check``.  Only
 ``expr`` runs passes over a tape; every other module evaluates through
 ``expr.sweep`` or its reductions.  Only ``expr`` makes nodes, so its
-constructors may take ``type(x) is Const`` to mean "a constant node".
+constructors may take ``type(x) is Const`` to mean "a constant node".  No
+module keeps a table of its own at module level but ``expr._INTERN`` and
+the ``catalog._ENTRIES`` registry: a derived value lives on the object it
+derives from.
 """
 
 import ast
@@ -69,6 +72,49 @@ def test_no_context_variables(path):
 def test_import_rule_flags_contextvars():
     source = "import numpy as np\ndef f():\n    from contextvars import ContextVar\n"
     assert "contextvars" in imported_modules(source)
+
+
+TABLES = {"expr.py": ["_INTERN"], "catalog.py": ["_ENTRIES"]}
+
+
+def _is_empty_table(value) -> bool:
+    if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+        return not (value.keys if isinstance(value, ast.Dict) else value.elts)
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set") and not value.args
+            and not value.keywords)
+
+
+def module_tables(source: str) -> list[str]:
+    """The names a source binds at module level to an empty dict, list or
+    set, as a display or a bare ``dict()``, ``list()`` or ``set()`` call."""
+    names = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.Assign) and _is_empty_table(top.value):
+            names += [t.id for t in top.targets if isinstance(t, ast.Name)]
+        elif (isinstance(top, ast.AnnAssign) and top.value is not None
+              and _is_empty_table(top.value) and isinstance(top.target, ast.Name)):
+            names.append(top.target.id)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_table_but_the_intern_table_and_registry(path):
+    assert module_tables(path.read_text(encoding="utf-8")) == TABLES.get(path.name, [])
+
+
+def test_table_rule_flags_a_module_global_cache():
+    source = (
+        "_DIFF_CACHE: dict = {}\n"
+        "SEEN = set()\n"
+        "ROWS = MORE = []\n"
+        "MEMO = dict()\n"
+        "TABLE = {'add': 1}\n"
+        "def differentiate(f):\n"
+        "    memo = {}\n"
+        "    return memo\n"
+    )
+    assert module_tables(source) == ["_DIFF_CACHE", "SEEN", "ROWS", "MORE", "MEMO"]
 
 
 def test_cache_rule_flags_a_second_memo():
