@@ -30,7 +30,7 @@ import numpy as np
 from . import expr as E
 from .expr import Expr
 
-__all__ = ["CExpr", "c_const", "as_cexpr", "eval_parts", "eval_forms", "fold", "residual"]
+__all__ = ["CExpr", "c_const", "as_cexpr", "eval_forms", "fold", "residual"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,16 +71,10 @@ class CExpr:
         return E.add(E.mul(self.re, self.re), E.mul(self.im, self.im))
 
     def evaluate(self, point, params=None) -> complex:
-        ((re, im),) = eval_parts([self], np.asarray([point], dtype=float), params)
-        return complex(re[0], im[0])
+        return complex(eval_forms(self, np.asarray([point], dtype=float), params)[0])
 
     def evaluate_many(self, points, params=None) -> np.ndarray:
         return eval_forms(self, points, params)
-
-
-def eval_parts(zs, points, params=None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(re, im) value columns of several complex expressions, from one tape."""
-    return [tuple(pair) for pair in eval_forms([[z.re, z.im] for z in zs], points, params)]
 
 
 def eval_forms(forms, points, params=None):
@@ -88,11 +82,11 @@ def eval_forms(forms, points, params=None):
 
     ``forms`` nests dicts and lists, which keep their shape.  Its leaves
     become arrays: an ``Expr`` an (N,) column, a ``CExpr`` an (N,) complex
-    column ``re + 1j*im``, and a nested tuple of them (a table) one
-    (N, *shape) array, complex if its entries are.  The distinct nodes
-    under all leaves are computed once, in one ``expr.eval_batch`` call,
-    and a form that occurs more than once (the same object) gets one
-    array, shared by all its places.
+    column whose parts are its ``re`` and ``im`` columns bit for bit, and a
+    nested tuple of them (a table) one (N, *shape) array, complex if its
+    entries are.  The distinct nodes under all leaves are computed once, in
+    one ``expr.eval_batch`` call, and a form that occurs more than once (the
+    same object) gets one array, shared by all its places.
     """
     cols = E.eval_batch(_leaves(forms), points, params)
     return _values(forms, iter(cols), {})
@@ -191,8 +185,10 @@ def _values(node, cols, memo: dict):
             memo[key] = np.stack([_values(x, cols, memo) for x in entries],
                                  axis=-1).reshape(-1, *shape)
         elif isinstance(node, CExpr):
+            # not re + 1j*im, which makes an infinite im a NaN re and flips signed zeros
             re, im = next(cols), next(cols)
-            memo[key] = re + 1j * im
+            memo[key] = z = np.empty(len(re), complex)
+            z.real, z.imag = re, im
         else:
             memo[key] = next(cols)
     return memo[key]

@@ -7,6 +7,12 @@ is trans-Sasakian exactly when the congruence of xi is geodesic and
 shear-free (kappa = sigma = 0), and then rho = beta + i alpha carries the
 type functions.
 
+That gate is decided in one place, :func:`_not_trans_sasakian`, over the
+folded roots ``max_abs_kappa`` and ``max_abs_sigma`` of :func:`_gate_roots`,
+for every caller: the verdict, the Einstein test, the ts suite's skip and
+:func:`ts_identity_residuals_many`.  Each caller passes its own tolerance.
+A NaN in either maximum fails the gate, so it reads as NotTransSasakian.
+
 The verdict lattice is most-specific-first, with an absolute tolerance for
 "vanishes" and a sampled-constancy tolerance for "is constant":
 
@@ -135,12 +141,25 @@ def _summary(values: dict, name: str, n: int) -> tuple:
     return mean, _spread(values[f"max_{name}"], -values[f"max_neg_{name}"], mean)
 
 
+def _gate_roots(spec: ManifoldSpec) -> dict:
+    """The roots of the kappa = sigma = 0 gate, as :func:`_spin_roots` names them."""
+    maxima = _spin_roots(spec)[0]
+    return {name: maxima[name] for name in ("max_abs_kappa", "max_abs_sigma")}
+
+
+def _not_trans_sasakian(values: dict, tol, name: str = "") -> NotTransSasakian | None:
+    """The kappa = sigma = 0 gate over the folded :func:`_gate_roots` in
+    ``values``: None when both maxima are <= ``tol``, else the error for spec
+    ``name``, whose ``worst`` is NaN when either maximum is."""
+    worst = float(np.maximum(values["max_abs_kappa"], values["max_abs_sigma"]))
+    return None if worst <= tol else NotTransSasakian(name, worst)
+
+
 def _verdict(values: dict, n: int, tol, tol_const) -> str:
     """The verdict lattice over :func:`_spin_scalars` of ``n`` samples."""
-    # each max is tested on its own: max(x, nan) drops the NaN, and NaN fails
-    # <=; a NaN in rho, which its modulus carries into its max, decides no class
+    # a NaN in rho, which its modulus carries into its max, decides no class
     rho = values["max_abs_rho"]
-    if not (values["max_abs_kappa"] <= tol and values["max_abs_sigma"] <= tol) or rho != rho:
+    if _not_trans_sasakian(values, tol) or rho != rho:
         return "NotTransSasakian"
     if rho <= tol:
         return "Cosymplectic"
@@ -249,24 +268,17 @@ def _ts_identity_forms(spec: ManifoldSpec) -> dict:
     }
 
 
-def _ts_gate(spec: ManifoldSpec) -> Expr:
-    """max(|kappa|, |sigma|): trans-Sasakian identities apply where it vanishes."""
-    co = spin_coefficients(spec)
-    return residual([co.kappa, co.sigma])
-
-
 def ts_identity_residuals_many(spec: ManifoldSpec, points, tol=DEFAULT_TOL) -> dict:
     """Per-point residual arrays of the trans-Sasakian curvature identities.
 
-    Raises NotTransSasakian when kappa or sigma fails to vanish at any of
-    the points.
+    Raises NotTransSasakian when the gate fails over the points.
     """
-    forms = {"gate": _ts_gate(spec),
+    forms = {"gate": _gate_roots(spec),
              "res": {name: residual(tree) for name, tree in _ts_identity_forms(spec).items()}}
     values = eval_forms(forms, points, spec.params)
-    worst = np.max(values["gate"])
-    if worst > tol:
-        raise NotTransSasakian(spec.name, worst)
+    exc = _not_trans_sasakian({k: np.max(v) for k, v in values["gate"].items()}, tol, spec.name)
+    if exc:
+        raise exc
     return values["res"]
 
 
@@ -286,9 +298,9 @@ def conformal_foliation_residual_many(spec: ManifoldSpec, points) -> np.ndarray:
 
 def _einstein_roots(spec: ManifoldSpec) -> tuple:
     """(maxima, sums): the roots :func:`einstein_check` decides from, by name."""
-    co, S, closed = spin_coefficients(spec), riemann(spec).ricci, _ts_closed_forms(spec)
+    S, closed = riemann(spec).ricci, _ts_closed_forms(spec)
     n = range(3)
-    maxima = {"max_abs_kappa": residual(co.kappa), "max_abs_sigma": residual(co.sigma),
+    maxima = {**_gate_roots(spec),
               "max_abs_S_offdiag": residual([S[i][j] for i in n for j in n if i != j]),
               **{f"max_S{i}{i}": S[i][i] for i in n}, **{f"max_neg_S{i}{i}": -S[i][i] for i in n},
               "max_abs_d_rho": residual(closed["d_rho"]),
@@ -308,7 +320,7 @@ def _einstein_verdict(values: dict, n: int, tol=DEFAULT_TOL) -> EinsteinVerdict:
     dev = float(np.max([values["max_abs_S_offdiag"], *(
         _spread(values[f"max_S{i}{i}"], -values[f"max_neg_S{i}{i}"], a) for i in range(3))]))
     residuals = {"max_abs_S_minus_a_g": dev}
-    if values["max_abs_kappa"] <= tol and values["max_abs_sigma"] <= tol:
+    if not _not_trans_sasakian(values, tol):
         residuals.update({k: values[k] for k in ("max_abs_d_rho", "einstein_closed_form")})
     return EinsteinVerdict(is_einstein=dev <= max(tol, tol * (1 + abs(a))), a=a,
                            residuals=residuals)

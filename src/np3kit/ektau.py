@@ -162,6 +162,13 @@ def vertical_structure_type(params: EkTauParams) -> tuple:
     return (params.tau, 0.0)
 
 
+def _terms(params: EkTauParams, state: AdaptedState) -> tuple:
+    """(tau, delta, sin u, cos u, *du, *dv) of the closed forms, with
+    tau = delta = 0 for a product geometry."""
+    tau, d = (params.tau, params.delta) if params.tau != 0.0 else (0.0, 0.0)
+    return (tau, d, math.sin(state.u), math.cos(state.u), *state.du, *state.dv)
+
+
 def adapted_covariant_table(params: EkTauParams, state: AdaptedState):
     """Shape-operator entries of the tilted candidate in its adapted frame.
 
@@ -169,63 +176,35 @@ def adapted_covariant_table(params: EkTauParams, state: AdaptedState):
     nabla_{e2} xi = (sin(u) dv(e2) + tau + delta sin^2 u) e1 - du(e2) e2
     nabla_{xi} xi = sin(u)(dv(xi) + delta cos u) e1 - du(xi) e2
 
-    and the tau = 0 analogue with B in place of dv and no tau terms.
+    and the tau = 0 analogue with B in place of dv: the same formulas with
+    tau = delta = 0.
     """
-    u = state.u
-    su, cu = math.sin(u), math.cos(u)
-    du1, du2, du3 = state.du
-    v1, v2, v3 = state.dv
-    if params.tau != 0.0:
-        tau, d = params.tau, params.delta
-        return ((su * v1, -(du1 + tau)),
-                (su * v2 + tau + d * su * su, -du2),
-                (su * (v3 + d * cu), -du3))
-    return ((su * v1, -du1),
-            (su * v2, -du2),
-            (su * v3, -du3))
+    tau, d, su, cu, du1, du2, du3, v1, v2, v3 = _terms(params, state)
+    return ((su * v1, -(du1 + tau)),
+            (su * v2 + tau + d * su * su, -du2),
+            (su * (v3 + d * cu), -du3))
 
 
 def adapted_spin(params: EkTauParams, state: AdaptedState) -> tuple:
     """(kappa_np, sigma_np, rho_np) of the tilted candidate, closed form."""
-    u = state.u
-    su, cu = math.sin(u), math.cos(u)
-    du1, du2, du3 = state.du
-    v1, v2, v3 = state.dv
-    if params.tau != 0.0:
-        tau, d = params.tau, params.delta
-        kappa = -(su * (v3 + d * cu) + 1j * du3) / _SQ2
-        sigma = -((su * v1 + du2) - 1j * (su * v2 - du1 + d * su * su)) / 2.0
-        rho = ((su * v1 - du2) + 1j * (su * v2 + du1 + 2 * tau + d * su * su)) / 2.0
-        return kappa, sigma, rho
-    kappa = -(su * v3 + 1j * du3) / _SQ2
-    sigma = -((su * v1 + du2) - 1j * (su * v2 - du1)) / 2.0
-    rho = ((su * v1 - du2) + 1j * (su * v2 + du1)) / 2.0
+    tau, d, su, cu, du1, du2, du3, v1, v2, v3 = _terms(params, state)
+    kappa = -(su * (v3 + d * cu) + 1j * du3) / _SQ2
+    sigma = -((su * v1 + du2) - 1j * (su * v2 - du1 + d * su * su)) / 2.0
+    rho = ((su * v1 - du2) + 1j * (su * v2 + du1 + 2 * tau + d * su * su)) / 2.0
     return kappa, sigma, rho
 
 
 def ts_system_residuals(params: EkTauParams, state: AdaptedState) -> dict:
     """Residuals of the four scalar equations equivalent to
-    kappa_np = sigma_np = 0, plus the implied type functions."""
-    u = state.u
-    su, cu = math.sin(u), math.cos(u)
-    du1, du2, du3 = state.du
-    v1, v2, v3 = state.dv
-    if params.tau != 0.0:
-        tau, d = params.tau, params.delta
-        return {
-            "sys1_du_xi": du3,
-            "sys2_dv_xi": su * (v3 + d * cu),
-            "sys3_shear_re": du2 + su * v1,
-            "sys4_shear_im": du1 - su * v2 - d * su * su,
-            "alpha": 0.5 * (su * v2 + du1 + 2 * tau + d * su * su),
-            "beta": 0.5 * (su * v1 - du2),
-        }
+    kappa_np = sigma_np = 0, plus the implied type functions.  The second
+    is named ``sys2_B_xi`` for a product geometry, whose slots carry B."""
+    tau, d, su, cu, du1, du2, du3, v1, v2, v3 = _terms(params, state)
     return {
         "sys1_du_xi": du3,
-        "sys2_B_xi": su * v3,
+        "sys2_dv_xi" if tau != 0.0 else "sys2_B_xi": su * (v3 + d * cu),
         "sys3_shear_re": du2 + su * v1,
-        "sys4_shear_im": du1 - su * v2,
-        "alpha": 0.5 * (su * v2 + du1),
+        "sys4_shear_im": du1 - su * v2 - d * su * su,
+        "alpha": 0.5 * (su * v2 + du1 + 2 * tau + d * su * su),
         "beta": 0.5 * (su * v1 - du2),
     }
 

@@ -92,7 +92,6 @@ __all__ = [
 ]
 
 FUNCTIONS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
-BINOPS = ("add", "sub", "mul", "div", "pow")
 
 
 class DomainError(ArithmeticError):

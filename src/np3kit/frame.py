@@ -66,7 +66,6 @@ class ManifoldSpec:
     domain: tuple[Expr, ...] = ()
     params: dict = field(default_factory=dict)
     box: tuple = DEFAULT_BOX
-    document: dict | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -149,7 +148,7 @@ def spec_from_document(doc: dict) -> ManifoldSpec:
     if len(box) != 3 or any(hi <= lo for lo, hi in box):
         raise SchemaError("'box' must be three (lo, hi) pairs with lo < hi")
     return ManifoldSpec(name=name, coords=tuple(coords), e1=e1, e2=e2, xi=xi,
-                        domain=domain, params=dict(params), box=box, document=doc)
+                        domain=domain, params=dict(params), box=box)
 
 
 def spec_to_document(spec: ManifoldSpec) -> dict:
@@ -179,11 +178,12 @@ def default_samples(spec: ManifoldSpec, count: int, seed: int = 0) -> np.ndarray
 
 def _check_nondegenerate(spec: ManifoldSpec, probes: int = 8):
     pts = default_samples(spec, probes, seed=0)
-    dets = np.linalg.det(eval_forms(spec.frame, pts, spec.params))
+    with np.errstate(all="ignore"):  # an overflowing det is inf, and passes; a NaN one fails
+        dets = np.linalg.det(eval_forms(spec.frame, pts, spec.params))
     worst = float(np.min(np.abs(dets)))
-    if worst <= DET_THRESHOLD:
+    if not worst > DET_THRESHOLD:
         raise DegenerateFrame(
-            f"|det frame| = {worst:.3e} <= {DET_THRESHOLD} at a probe point of {spec.name!r}")
+            f"|det frame| = {worst:.3e}, not > {DET_THRESHOLD}, at a probe point of {spec.name!r}")
 
 
 # --------------------------------------------------------------------------

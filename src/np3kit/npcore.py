@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .cexpr import CExpr, as_cexpr, c_const, eval_forms, eval_parts, residual
+from .cexpr import CExpr, as_cexpr, c_const, eval_forms, residual
 from .expr import Expr
 from .frame import (ManifoldSpec, _frame_inverse, connection_table, frame_directional,
                     riemann, spec_cached)
@@ -65,10 +65,10 @@ class SpinCoefficients:
     epsilon_np: CExpr
 
     def evaluate(self, point, params=None) -> dict:
-        names = ("kappa", "sigma", "rho", "beta_np", "epsilon_np")
-        cols = eval_parts([getattr(self, name) for name in names],
-                          np.asarray([point], dtype=float), params)
-        return {name: complex(re[0], im[0]) for name, (re, im) in zip(names, cols)}
+        forms = {name: getattr(self, name)
+                 for name in ("kappa", "sigma", "rho", "beta_np", "epsilon_np")}
+        values = eval_forms(forms, np.asarray([point], dtype=float), params)
+        return {name: complex(z[0]) for name, z in values.items()}
 
 
 @dataclass(frozen=True)

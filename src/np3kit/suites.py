@@ -14,17 +14,21 @@ all the roots over ``expr.CHUNK``-point slices of the samples, keeping a
 running max per root.  A caller's whole-sample quantities (``catalog.run``'s
 verdict, flags and Einstein test) ride along as more roots, each folded to a
 max or a sum, so peak memory is set by the chunk size and the width of the
-DAG, not by the sample count.  The ts suite is skipped as NotTransSasakian
-when max(|kappa|, |sigma|), one more root, exceeds the tolerance anywhere,
-and a DomainError, raised after the last slice, names the node and sample
-it would name unchunked.
+DAG, not by the sample count.  The ts suite rides with the two roots of
+``classify``'s kappa = sigma = 0 gate, and is replaced by one skip record
+when that gate fails over the samples (at the request's tolerance, but never
+below ``DEFAULT_TOL``).  The skip passes, except on a NaN maximum, which
+decides nothing.  A DomainError, raised after the last slice, names the
+node and sample it would name unchunked.
 """
 
 from __future__ import annotations
 
+import math
+
 from . import expr as E
 from .cexpr import fold, residual
-from .classify import DEFAULT_TOL, NotTransSasakian, _ts_gate, _ts_identity_forms
+from .classify import DEFAULT_TOL, _gate_roots, _not_trans_sasakian, _ts_identity_forms
 from .frame import (ManifoldSpec, _kulkarni_nomizu_forms, connection_table, riemann,
                     structure_functions)
 from .npcore import (_bianchi_exprs, _np_metric_forms, _sachs_exprs, _sachs_ricci_exprs,
@@ -142,16 +146,14 @@ def run_request(spec: ManifoldSpec, names, pts, checks=None, scalars=({}, {}),
     groups[None] = checks or {}
     roots = {(group, name): residual(tree) for group, trees in groups.items()
              for name, tree in trees.items()}
-    gate = ("ts", None)
-    if "ts" in names:
-        roots[gate] = _ts_gate(spec)
-    values = fold({**roots, **scalars[0]}, scalars[1], pts, spec.params)
+    gate = _gate_roots(spec) if "ts" in names else {}
+    values = fold({**roots, **gate, **scalars[0]}, scalars[1], pts, spec.params)
     results = {group: [_check(name, values[group, name], TOLERANCES.get(name, tol))
                        for name in trees] for group, trees in groups.items()}
-    if gate in values and values[gate] > max(tol, DEFAULT_TOL):
-        exc = NotTransSasakian(spec.name, values[gate])
-        results["ts"] = [{"name": "ts_suite", "skipped": True,
-                          "reason": f"NotTransSasakian: {exc}", "pass": True}]
+    exc = "ts" in names and _not_trans_sasakian(values, max(tol, DEFAULT_TOL), spec.name)
+    if exc:
+        results["ts"] = [{"name": "ts_suite", "skipped": True, "reason": f"NotTransSasakian: {exc}",
+                          "pass": not math.isnan(exc.worst)}]
     return results, results.pop(None), values
 
 

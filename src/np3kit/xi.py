@@ -12,7 +12,9 @@ Every quantity is computed twice where the formalism offers two routes:
 xi is parallel iff kappa = sigma = rho = 0; harmonic iff
 Delta xi = |nabla xi|^2 xi; pointwise collinear with its Laplacian iff the
 transverse components of Delta xi vanish, and then the factor is
-2(|kappa|^2 + |rho|^2 + |sigma|^2).
+2(|kappa|^2 + |rho|^2 + |sigma|^2).  :func:`parallel_and_collinearity`
+reports these decisions over samples and the maxima behind them; it holds
+no forms, which the functions above return.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ class DivergenceResult:
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    laplacian_xi: tuple            # frame components (generic route)
-    grad_xi_norm_sq: Expr
-    divergence: Expr
-    lam: Expr                      # collinearity factor 2(|k|^2+|r|^2+|s|^2)
+    """The congruence decisions over the samples and the maxima they were
+    taken from.  The forms behind them are :func:`rough_laplacian_xi`,
+    ``npcore.grad_xi_norm_sq`` and :func:`divergence_xi`; the collinearity
+    factor is ``rough_laplacian_xi(spec).np_closed[2]``."""
     is_geodesic: bool
     is_shear_free: bool
     is_twist_free: bool
@@ -78,18 +80,6 @@ class CongruenceReport:
     residuals: dict
     tol: float
     sample_count: int
-
-    @property
-    def flags(self) -> dict:
-        return {
-            "is_geodesic": self.is_geodesic,
-            "is_shear_free": self.is_shear_free,
-            "is_twist_free": self.is_twist_free,
-            "expansion": self.expansion,
-            "is_parallel": self.is_parallel,
-            "is_harmonic": self.is_harmonic,
-            "is_collinear": self.is_collinear,
-        }
 
 
 @spec_cached
@@ -163,11 +153,10 @@ def parallel_and_collinearity(spec: ManifoldSpec, samples=None,
                               tol=DEFAULT_TOL) -> CongruenceReport:
     pts = _samples(spec, samples)
     values = fold(*_congruence_roots(spec), pts, spec.params)
-    return _congruence_report(spec, values, len(pts), tol)
+    return _congruence_report(values, len(pts), tol)
 
 
-def _congruence_report(spec: ManifoldSpec, values: dict, n: int,
-                       tol=DEFAULT_TOL) -> CongruenceReport:
+def _congruence_report(values: dict, n: int, tol=DEFAULT_TOL) -> CongruenceReport:
     """:func:`parallel_and_collinearity` from the folded :func:`_congruence_roots`
     of ``n`` samples; theta and omega are beta and alpha."""
     if n < MIN_SAMPLES:
@@ -185,13 +174,7 @@ def _congruence_report(spec: ManifoldSpec, values: dict, n: int,
     else:
         expansion = "mixed"
 
-    co = spin_coefficients(spec)
-    lam = E.mul(2.0, E.add(E.add(co.kappa.abs2(), co.rho.abs2()), co.sigma.abs2()))
     return CongruenceReport(
-        laplacian_xi=rough_laplacian_xi(spec).generic,
-        grad_xi_norm_sq=grad_xi_norm_sq(spec),
-        divergence=divergence_xi(spec).direct,
-        lam=lam,
         is_geodesic=max_k <= tol,
         is_shear_free=max_s <= tol,
         is_twist_free=max_omega <= tol,

@@ -16,6 +16,7 @@ from np3kit.classify import (NotTransSasakian, _einstein_roots, _einstein_verdic
 from np3kit.frame import connection_table, default_samples, load_manifold
 from np3kit.npcore import GaugeAngle, gauge_transform, spin_coefficients
 from np3kit.sampling import InsufficientSamples
+from np3kit.suites import run_suites
 
 
 @pytest.mark.parametrize("name,verdict", [
@@ -242,3 +243,23 @@ def test_a_nan_kappa_or_sigma_fails_the_einstein_gate(key):
     assert "max_abs_d_rho" in _einstein_verdict(values, 30).residuals
     values[key] = math.nan
     assert "max_abs_d_rho" not in _einstein_verdict(values, 30).residuals
+
+
+@pytest.mark.parametrize("caller", ["classify", "einstein_check", "ts_suite",
+                                    "ts_identity_residuals_many"])
+def test_every_gate_caller_reads_a_nan_sigma_as_not_trans_sasakian(caller, overflow_doc):
+    spec = load_manifold(overflow_doc)
+    pts = default_samples(spec, 30)
+    if caller == "classify":
+        assert classify(spec, pts).verdict == "NotTransSasakian"
+    elif caller == "einstein_check":
+        assert "max_abs_d_rho" not in einstein_check(spec, pts).residuals
+    elif caller == "ts_suite":
+        # skipped, and failed: a NaN gate decides nothing
+        assert run_suites(spec, ["ts"], pts)["ts"] == [{
+            "name": "ts_suite", "skipped": True, "pass": False,
+            "reason": "NotTransSasakian: 'overflow' has max(|kappa|,|sigma|) = nan over the samples"}]
+    else:
+        with pytest.raises(NotTransSasakian) as exc:
+            ts_identity_residuals_many(spec, pts)
+        assert math.isnan(exc.value.worst)

@@ -148,6 +148,26 @@ def test_verify_ts_skipped_on_sol(capsys):
     assert check["skipped"] and "NotTransSasakian" in check["reason"]
 
 
+def test_verify_fails_the_ts_skip_on_a_nan_gate(tmp_path, capsys, overflow_doc):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(overflow_doc))
+    code, out, _ = run_cli(capsys, "verify", str(path), "--suite", "ts")
+    assert code == 1
+    assert ("SKIP ts_suite: NotTransSasakian: 'overflow' has max(|kappa|,|sigma|) = nan"
+            in out.splitlines()[-1])
+    code, out, _ = run_cli(capsys, "verify", str(path), "--suite", "all", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["suites"]["ts"][0]["pass"] is False
+
+
+def test_a_nan_frame_determinant_exits_3(tmp_path, capsys, nan_det_doc):
+    path = tmp_path / "nan_det.json"
+    path.write_text(json.dumps(nan_det_doc))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (3, "")
+    assert "|det frame| = nan" in err
+
+
 def test_verify_deterministic_bytes(capsys):
     args = ("verify", "example1", "--suite", "all", "--seed", "7", "--format", "json")
     code1, out1, _ = run_cli(capsys, *args)

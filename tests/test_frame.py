@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -88,6 +89,17 @@ def test_load_degenerate_frame_rejected():
     doc["frame"] = dict(doc["frame"], e2=doc["frame"]["e1"])
     with pytest.raises(DegenerateFrame):
         load_manifold(doc)
+
+
+def test_a_nan_determinant_is_degenerate(nan_det_doc):
+    with pytest.raises(DegenerateFrame, match="= nan"):
+        load_manifold(nan_det_doc)
+
+
+def test_an_overflowing_determinant_loads_without_a_warning(overflow_doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_manifold(overflow_doc).name == "overflow"
 
 
 def test_load_schema_errors():

@@ -8,7 +8,8 @@ so the suites, xi and catalog modules take no modulus and permute no array
 themselves, and every check record comes from ``suites._check``.  Only
 ``expr`` runs passes over a tape; every other module evaluates through
 ``expr.sweep`` or its reductions.  Only ``expr`` makes nodes, so its
-constructors may take ``type(x) is Const`` to mean "a constant node".  No
+constructors may take ``type(x) is Const`` to mean "a constant node".  Only
+``classify``'s one kappa = sigma = 0 gate makes a NotTransSasakian.  No
 module keeps a table of its own at module level but ``expr._INTERN`` and
 the ``catalog._ENTRIES`` registry: a derived value lives on the object it
 derives from.
@@ -260,3 +261,36 @@ def test_node_rule_flags_a_second_maker():
         "UNIT = E.Coord(1)\n"
     )
     assert node_constructions(source) == ["Binary", "Const", "Coord"]
+
+
+def makers_of(source: str, cls: str) -> list[str]:
+    """Top-level definitions that call ``cls``, bare or as an attribute."""
+    makers = []
+    for top in ast.parse(source).body:
+        if any(isinstance(node, ast.Call)
+               and cls in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(top)):
+            makers.append(getattr(top, "name", f"line {top.lineno}"))
+    return makers
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_classify_gate_makes_not_trans_sasakian(path):
+    want = ["_not_trans_sasakian"] if path.name == "classify.py" else []
+    assert makers_of(path.read_text(encoding="utf-8"), "NotTransSasakian") == want
+
+
+def test_gate_rule_flags_a_second_maker():
+    source = (
+        "from . import classify\n"
+        "from .classify import NotTransSasakian\n"
+        "def skip(spec, worst):\n"
+        "    return {'reason': str(NotTransSasakian(spec.name, worst))}\n"
+        "def residuals(spec, worst):\n"
+        "    if worst > 1e-8:\n"
+        "        raise classify.NotTransSasakian(spec.name, worst)\n"
+        "def is_ts(exc):\n"
+        "    return not isinstance(exc, NotTransSasakian)\n"
+        "ERROR = NotTransSasakian('sol', 1.0)\n"
+    )
+    assert makers_of(source, "NotTransSasakian") == ["skip", "residuals", "line 10"]

@@ -211,12 +211,12 @@ def _error_peak_mb(count: int) -> float:
         from np3kit import catalog, suites
         from np3kit import expr as E
         from np3kit.cexpr import residual
-        from np3kit.classify import _ts_gate
+        from np3kit.classify import _gate_roots
         from np3kit.frame import default_samples
         spec = catalog.get_spec("flat_radial")
         roots = [residual(tree) for name in suites.SUITE_NAMES
                  for tree in suites._suite(name)(spec).values()]
-        roots += [_ts_gate(spec), E.log(E.coord(1))]
+        roots += [*_gate_roots(spec).values(), E.log(E.coord(1))]
         pts = default_samples(spec, {count}, seed=0).copy()
         pts[-1, 0] = 0.0
         try:
@@ -266,8 +266,8 @@ def test_a_streamed_tape_is_scheduled_for_fewer_slots(name, streamed, monkeypatc
 # ops and slots of each entry's verify tape (all suites, one pass): a change
 # that builds a different DAG moves these, and one that shrinks it on purpose
 # updates them
-VERIFY_TAPES = {"c6": (606, 65), "example1": (2824, 241), "example2": (2804, 229),
-                "flat_cosymplectic": (0, 2), "flat_radial": (16464, 1499), "h2xr": (338, 38),
+VERIFY_TAPES = {"c6": (606, 65), "example1": (2823, 241), "example2": (2803, 229),
+                "flat_cosymplectic": (0, 2), "flat_radial": (16463, 1499), "h2xr": (338, 38),
                 "kenmotsu": (473, 47), "nil3": (15, 7), "sasakian": (16, 8), "sol": (677, 72)}
 
 
