@@ -11,7 +11,6 @@ name of a built-in catalog entry.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -222,9 +221,11 @@ def main(argv=None) -> int:
         print(f"np3kit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DomainError, UnboundParameter, InsufficientSamples) as exc:
-        # a DomainError names the first sample where evaluation broke
+        # a DomainError names the first sample where evaluation broke, and
+        # how many samples broke
         where = "" if getattr(exc, "point", None) is None else (
-            f" at sample {exc.index}, point {exc.point}")
+            f" at sample {exc.index}, point {exc.point}, "
+            f"{exc.count} of {exc.samples} samples singular")
         print(f"np3kit: domain error: {exc}{where}", file=sys.stderr)
         return EXIT_DOMAIN
 

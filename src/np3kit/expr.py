@@ -24,7 +24,10 @@ Construction goes through the smart constructors (:func:`add`, :func:`mul`,
 builds through them too.  In particular a symbolic zero annihilates
 products outright, even when the other factor is singular somewhere; every
 downstream evaluation is restricted to a manifold's domain, where both
-sides agree.
+sides agree.  By the same convention three exact cancellations of one node
+``a`` fold: ``a - a`` and ``a + (-a)`` to 0 and ``a/a`` to 1.  They drop
+the domain checks inside ``a``, and they read 0 (or 1) even where ``a``
+evaluates to ±inf or NaN.
 
 Three more ops exist for evaluation only, to take a check's residual on
 the tape: :func:`absolute` (``abs``), :func:`maximum` (``max``, pointwise
@@ -34,7 +37,11 @@ form.
 
 Exponents: an integer exponent differentiates by the power rule (the
 collected form of differentiating the repeated product), a non-integer
-exponent via ``a^b = exp(b*log(a))``.
+exponent via ``a^b = exp(b*log(a))``.  A quotient ``e = a/b``
+differentiates as ``(a' - e*b')/b``, the reverse-mode rule of Griewank &
+Walther (*Evaluating Derivatives*, 2nd ed., SIAM 2008): three nodes that
+reuse ``e``, where ``(a'b - ab')/b^2`` takes five and squares ``b``, which
+can underflow to a false division by zero.
 
 Expressions are immutable and freely shared.  The constructors intern
 every node they make (hash-consing), so structurally equal subterms are
@@ -100,11 +107,14 @@ class DomainError(ArithmeticError):
     ``index`` is the first failing sample among all the points evaluated,
     and ``point`` its coordinates.  A pass of :func:`sweep` records its
     failures and runs on; after the last pass the error, and the sample,
-    that one unchunked pass in the canonical order names is raised.
+    that one unchunked pass in the canonical order names is raised, with
+    ``count``, how many of the ``samples`` points evaluated failed a check.
     """
 
     index: int | None = None
     point: tuple | None = None
+    count: int | None = None
+    samples: int | None = None
 
 
 class UnboundParameter(KeyError):
@@ -277,6 +287,10 @@ _NODE_TYPES = frozenset((Const, Coord, Param, Unary, Binary))
 
 
 def add(a, b) -> Expr:
+    """``a + b``, folded: constants add, ``0 + b`` is ``b``, and ``a + (-a)``
+    and ``(-a) + a`` are 0 for one node ``a``, whatever ``a`` evaluates to
+    (±inf too), and with ``a``'s domain checks dropped, as ``mul`` drops
+    them for a symbolic zero."""
     ta, tb = type(a), type(b)
     if ta not in _NODE_TYPES or tb not in _NODE_TYPES:
         a, b = as_expr(a), as_expr(b)
@@ -288,6 +302,9 @@ def add(a, b) -> Expr:
             return b
     elif tb is Const and b.value == 0.0:
         return a
+    if (ta is Unary and a.op == "neg" and a.arg is b
+            or tb is Unary and b.op == "neg" and b.arg is a):
+        return _ZERO
     key = ("add", id(a), id(b))
     node = _INTERN.get(key)
     if node is None:
@@ -296,6 +313,11 @@ def add(a, b) -> Expr:
 
 
 def sub(a, b) -> Expr:
+    """``a - b``, folded: constants subtract, ``a - 0`` is ``a``, ``0 - b`` is
+    ``-b``, and ``a - a`` is 0 for one node ``a``, whatever ``a`` evaluates
+    to (±inf too), and with ``a``'s domain checks dropped, as ``mul`` drops
+    them for a symbolic zero.  Two constants fold by IEEE arithmetic first,
+    so ``inf - inf`` is NaN."""
     ta, tb = type(a), type(b)
     if ta not in _NODE_TYPES or tb not in _NODE_TYPES:
         a, b = as_expr(a), as_expr(b)
@@ -307,6 +329,8 @@ def sub(a, b) -> Expr:
             return a
     elif ta is Const and a.value == 0.0:
         return neg(b)
+    elif a is b:
+        return _ZERO
     key = ("sub", id(a), id(b))
     node = _INTERN.get(key)
     if node is None:
@@ -345,6 +369,10 @@ def mul(a, b) -> Expr:
 
 
 def div(a, b) -> Expr:
+    """``a / b``, folded: constants divide unless ``b`` is 0, ``0/b`` is 0,
+    ``a/1`` is ``a``, and ``a/a`` is 1 for one node ``a``, whatever ``a``
+    evaluates to (0 and ±inf too), and with ``a``'s domain checks dropped,
+    as ``mul`` drops them for a symbolic zero."""
     ta, tb = type(a), type(b)
     if ta not in _NODE_TYPES or tb not in _NODE_TYPES:
         a, b = as_expr(a), as_expr(b)
@@ -356,6 +384,8 @@ def div(a, b) -> Expr:
             return _ZERO
     if tb is Const and b.value == 1.0:
         return a
+    if a is b:
+        return _ONE
     key = ("div", id(a), id(b))
     node = _INTERN.get(key)
     if node is None:
@@ -560,7 +590,7 @@ def _diff_binary(e: Binary, da: Expr, db: Expr) -> Expr:
     if op == "sub":
         return sub(da, db)
     if op == "div":
-        return div(sub(mul(da, b), mul(a, db)), power(b, _TWO))
+        return div(sub(da, mul(e, db)), b)  # reuses the quotient e = a/b
     if op == "pow":
         if type(b) is Const and float(b.value).is_integer():
             n = b.value
@@ -574,8 +604,8 @@ def _diff_binary(e: Binary, da: Expr, db: Expr) -> Expr:
 # evaluation
 
 # points per pass over a tape, and per slice of a streamed request: at 2,048
-# points the 1,019 slots of flat_radial's scheduled verify tape take 16.7 MB
-# (its canonical order needs 1,499 slots, 24.6 MB)
+# points the 900 slots of flat_radial's scheduled verify tape take 14.7 MB
+# (its canonical order needs 1,243 slots, 20.4 MB)
 CHUNK = 2048
 
 
@@ -792,10 +822,11 @@ class _Tape:
         ``pts`` names is raised, with its sample's index in ``pts`` and its
         point: the one at the earliest op in the canonical order, then at its
         earlier check (``_pow`` tests a negative base first), then at the
-        earliest sample.
+        earliest sample.  Its ``count`` is of the failing points, each
+        counted in the pass that owns it.
         """
         n, width, code = len(pts), self.width, self.code
-        first = None  # the error to raise
+        first, count = None, 0  # the error to raise; the failing points
         for lo in range(0, n, width or 1):
             start = min(lo, n - width)
             for buf, k in self.coords:
@@ -818,9 +849,12 @@ class _Tape:
                         exc.key = (op, exc.rank, exc.index)
                         if first is None or exc.key < first.key:
                             first = exc
-            yield lo, lo - start, bad
+            new = lo - start
+            count += int(np.count_nonzero(bad[new:]))
+            yield lo, new, bad
         if first is not None:
             first.point = tuple(pts[first.index].tolist())
+            first.count, first.samples = count, n
             raise first
 
 

@@ -73,7 +73,7 @@ class CongruenceReport:
     is_geodesic: bool
     is_shear_free: bool
     is_twist_free: bool
-    expansion: str                 # expanding | contracting | non_expanding | mixed
+    expansion: str  # expanding | contracting | non_expanding | mixed | undetermined (NaN theta)
     is_parallel: bool
     is_harmonic: bool
     is_collinear: bool
@@ -165,7 +165,9 @@ def _congruence_report(values: dict, n: int, tol=DEFAULT_TOL) -> CongruenceRepor
     max_theta, max_omega = values["max_abs_beta"], values["max_abs_alpha"]
     transverse, bochner = values["max_transverse_laplacian"], values["bochner_reduction"]
 
-    if max_theta <= tol:
+    if max_theta != max_theta:  # a NaN theta decides nothing
+        expansion = "undetermined"
+    elif max_theta <= tol:
         expansion = "non_expanding"
     elif -values["max_neg_beta"] > tol:
         expansion = "expanding"

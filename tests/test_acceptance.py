@@ -10,7 +10,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from np3kit import catalog
 from np3kit import expr as E
@@ -24,7 +23,7 @@ from np3kit.frame import connection_table, curvature_values_many, default_sample
 from np3kit.npcore import (GaugeAngle, gauge_transform, grad_xi_norm_sq,
                            spin_coefficients, weighted_derivative)
 from np3kit.suites import run_suites
-from np3kit.xi import divergence_xi, parallel_and_collinearity, rough_laplacian_xi
+from np3kit.xi import divergence_xi, rough_laplacian_xi
 
 
 def _report(num, label, ok, detail=""):

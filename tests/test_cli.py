@@ -57,8 +57,10 @@ def test_domain_error_names_the_sample(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 2
     point = tuple(probes[index].tolist())
+    singular = int(np.count_nonzero(probes[:, 0] < 0.0))
     assert err.strip() == (f"np3kit: domain error: sqrt of negative value "
-                           f"at sample {index}, point {point}")
+                           f"at sample {index}, point {point}, "
+                           f"{singular} of {len(probes)} samples singular")
 
 
 def test_spin_bad_point_exits_3(capsys):

@@ -7,8 +7,8 @@ import pytest
 from np3kit import catalog
 from np3kit import expr as E
 from np3kit.cexpr import CExpr, c_const
-from np3kit.frame import (curvature_values_many, default_samples,
-                          load_manifold, spec_from_document, spec_to_document)
+from np3kit.frame import (curvature_values_many, default_samples, load_manifold,
+                          spec_to_document)
 from np3kit.npcore import (GaugeAngle, W_DEL, _bianchi_exprs, _sachs_exprs,
                            bianchi_residuals_many, d_del, epsilon_realness,
                            gauge_transform, grad_xi_norm_sq, kinematics,

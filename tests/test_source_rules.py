@@ -12,7 +12,8 @@ constructors may take ``type(x) is Const`` to mean "a constant node".  Only
 ``classify``'s one kappa = sigma = 0 gate makes a NotTransSasakian.  No
 module keeps a table of its own at module level but ``expr._INTERN`` and
 the ``catalog._ENTRIES`` registry: a derived value lives on the object it
-derives from.
+derives from.  No module of the package or its tests imports a name at top
+level that it never reads.
 """
 
 import ast
@@ -23,6 +24,7 @@ import pytest
 import np3kit
 
 SOURCES = sorted(Path(np3kit.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 BANNED_WORDS = ("NP3KIT_THREADS", "ThreadPoolExecutor")
 
@@ -294,3 +296,44 @@ def test_gate_rule_flags_a_second_maker():
         "ERROR = NotTransSasakian('sol', 1.0)\n"
     )
     assert makers_of(source, "NotTransSasakian") == ["skip", "residuals", "line 10"]
+
+
+def unused_imports(source: str, package_init: bool = False) -> list[str]:
+    """The names a source's top-level imports bind and it never reads,
+    sorted.  A name in ``__all__`` is read, and so, in a package's
+    ``__init__``, is every name of a relative import: both are re-exports."""
+    tree = ast.parse(source)
+    bound, read = set(), set()
+    for top in tree.body:
+        if isinstance(top, ast.ImportFrom) and (
+                top.module == "__future__" or package_init and top.level):
+            continue
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in top.names)
+        elif isinstance(top, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
+            read.update(ast.literal_eval(top.value))
+    read.update(node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8"), path.name == "__init__.py") == []
+
+
+def test_import_rule_flags_an_unused_name():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from . import expr as E, frame\n"
+        "from .xi import divergence_xi, parallel_and_collinearity\n"
+        "__all__ = ['frame']\n"
+        "def f(x):\n"
+        "    return np.abs(E.coord(1)), divergence_xi(x)\n"
+    )
+    assert unused_imports(source) == ["json", "os", "parallel_and_collinearity"]
+    assert unused_imports(source, package_init=True) == ["json", "os"]

@@ -104,6 +104,9 @@ def test_domain_error_is_the_unchunked_one(singular, tmp_path, monkeypatch, caps
     with pytest.raises(E.DomainError) as streamed:
         run_suites(spec, "all", pts)
     assert str(streamed.value) == str(whole.value)
+    singular = int(np.count_nonzero(pts[:, 0] <= 0.0))  # sqrt(x1) and 1/sqrt(x1)
+    assert streamed.value.count == whole.value.count == singular
+    assert streamed.value.samples == whole.value.samples == N
 
     monkeypatch.setattr(cli, "default_samples", lambda spec, count, seed=0: pts)
     code = cli.main(["verify", path, "--suite", "all", "--samples", str(N), "--format", "json"])
@@ -125,7 +128,8 @@ def test_domain_error_names_the_global_sample(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_DOMAIN
     assert err.strip() == (f"np3kit: domain error: sqrt of negative value "
-                           f"at sample {N - 2}, point {tuple(pts[-2].tolist())}")
+                           f"at sample {N - 2}, point {tuple(pts[-2].tolist())}, "
+                           f"1 of {N} samples singular")
 
 
 @pytest.mark.parametrize("n,passes", [
@@ -243,7 +247,7 @@ def test_domain_error_memory_does_not_grow_with_the_sample_count():
     assert _error_peak_mb(20000) <= _error_peak_mb(5000) + 10
 
 
-@pytest.mark.parametrize("name,streamed", [("flat_radial", 1100), ("example1", 225)])
+@pytest.mark.parametrize("name,streamed", [("flat_radial", 1100), ("example1", 175)])
 def test_a_streamed_tape_is_scheduled_for_fewer_slots(name, streamed, monkeypatch):
     spec = catalog.get_spec(name)
     run_suites(spec, "all", default_samples(spec, 30))  # the symbolic build, before counting
@@ -257,7 +261,7 @@ def test_a_streamed_tape_is_scheduled_for_fewer_slots(name, streamed, monkeypatc
     monkeypatch.setattr(E._Tape, "__init__", init)
     run_suites(spec, "all", many)
     run_suites(spec, "all", one)
-    canonical = {"flat_radial": 1499, "example1": 241}[name]
+    canonical = {"flat_radial": 1243, "example1": 182}[name]
     scheduled, single = compiled
     assert scheduled <= streamed < canonical  # several passes: the scheduled order
     assert single == canonical  # one pass: the canonical order
@@ -266,9 +270,9 @@ def test_a_streamed_tape_is_scheduled_for_fewer_slots(name, streamed, monkeypatc
 # ops and slots of each entry's verify tape (all suites, one pass): a change
 # that builds a different DAG moves these, and one that shrinks it on purpose
 # updates them
-VERIFY_TAPES = {"c6": (606, 65), "example1": (2823, 241), "example2": (2803, 229),
-                "flat_cosymplectic": (0, 2), "flat_radial": (16463, 1499), "h2xr": (338, 38),
-                "kenmotsu": (473, 47), "nil3": (15, 7), "sasakian": (16, 8), "sol": (677, 72)}
+VERIFY_TAPES = {"c6": (364, 57), "example1": (1822, 182), "example2": (1802, 174),
+                "flat_cosymplectic": (0, 2), "flat_radial": (13051, 1243), "h2xr": (212, 30),
+                "kenmotsu": (274, 36), "nil3": (0, 4), "sasakian": (0, 5), "sol": (417, 54)}
 
 
 @pytest.mark.parametrize("name", catalog.names())

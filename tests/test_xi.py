@@ -144,3 +144,11 @@ def test_a_nan_maximum_fails_its_congruence_flag(key, flag):
     assert getattr(_congruence_report(values, 30), flag)
     values[key] = math.nan
     assert not getattr(_congruence_report(values, 30), flag)
+
+
+def test_a_nan_expansion_is_undetermined():
+    spec = _spec("flat_radial")
+    values = fold(*_congruence_roots(spec), default_samples(spec, 30), spec.params)
+    assert _congruence_report(values, 30).expansion == "expanding"
+    values["max_abs_beta"] = math.nan
+    assert _congruence_report(values, 30).expansion == "undetermined"
