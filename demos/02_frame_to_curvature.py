@@ -10,9 +10,10 @@ import json
 
 import numpy as np
 
+from np3kit.cexpr import eval_forms, residual
 from np3kit.expr import evaluate, unparse
 from np3kit.frame import (connection_table, curvature_values_many,
-                          kulkarni_nomizu_residual, load_manifold,
+                          kulkarni_nomizu_forms, load_manifold,
                           structure_functions)
 
 # a warped frame on x3 > 0 carrying a trans-Sasakian structure of
@@ -46,5 +47,5 @@ print("  (the paper-style warped example gives -e1 + (1/2) e^{2 x3} e2)")
 (R,), (S,), (tau,) = curvature_values_many(spec, [p])
 print("\nRicci at the origin:\n", np.round(S, 12))
 print("scalar curvature (half-trace convention):", tau)
-print("Kulkarni-Nomizu residual |R - g (*) (S - (tau/2) g)|:",
-      kulkarni_nomizu_residual(spec, p))
+(kn,) = eval_forms(residual(kulkarni_nomizu_forms(spec)), [p], spec.params)
+print("Kulkarni-Nomizu residual |R - g (*) (S - (tau/2) g)|:", float(kn))

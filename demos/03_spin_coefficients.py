@@ -9,10 +9,10 @@ weights; rho (hence expansion and twist) is gauge-invariant.
 import math
 
 from np3kit import catalog
-from np3kit.expr import const, evaluate, parse
-from np3kit.npcore import (GaugeAngle, gauge_transform, kinematics,
-                           sachs_residuals_many, spin_coefficients,
-                           weighted_derivative)
+from np3kit.cexpr import eval_forms
+from np3kit.expr import const, evaluate
+from np3kit.npcore import (GaugeAngle, gauge_transform, kinematics, sachs_forms,
+                           spin_coefficients, weighted_derivative)
 
 spec = catalog.get_spec("example1")
 co = spin_coefficients(spec)
@@ -41,5 +41,6 @@ print("\neth(rho) at origin (weight 0):", eth_rho.evaluate(origin))
 
 print("\ngeneralized Sachs residuals at a generic point (identities of the")
 print("Levi-Civita connection, so pure roundoff):")
-for i, r in enumerate(sachs_residuals_many(spec, [(0.4, 0.7, -0.2)])[0], 1):
+(sachs,) = eval_forms(sachs_forms(spec), [(0.4, 0.7, -0.2)], spec.params)
+for i, r in enumerate(sachs, 1):
     print(f"  eq {i}: |residual| = {abs(r):.2e}")

@@ -12,6 +12,7 @@ Quick tour:
 """
 
 from . import catalog, ektau
+from .cexpr import eval_forms, residual
 from .classify import (EinsteinVerdict, NotTransSasakian, StructureClass,
                        classify, conformal_foliation_residual_many, einstein_check,
                        induced_structure, ts_identity_residuals_many)
@@ -19,14 +20,15 @@ from .expr import (DomainError, Expr, ParseError, UnboundParameter,
                    differentiate, evaluate, parse, unparse)
 from .frame import (CurvatureData, DegenerateFrame, ManifoldSpec, SchemaError,
                     connection_table, covariant_derivative, default_samples,
-                    kulkarni_nomizu_residual, load_manifold, riemann,
+                    kulkarni_nomizu_forms, load_manifold, riemann,
                     spec_to_document, structure_functions)
 from .npcore import (GaugeAngle, KinematicDecomposition, SpinCoefficients,
-                     bianchi_residuals_many, gauge_transform, kinematics, np_frame,
-                     sachs_residuals_many, spin_coefficients, weighted_derivative)
+                     bianchi_forms, gauge_transform, kinematics, np_frame, np_metric_forms,
+                     ricci_from_sachs_forms, sachs_forms, spin_coefficients,
+                     weighted_derivative)
 from .sampling import InsufficientSamples
 from .suites import run_suite, run_suites
-from .xi import (CongruenceReport, divergence_xi, harmonicity_residual,
-                 parallel_and_collinearity, rough_laplacian_xi)
+from .xi import (CongruenceReport, divergence_xi, parallel_and_collinearity,
+                 rough_laplacian_xi)
 
 __version__ = "0.1.0"

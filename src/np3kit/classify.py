@@ -45,7 +45,7 @@ __all__ = [
     "InducedStructure", "StructureClass", "EinsteinVerdict", "NotTransSasakian",
     "VERDICTS", "classify", "verdict_from_samples", "induced_structure",
     "ts_identity_residuals_many", "conformal_foliation_residual_many",
-    "einstein_check", "spin_samples",
+    "einstein_check",
 ]
 
 VERDICTS = ("NotTransSasakian", "TransSasakian", "C6", "AlphaSasakian",
@@ -100,12 +100,6 @@ class EinsteinVerdict:
 def induced_structure(spec: ManifoldSpec) -> InducedStructure:
     rho = spin_coefficients(spec).rho
     return InducedStructure(alpha=rho.im, beta=rho.re)
-
-
-def spin_samples(spec: ManifoldSpec, points):
-    """(kappa, sigma, rho) complex arrays over sample points."""
-    co = spin_coefficients(spec)
-    return tuple(eval_forms([co.kappa, co.sigma, co.rho], points, spec.params))
 
 
 def _samples(spec: ManifoldSpec, samples) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .cexpr import eval_forms, residual
+from .cexpr import eval_forms
 from .expr import Expr
 from .sampling import sample_box
 
@@ -40,7 +40,7 @@ __all__ = [
     "SchemaError", "DegenerateFrame",
     "load_manifold", "spec_from_document", "spec_to_document",
     "structure_functions", "connection_table", "covariant_derivative",
-    "riemann", "kulkarni_nomizu_residual", "spec_cached",
+    "riemann", "kulkarni_nomizu_forms", "spec_cached",
     "frame_directional", "default_samples", "spec_hash",
 ]
 
@@ -336,7 +336,7 @@ def curvature_values_many(spec: ManifoldSpec, points):
     return tuple(eval_forms([data.riemann, data.ricci, data.scalar], points, spec.params))
 
 
-def _kulkarni_nomizu_forms(spec: ManifoldSpec) -> list:
+def kulkarni_nomizu_forms(spec: ManifoldSpec) -> list:
     """R - g (*) (S - (tau/2) g) at all 81 index tuples, as forms.
 
     (T1 (*) T2)(X,Y,Z,W) = T1(Y,Z)T2(X,W) - T1(X,Z)T2(Y,W)
@@ -356,7 +356,3 @@ def _kulkarni_nomizu_forms(spec: ManifoldSpec) -> list:
                   E.sub(E.add(E.sub(term(j == k, T[i][l]), term(i == k, T[j][l])),
                               term(i == l, T[j][k])), term(j == l, T[i][k])))
             for i in range(3) for j in range(3) for k in range(3) for l in range(3)]
-
-
-def kulkarni_nomizu_residual(spec: ManifoldSpec, point) -> float:
-    return float(eval_forms(residual(_kulkarni_nomizu_forms(spec)), [point], spec.params)[0])

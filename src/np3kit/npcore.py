@@ -17,12 +17,12 @@ D are complex combinations of the real frame derivatives.
 
 The five generalized Sachs identities relate frame derivatives of the spin
 coefficients to Ricci components; the two second-Bianchi identities do the
-same for derivatives of Ricci components.  ``sachs_residuals_many`` and
-``bianchi_residuals_many`` evaluate left minus right for each over (N,3)
-points.  (Two sign/index slips in the usual printed form of the Bianchi
-pair are corrected here; the implemented identities are the ones that
-actually vanish for the Levi-Civita connection, verified against a direct
-divergence computation.)
+same for derivatives of Ricci components.  ``sachs_forms`` and
+``bianchi_forms`` are left minus right of each, as forms that vanish;
+``cexpr.eval_forms`` evaluates them over (N,3) points.  (Two sign/index
+slips in the usual printed form of the Bianchi pair are corrected here; the
+implemented identities are the ones that actually vanish for the
+Levi-Civita connection, verified against a direct divergence computation.)
 """
 
 from __future__ import annotations
@@ -33,19 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .cexpr import CExpr, as_cexpr, c_const, eval_forms, residual
+from .cexpr import CExpr, as_cexpr, c_const, eval_forms
 from .expr import Expr
 from .frame import (ManifoldSpec, _frame_inverse, connection_table, frame_directional,
                     riemann, spec_cached)
 
 __all__ = [
     "SpinCoefficients", "KinematicDecomposition", "GaugeAngle",
-    "np_frame", "np_metric_residuals", "phi_apply",
+    "np_frame", "np_metric_forms", "phi_apply",
     "spin_coefficients", "spin_coefficients_from_f", "kinematics",
     "gauge_transform", "weighted_derivative",
-    "sachs_residuals_many", "bianchi_residuals_many",
+    "sachs_forms", "bianchi_forms", "ricci_from_sachs_forms",
     "d_del", "d_delbar", "d_xi", "ricci_complex", "grad_xi_norm_sq",
-    "epsilon_realness",
 ]
 
 _SQ2 = math.sqrt(2.0)
@@ -94,13 +93,7 @@ def np_frame(spec: ManifoldSpec):
     return d, dbar
 
 
-def np_metric_residuals(spec: ManifoldSpec, points) -> dict:
-    """Max deviation of the complex-bilinear metric relations at sample points."""
-    forms = {name: residual(z) for name, z in _np_metric_forms(spec).items()}
-    return {name: float(np.max(v)) for name, v in eval_forms(forms, points, spec.params).items()}
-
-
-def _np_metric_forms(spec: ManifoldSpec) -> dict:
+def np_metric_forms(spec: ManifoldSpec) -> dict:
     """The complex-bilinear metric relations, as forms that vanish.
 
     The frame metric F G F^T (the identity) is rebuilt from the symbolic
@@ -235,13 +228,6 @@ def kinematics(coeffs: SpinCoefficients) -> KinematicDecomposition:
     )
 
 
-def epsilon_realness(spec: ManifoldSpec, points) -> float:
-    """Max |Re eps| over samples: reported, not assumed (it vanishes
-    identically for orthonormal frames since 2 Re eps = xi(g(D, Dbar)))."""
-    eps = residual(spin_coefficients(spec).epsilon_np.re)
-    return float(np.max(eval_forms(eps, points, spec.params)))
-
-
 def grad_xi_norm_sq(spec: ManifoldSpec) -> Expr:
     """Frobenius norm squared of nabla xi from the connection entries."""
     gm = connection_table(spec).gamma
@@ -327,7 +313,8 @@ def ricci_complex(spec: ManifoldSpec) -> dict:
 # Sachs and Bianchi residuals
 
 @spec_cached
-def _sachs_exprs(spec: ManifoldSpec):
+def sachs_forms(spec: ManifoldSpec) -> tuple:
+    """LHS - RHS of the five generalized Sachs equations, as complex forms."""
     co = spin_coefficients(spec)
     k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
     kb, sb, rb, bb = k.conj(), s.conj(), r.conj(), b.conj()
@@ -357,13 +344,9 @@ def _sachs_exprs(spec: ManifoldSpec):
     )
 
 
-def sachs_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
-    """(N,5) complex LHS - RHS of the five generalized Sachs equations."""
-    return eval_forms(_sachs_exprs(spec), points, spec.params)
-
-
 @spec_cached
-def _bianchi_exprs(spec: ManifoldSpec):
+def bianchi_forms(spec: ManifoldSpec) -> tuple:
+    """LHS - RHS of the two second-Bianchi identities, as complex forms."""
     co = spin_coefficients(spec)
     k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
     kb, sb, rb, bb = k.conj(), s.conj(), r.conj(), b.conj()
@@ -382,14 +365,11 @@ def _bianchi_exprs(spec: ManifoldSpec):
     return (res_xi, res_d)
 
 
-def bianchi_residuals_many(spec: ManifoldSpec, points) -> np.ndarray:
-    """(N,2) complex LHS - RHS of the two second-Bianchi identities."""
-    return eval_forms(_bianchi_exprs(spec), points, spec.params)
-
-
 @spec_cached
-def _sachs_ricci_exprs(spec: ManifoldSpec) -> tuple:
-    """The (3,3) real-frame Ricci table solved from the Sachs equations."""
+def ricci_from_sachs_forms(spec: ManifoldSpec) -> tuple:
+    """The (3,3) real-frame Ricci table solved from the Sachs equations for
+    the curvature terms; independent of riemann() except through the
+    connection."""
     co = spin_coefficients(spec)
     k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
     kb, rb, bb = k.conj(), r.conj(), b.conj()
@@ -404,10 +384,3 @@ def _sachs_ricci_exprs(spec: ManifoldSpec) -> tuple:
     return ((E.add(S_dd.re, S_ddb.re), s01, s02),
             (s01, E.add(E.neg(S_dd.re), S_ddb.re), s12),
             (s02, s12, S_xx.re))
-
-
-def ricci_from_sachs_many(spec: ManifoldSpec, points) -> np.ndarray:
-    """(N,3,3) real-frame Ricci reconstructed by solving the Sachs equations
-    for the curvature terms; independent of riemann() except through the
-    connection."""
-    return eval_forms(_sachs_ricci_exprs(spec), points, spec.params)

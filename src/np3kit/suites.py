@@ -29,10 +29,10 @@ import math
 from . import expr as E
 from .cexpr import fold, residual
 from .classify import DEFAULT_TOL, _gate_roots, _not_trans_sasakian, _ts_identity_forms
-from .frame import (ManifoldSpec, _kulkarni_nomizu_forms, connection_table, riemann,
+from .frame import (ManifoldSpec, connection_table, kulkarni_nomizu_forms, riemann,
                     structure_functions)
-from .npcore import (_bianchi_exprs, _np_metric_forms, _sachs_exprs, _sachs_ricci_exprs,
-                     grad_xi_norm_sq, spin_coefficients, spin_coefficients_from_f)
+from .npcore import (bianchi_forms, grad_xi_norm_sq, np_metric_forms, ricci_from_sachs_forms,
+                     sachs_forms, spin_coefficients, spin_coefficients_from_f)
 from .xi import _route_residuals
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_suites", "run_request", "suite_passed"]
@@ -70,9 +70,9 @@ def _kn(spec: ManifoldSpec) -> dict:
         "riemann_first_bianchi": [E.add(E.add(R[i][j][k][l], R[k][i][j][l]), R[j][k][i][l])
                                   for i in n for j in n for k in n for l in n],
         "ricci_symmetric": [E.sub(S[j][k], S[k][j]) for j in n for k in n if j <= k],
-        "kulkarni_nomizu": _kulkarni_nomizu_forms(spec),
+        "kulkarni_nomizu": kulkarni_nomizu_forms(spec),
         "scalar_convention": E.sub(tau, E.mul(0.5, E.add(E.add(S[0][0], S[1][1]), S[2][2]))),
-        "np_metric": _np_metric_forms(spec),
+        "np_metric": np_metric_forms(spec),
     }
 
 
@@ -80,7 +80,7 @@ _SPIN_NAMES = ("kappa", "sigma", "rho", "beta_np", "epsilon_np")
 
 
 def _sachs(spec: ManifoldSpec) -> dict:
-    res, S, rec = _sachs_exprs(spec), riemann(spec).ricci, _sachs_ricci_exprs(spec)
+    res, S, rec = sachs_forms(spec), riemann(spec).ricci, ricci_from_sachs_forms(spec)
     a, b = spin_coefficients(spec), spin_coefficients_from_f(spec)
     names = ("sachs_shear", "sachs_del_rho", "sachs_beta_eps",
              "sachs_transverse_ricci", "sachs_xi_rho")
@@ -93,7 +93,7 @@ def _sachs(spec: ManifoldSpec) -> dict:
 
 
 def _bianchi(spec: ManifoldSpec) -> dict:
-    res_xi, res_d = _bianchi_exprs(spec)
+    res_xi, res_d = bianchi_forms(spec)
     return {"bianchi_xi_component": res_xi, "bianchi_del_component": res_d}
 
 

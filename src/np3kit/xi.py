@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .cexpr import CExpr, c_const, eval_forms, fold, residual
+from .cexpr import c_const, fold, residual
 from .classify import DEFAULT_TOL, MIN_SAMPLES, _samples, _spin_roots
 from .expr import Expr
 from .frame import ManifoldSpec, connection_table, covariant_derivative, spec_cached
@@ -33,8 +33,7 @@ from .sampling import InsufficientSamples
 
 __all__ = [
     "RoughLaplacian", "DivergenceResult", "CongruenceReport",
-    "rough_laplacian_xi", "divergence_xi", "harmonicity_residual",
-    "parallel_and_collinearity",
+    "rough_laplacian_xi", "divergence_xi", "parallel_and_collinearity",
 ]
 
 _SQ2 = np.sqrt(2.0)
@@ -47,21 +46,23 @@ _FRAME_W = (_E1_W, _E2_W, _XI_W)
 
 @dataclass(frozen=True)
 class RoughLaplacian:
+    """Delta xi in frame components, by two routes.
+
+    The transverse part of ``np_closed`` is that of Delta xi - |nabla xi|^2 xi.
+    As one complex scalar, (np_closed[0] + i np_closed[1])/sqrt(2) = -conj(h)
+    with h = D(rho) - Dbar(sigma) - 2 sigma conj(beta) - conj(rho) kappa
+    - xi(kappa) - kappa conj(eps) - conj(kappa) sigma.  It vanishes exactly
+    when xi is a harmonic vector field.  On trans-Sasakian specs h = D(rho),
+    so np_closed[0] + i np_closed[1] = -sqrt(2) conj D(rho).
+    """
     generic: tuple     # frame components from the real-frame definition
     np_closed: tuple   # frame components from the spin-coefficient form
-
-    def max_discrepancy(self, points, params=None) -> float:
-        diffs = [E.sub(a, b) for a, b in zip(self.generic, self.np_closed)]
-        return float(np.max(eval_forms(residual(diffs), points, params)))
 
 
 @dataclass(frozen=True)
 class DivergenceResult:
     direct: Expr    # sum_i g(nabla_{E_i} xi, E_i)
     np_form: Expr   # rho + conj rho = 2 Theta
-
-    def max_discrepancy(self, points, params=None) -> float:
-        return float(np.max(eval_forms(residual(self.direct - self.np_form), points, params)))
 
 
 @dataclass(frozen=True)
@@ -110,24 +111,6 @@ def divergence_xi(spec: ManifoldSpec) -> DivergenceResult:
     direct = E.add(E.add(gamma[0][2][0], gamma[1][2][1]), gamma[2][2][2])
     np_form = E.mul(2.0, spin_coefficients(spec).rho.re)
     return DivergenceResult(direct=direct, np_form=np_form)
-
-
-@spec_cached
-def _harmonicity_expr(spec: ManifoldSpec) -> CExpr:
-    co = spin_coefficients(spec)
-    k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
-    return (d_del(spec, r) - d_delbar(spec, s)
-            - c_const(2) * s * b.conj() - r.conj() * k
-            - d_xi(spec, k) - k * e.conj() - k.conj() * s)
-
-
-def harmonicity_residual(spec: ManifoldSpec, point) -> complex:
-    """Transverse component of Delta xi - |nabla xi|^2 xi, as one complex scalar.
-
-    Vanishes exactly when xi is a harmonic vector field; for trans-Sasakian
-    specs it reduces to D(rho).
-    """
-    return _harmonicity_expr(spec).evaluate(point, spec.params)
 
 
 def _route_residuals(spec: ManifoldSpec) -> dict:

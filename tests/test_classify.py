@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from np3kit import catalog
 from np3kit import expr as E
-from np3kit.cexpr import fold
+from np3kit.cexpr import eval_forms, fold
 from np3kit.classify import (NotTransSasakian, _einstein_roots, _einstein_verdict, _spread,
                              classify, conformal_foliation_residual_many, einstein_check,
-                             induced_structure, spin_samples,
-                             ts_identity_residuals_many, verdict_from_samples)
+                             induced_structure, ts_identity_residuals_many,
+                             verdict_from_samples)
 from np3kit.frame import connection_table, default_samples, load_manifold
 from np3kit.npcore import GaugeAngle, gauge_transform, spin_coefficients
 from np3kit.sampling import InsufficientSamples
@@ -191,7 +191,8 @@ def test_equivalence_theorem():
     for name in catalog.names():
         spec = catalog.get_spec(name)
         pts = default_samples(spec, 25, seed=7)
-        k, s, _ = spin_samples(spec, pts)
+        co = spin_coefficients(spec)
+        k, s = eval_forms([co.kappa, co.sigma], pts, spec.params)
         is_ts = classify(spec, samples=pts).verdict != "NotTransSasakian"
         np_route = max(np.max(np.abs(k)), np.max(np.abs(s))) <= 1e-8
         foliation = np.all(conformal_foliation_residual_many(spec, pts[:10]) <= 1e-8)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from np3kit import expr as E
-from np3kit.cexpr import eval_forms
+from np3kit.cexpr import eval_forms, residual
 from np3kit.frame import (
     DegenerateFrame, SchemaError, connection_table, covariant_derivative,
-    curvature_values_many, default_samples, kulkarni_nomizu_residual,
+    curvature_values_many, default_samples, kulkarni_nomizu_forms,
     load_manifold, riemann, spec_cached,
     spec_from_document, spec_to_document, structure_functions,
 )
@@ -249,10 +249,11 @@ def test_riemann_symmetries_and_first_bianchi(example1):
     assert np.max(np.abs(S - np.swapaxes(S, 1, 2))) < 1e-12          # Ricci symmetric
 
 
-def test_kulkarni_nomizu_residual_examples(example1, flat, sol):
-    assert kulkarni_nomizu_residual(flat, (0.7, -0.3, 0.1)) == 0.0
-    assert kulkarni_nomizu_residual(example1, (0.0, 0.0, 0.0)) <= 1e-9
-    assert kulkarni_nomizu_residual(sol, (0.0, 0.0, 0.0)) <= 1e-9
+def test_kulkarni_nomizu_forms_vanish_at_examples(example1, flat, sol):
+    for spec, point, bound in ((flat, (0.7, -0.3, 0.1), 0.0), (example1, (0.0, 0.0, 0.0), 1e-9),
+                               (sol, (0.0, 0.0, 0.0), 1e-9)):
+        kn = residual(kulkarni_nomizu_forms(spec))
+        assert eval_forms(kn, [point], spec.params)[0] <= bound, spec.name
 
 
 def test_scalar_curvature_conventions_agree(example1):

@@ -6,16 +6,14 @@ import pytest
 
 from np3kit import catalog
 from np3kit import expr as E
-from np3kit.cexpr import CExpr, c_const
+from np3kit.cexpr import CExpr, c_const, eval_forms, residual
 from np3kit.frame import (curvature_values_many, default_samples, load_manifold,
                           spec_to_document)
-from np3kit.npcore import (GaugeAngle, W_DEL, _bianchi_exprs, _sachs_exprs,
-                           bianchi_residuals_many, d_del, epsilon_realness,
-                           gauge_transform, grad_xi_norm_sq, kinematics,
-                           np_frame, np_metric_residuals, phi_apply,
-                           ricci_from_sachs_many,
-                           sachs_residuals_many, spin_coefficients,
-                           spin_coefficients_from_f, weighted_derivative)
+from np3kit.npcore import (GaugeAngle, W_DEL, bianchi_forms, d_del, gauge_transform,
+                           grad_xi_norm_sq, kinematics, np_frame, np_metric_forms,
+                           phi_apply, ricci_from_sachs_forms, sachs_forms,
+                           spin_coefficients, spin_coefficients_from_f,
+                           weighted_derivative)
 
 SQ2 = math.sqrt(2.0)
 
@@ -42,8 +40,8 @@ def sol():
 
 def test_np_metric_relations(example1):
     pts = default_samples(example1, 40, seed=1)
-    res = np_metric_residuals(example1, pts)
-    assert max(res.values()) < 1e-10
+    res = eval_forms(residual(np_metric_forms(example1)), pts, example1.params)
+    assert np.max(res) < 1e-10
 
 
 def test_np_frame_returns_coordinate_components(example1):
@@ -117,7 +115,8 @@ def test_kinematics_examples(example1):
 def test_epsilon_purely_imaginary(example1, example2, sol):
     for spec in (example1, example2, sol):
         pts = default_samples(spec, 25, seed=4)
-        assert epsilon_realness(spec, pts) < 1e-12
+        re_eps = residual(spin_coefficients(spec).epsilon_np.re)
+        assert np.max(eval_forms(re_eps, pts, spec.params)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +229,20 @@ def test_weighted_derivative_gauge_covariance(example1):
 # Sachs / Bianchi / norm identities
 
 def test_sachs_residuals_small(example1, sol, flat):
-    for r in sachs_residuals_many(example1, [(0.0, 0.0, 0.0)])[0]:
+    for r in eval_forms(sachs_forms(example1), [(0.0, 0.0, 0.0)], example1.params)[0]:
         assert abs(r) <= 1e-9
-    for r in sachs_residuals_many(sol, [(1.0, 1.0, 0.0)])[0]:
+    for r in eval_forms(sachs_forms(sol), [(1.0, 1.0, 0.0)], sol.params)[0]:
         assert abs(r) <= 1e-9
-    for r in sachs_residuals_many(flat, [(0.3, -0.9, 0.5)])[0]:
+    for r in eval_forms(sachs_forms(flat), [(0.3, -0.9, 0.5)], flat.params)[0]:
         assert r == 0
 
 
 def test_bianchi_residuals_small(example2, sol, flat):
-    for r in bianchi_residuals_many(flat, [(0.1, 0.2, 0.3)])[0]:
+    for r in eval_forms(bianchi_forms(flat), [(0.1, 0.2, 0.3)], flat.params)[0]:
         assert r == 0
-    for r in bianchi_residuals_many(example2, [(0.0, 0.0, 1.0)])[0]:
+    for r in eval_forms(bianchi_forms(example2), [(0.0, 0.0, 1.0)], example2.params)[0]:
         assert abs(r) <= 1e-8
-    for r in bianchi_residuals_many(sol, [(0.0, 0.0, 0.0)])[0]:
+    for r in eval_forms(bianchi_forms(sol), [(0.0, 0.0, 0.0)], sol.params)[0]:
         assert abs(r) <= 1e-8
 
 
@@ -251,24 +250,24 @@ def test_bianchi_residuals_small(example2, sol, flat):
 def test_single_point_residuals_match_per_expression_evaluation(name):
     spec = catalog.get_spec(name)
     for point in default_samples(spec, 20, seed=4):
-        for many, forms in ((sachs_residuals_many, _sachs_exprs),
-                            (bianchi_residuals_many, _bianchi_exprs)):
+        for forms in (sachs_forms, bianchi_forms):
             want = [z.evaluate(point, spec.params) for z in forms(spec)]
-            assert np.allclose(many(spec, [point])[0], want, rtol=0, atol=1e-14), many.__name__
+            got = eval_forms(forms(spec), [point], spec.params)[0]
+            assert np.allclose(got, want, rtol=0, atol=1e-14), forms.__name__
 
 
 def test_sachs_bianchi_sweeps(example1, example2):
     for spec in (example1, example2):
         pts = default_samples(spec, 50, seed=11)
-        assert np.max(np.abs(sachs_residuals_many(spec, pts))) <= 1e-8
-        assert np.max(np.abs(bianchi_residuals_many(spec, pts))) <= 1e-8
+        assert np.max(np.abs(eval_forms(sachs_forms(spec), pts, spec.params))) <= 1e-8
+        assert np.max(np.abs(eval_forms(bianchi_forms(spec), pts, spec.params))) <= 1e-8
 
 
 def test_ricci_from_sachs_matches_riemann(example1, sol):
     for spec in (example1, sol):
         pts = default_samples(spec, 40, seed=13)
         _, S, _ = curvature_values_many(spec, pts)
-        rec = ricci_from_sachs_many(spec, pts)
+        rec = eval_forms(ricci_from_sachs_forms(spec), pts, spec.params)
         assert np.max(np.abs(S - rec)) <= 1e-8
 
 

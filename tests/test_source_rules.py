@@ -9,11 +9,14 @@ themselves, and every check record comes from ``suites._check``.  Only
 ``expr`` runs passes over a tape; every other module evaluates through
 ``expr.sweep`` or its reductions.  Only ``expr`` makes nodes, so its
 constructors may take ``type(x) is Const`` to mean "a constant node".  Only
-``classify``'s one kappa = sigma = 0 gate makes a NotTransSasakian.  No
+``classify``'s one kappa = sigma = 0 gate makes a NotTransSasakian.  The
+forms are the numeric surface: a caller evaluates a suite's forms with
+``cexpr.eval_forms`` itself, and only a pinned few definitions of the
+package call it, so no evaluator wraps a form under a name of its own.  No
 module keeps a table of its own at module level but ``expr._INTERN`` and
 the ``catalog._ENTRIES`` registry: a derived value lives on the object it
 derives from.  No module of the package or its tests imports a name at top
-level that it never reads.
+level that it never reads, and neither does a demo.
 """
 
 import ast
@@ -25,6 +28,7 @@ import np3kit
 
 SOURCES = sorted(Path(np3kit.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 BANNED_WORDS = ("NP3KIT_THREADS", "ThreadPoolExecutor")
 
@@ -43,6 +47,7 @@ def cache_users(source: str) -> list[str]:
 
 def test_sources_are_found():
     assert {"frame.py", "npcore.py", "suites.py"} <= {p.name for p in SOURCES}
+    assert "03_spin_coefficients.py" in {p.name for p in DEMOS}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -298,6 +303,35 @@ def test_gate_rule_flags_a_second_maker():
     assert makers_of(source, "NotTransSasakian") == ["skip", "residuals", "line 10"]
 
 
+EVALUATORS = {
+    "cexpr.py": ["CExpr"],
+    "npcore.py": ["SpinCoefficients"],
+    "frame.py": ["_check_nondegenerate", "curvature_values_many"],
+    "classify.py": ["ts_identity_residuals_many", "conformal_foliation_residual_many"],
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_pinned_definitions_call_eval_forms(path):
+    assert makers_of(path.read_text(encoding="utf-8"), "eval_forms") == EVALUATORS.get(path.name, [])
+
+
+def test_evaluator_rule_flags_a_second_evaluator():
+    source = (
+        "from . import cexpr\n"
+        "from .cexpr import eval_forms, residual\n"
+        "def sachs_values(spec, points):\n"
+        "    return eval_forms(sachs_forms(spec), points, spec.params)\n"
+        "class Laplacian:\n"
+        "    def route_gap(self, points):\n"
+        "        return cexpr.eval_forms(residual(self.diffs), points)\n"
+        "def surface():\n"
+        "    return {'eval_forms': eval_forms}\n"
+        "VALUES = eval_forms([], [])\n"
+    )
+    assert makers_of(source, "eval_forms") == ["sachs_values", "Laplacian", "line 10"]
+
+
 def unused_imports(source: str, package_init: bool = False) -> list[str]:
     """The names a source's top-level imports bind and it never reads,
     sorted.  A name in ``__all__`` is read, and so, in a package's
@@ -318,7 +352,8 @@ def unused_imports(source: str, package_init: bool = False) -> list[str]:
     return sorted(bound - read)
 
 
-@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SOURCES + TESTS + DEMOS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.name == "__init__.py") == []
 

@@ -16,7 +16,7 @@ from np3kit import catalog, cli
 from np3kit import expr as E
 from np3kit.cexpr import eval_forms, fold, residual
 from np3kit.classify import einstein_check, ts_identity_residuals_many
-from np3kit.frame import (_kulkarni_nomizu_forms, curvature_values_many, default_samples,
+from np3kit.frame import (curvature_values_many, default_samples, kulkarni_nomizu_forms,
                           load_manifold)
 from np3kit.npcore import spin_coefficients
 from np3kit.suites import run_request, run_suites
@@ -332,6 +332,6 @@ def test_kulkarni_nomizu_broadcast_matches_einsum():
         kn = (np.einsum("njk,nil->nijkl", gmat, T) - np.einsum("nik,njl->nijkl", gmat, T)
               + np.einsum("njk,nil->nijkl", T, gmat) - np.einsum("nik,njl->nijkl", T, gmat))
         want = np.max(np.abs(R - kn), axis=(1, 2, 3, 4))
-        got = eval_forms(residual(_kulkarni_nomizu_forms(spec)), pts, spec.params)
+        got = eval_forms(residual(kulkarni_nomizu_forms(spec)), pts, spec.params)
         assert np.array_equal(got, want), name
         assert np.max(got) <= 1e-8, name
