@@ -68,14 +68,14 @@ off the root buffers: :func:`eval_batch` writes them into result columns,
 ``cexpr.fold`` keeps one max or sum per root.  A tape of one pass runs its
 ops in the canonical order (the roots in order, each node after its
 operands, the right one first).  A tape of more passes runs them in an
-order that keeps fewer values live, so it needs fewer slots.  A domain
-fault (a log of 0, say) is data: the op writes its values, the pass runs
-on and masks the failing samples, which is how ``sampling.in_domain``
-filters points, and after the last pass the fault at the earliest op in
-the canonical order, and its first sample, is raised.  A request declares
-everything it evaluates up front, as one tree of forms
-(``cexpr.eval_forms``), so work shared across its checks is shared inside
-one tape.
+order that keeps fewer values live, each value's derivatives right after
+it, so it needs fewer slots.  A domain fault (a log of 0, say) is data:
+the op writes its values, the pass runs on and masks the failing samples,
+which is how ``sampling.in_domain`` filters points, and after the last
+pass the fault at the earliest op in the canonical order, and its first
+sample, is raised.  A request declares everything it evaluates up front,
+as one tree of forms (``cexpr.eval_forms``), so work shared across its
+checks is shared inside one tape.
 """
 
 from __future__ import annotations
@@ -604,7 +604,7 @@ def _diff_binary(e: Binary, da: Expr, db: Expr) -> Expr:
 # evaluation
 
 # points per pass over a tape, and per slice of a streamed request: at 2,048
-# points the 900 slots of flat_radial's scheduled verify tape take 14.7 MB
+# points the 670 slots of flat_radial's scheduled verify tape take 11.0 MB
 # (its canonical order needs 1,243 slots, 20.4 MB)
 CHUNK = 2048
 
@@ -651,7 +651,7 @@ def sweep(exprs, points, params, reduce):
     n = len(pts)
     width = min(CHUNK, n)
     # only a tape of several passes is scheduled for fewer slots: scheduling
-    # every tape cost 0.022 CPU s more of compile per ``catalog.run_all``
+    # every tape cost 0.029 CPU s more of compile per ``catalog.run_all(100)``
     return reduce(_Tape(roots, params, width, scheduled=n > width), pts)
 
 
@@ -710,15 +710,19 @@ class _Tape:
     Nodes are numbered in a depth-first post-order walk (right operand
     first), the canonical order.  The ops run in that order unless the tape
     is ``scheduled``: then :func:`_schedule` reorders them to keep fewer
-    values live.  Each value other than a constant gets a
-    slot, and a slot is reused once its value has had its last use, so the
-    slots (``slots`` of them) hold only live values; roots stay live to the
-    end of the pass.  Every slot owns one buffer of ``width`` points,
-    allocated once.  Each op is bound at compile time to what it reads, a
-    constant's float or an operand slot's buffer, and to the buffer it
-    writes, so a pass copies the coordinate columns into their buffers and
-    calls each routine with ``out=``, allocating nothing per op.  A root
-    that is a constant gets a buffer filled once.
+    values live, each value's derivatives right after it.  Only the first
+    division by a value, in run order, tests its divisor for zero, and a
+    fault there is ranked as the canonically first of those divisions: the
+    others fail on the same samples, so they divide unchecked.  Each value
+    other than a constant gets a slot, and a slot is reused once its value
+    has had its last use, so the slots (``slots`` of them) hold only live
+    values; roots stay live to the end of the pass.  Every slot owns one
+    buffer of ``width`` points, allocated once.  Each op is bound at
+    compile time to what it reads, a constant's float or an operand slot's
+    buffer, and to the buffer it writes, so a pass copies the coordinate
+    columns into their buffers and calls each routine with ``out=``,
+    allocating nothing per op.  A root that is a constant gets a buffer
+    filled once.
     """
 
     def __init__(self, exprs, params, width: int, scheduled: bool = False):
@@ -726,6 +730,7 @@ class _Tape:
         num: dict[int, int] = {}  # id(node) -> value number
         leaves, coords = {}, []  # value -> float; (value, column)
         code = []  # (routine, out, a, b) over values; b is None for unary nodes
+        rows = []  # value -> its node's derivative row, for the schedule
         for f in roots:
             stack = [f]
             while stack:
@@ -762,12 +767,22 @@ class _Tape:
                         raise UnboundParameter(e.name) from None
                 stack.pop()
                 num[key] = v
+                if scheduled:
+                    rows.append(e.d)
         outputs = [num[id(f)] for f in roots]
         if scheduled:
-            code = _schedule(code, len(num), [v for v, _ in coords], outputs)
-        del num
-        # the ops' value numbers, which rise along the canonical order
-        self.number = np.array([v for _, v, _, _ in code], dtype=np.int64)
+            def tangents(v):  # the values of v's derivatives by x1, x2, x3, or None
+                row = rows[v]
+                if row is None:
+                    return ()
+                get = num.get
+                return get(id(row[1])), get(id(row[2])), get(id(row[3]))
+
+            code = _schedule(code, len(num), [v for v, _ in coords], outputs, tangents)
+        del num, rows
+        # the ops' value numbers, which rise along the canonical order: a
+        # fault's rank among the faults of a pass
+        self.number = number = np.array([v for _, v, _, _ in code], dtype=np.int64)
 
         last = {}
         for pos, (_, _, a, b) in enumerate(code):
@@ -779,7 +794,13 @@ class _Tape:
         for v, _ in coords:
             held[v] = next(fresh)
         pinned = {v: next(fresh) for v in dict.fromkeys(outputs) if v in leaves}  # constant roots
+        checked = {}  # divisor value -> the position of the one division that tests it
         for pos, (fn, out, a, b) in enumerate(code):
+            if fn is _div:  # a later division by b fails where the first one does
+                first = checked.setdefault(b, pos)
+                if first != pos:
+                    fn = np.true_divide
+                    number[first] = min(number[first], out)
             ra, rb = held[a], held.get(b)
             if type(ra) is int and last[a] == pos:
                 free.append(ra)
@@ -791,7 +812,7 @@ class _Tape:
         fills = [(s, leaves[v]) for v, s in pinned.items()]
         coords = [(held[v], k) for v, k in coords]
         size = next(fresh)
-        del held, pinned, last, leaves
+        del held, pinned, last, leaves, checked, number
 
         # all buffers in one burst after the compile tables are freed, and the
         # code rebound in place: where the buffers land in the heap decides
@@ -858,10 +879,10 @@ class _Tape:
             raise first
 
 
-def _schedule(code, count: int, coords, outputs) -> list:
+def _schedule(code, count: int, coords, outputs, tangents) -> list:
     """``code``, ops over ``count`` values in the canonical order, reordered
     so that fewer values are live at once (Sethi & Ullman, *J. ACM* 17(4),
-    1970).
+    1970), each value's derivatives computed right after it.
 
     Each value gets the number of slots its evaluation needs: a coordinate
     (one of ``coords``) 1, a constant or parameter 0, a unary op as many as
@@ -870,6 +891,14 @@ def _schedule(code, count: int, coords, outputs) -> list:
     distinct ``outputs`` from the largest number down (a tie keeps their
     order) and, at a binary op whose operands are both pending, the operand
     with the larger number first (on a tie the right one, as canonically).
+
+    Once it places an op ``v``, the walk visits ``tangents(v)`` next, the
+    values of v's derivatives by x1, x2, x3 on the tape (None where one is
+    not), as a forward sweep carries a value with its tangents (Griewank &
+    Walther, *Evaluating Derivatives*, 2nd ed., ch. 3): a value and its
+    tangents share operands, so those die sooner.  A tangent over an op the
+    walk is still under, whose operands are still being placed, is left to
+    the walk that reaches it later.
     """
     need = [0] * count
     for v in coords:
@@ -881,17 +910,26 @@ def _schedule(code, count: int, coords, outputs) -> list:
             na, nb = need[a], need[b]
             need[v] = na + 1 if na == nb else na if na > nb else nb
     pending = {op[1]: op for op in code}  # value -> its op, until the op is placed
+    under = bytearray(count)  # 1 while an op's operands are being placed
     order = []
     for root in sorted(dict.fromkeys(outputs), key=need.__getitem__, reverse=True):
         stack = [root]
         while stack:
             v = stack.pop()
             if v < 0:  # its operands are placed
-                order.append(pending.pop(~v))
+                v = ~v
+                order.append(pending.pop(v))
+                under[v] = 0
+                # the last pushed, by x3, is visited first; a tangent that is
+                # v itself (d/dx exp(x) is exp(x)) is placed already
+                for t in tangents(v):
+                    if t in pending and not _waits(t, pending, under):
+                        stack.append(t)
                 continue
             op = pending.get(v)
             if op is None:  # a leaf, or placed already
                 continue
+            under[v] = 1
             stack.append(~v)
             _, _, a, b = op  # the operand pushed last is visited first
             if b is None:
@@ -901,6 +939,23 @@ def _schedule(code, count: int, coords, outputs) -> list:
             else:
                 stack += a, b
     return order
+
+
+def _waits(t, pending, under) -> bool:
+    """Whether an op the walk is under is among the pending ops of ``t``."""
+    stack, seen = [t], set()
+    while stack:
+        v = stack.pop()
+        op = pending.get(v)
+        if op is None or v in seen:
+            continue
+        if under[v]:
+            return True
+        seen.add(v)
+        stack.append(op[2])
+        if op[3] is not None:
+            stack.append(op[3])
+    return False
 
 
 # --------------------------------------------------------------------------

@@ -14,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from np3kit import catalog, suites
 from np3kit import expr as E
 from np3kit.cexpr import CExpr, c_const, eval_forms, residual
+from np3kit.classify import _gate_roots
 from np3kit.expr import (
     Binary, Const, Coord, DomainError, ParseError, Unary, UnboundParameter,
     differentiate, evaluate, evaluate_many, parse, unparse,
 )
+from np3kit.frame import default_samples
 
 X1, X2, X3 = E.coord(1), E.coord(2), E.coord(3)
 
@@ -530,6 +533,131 @@ def test_a_streamed_error_is_named_in_the_canonical_order():
     assert (exc.value.index, exc.value.point) == (n - 1, (0.0, 1.0, 1.0))
 
 
+def test_divisions_by_one_value_test_it_once():
+    x1, x2, x3 = Coord(1), Coord(2), Coord(3)
+    d = E.sub(x3, 0.5)
+    roots = [E.div(x1, d), E.mul(E.div(x2, d), E.div(x1, x3)), E.div(E.add(x1, x2), d)]
+    for scheduled in (False, True):
+        fns = [fn for fn, _, _, _ in E._Tape(roots, {}, E.CHUNK, scheduled).code]
+        assert (fns.count(E._div), fns.count(np.true_divide)) == (2, 2)  # one per divisor
+
+
+@pytest.mark.parametrize("first", ["division", "sqrt"])
+def test_a_divisor_checked_once_names_the_unchunked_error(first, monkeypatch):
+    n = 3 * E.CHUNK + 5
+    x1, x2, x3 = Coord(1), Coord(2), Coord(3)
+    d = E.sub(x3, 0.5)
+    near = E.div(x1, d)  # canonically the first of the three divisions by d
+    deep = E.mul(E.div(x2, d), E.add(E.mul(x1, x2), E.div(E.add(x1, x2), d)))
+    roots = [near, E.sqrt(x1), deep] if first == "division" else [E.sqrt(x1), near, deep]
+    pts = np.ones((n, 3))
+    pts[[E.CHUNK + 3, 2 * E.CHUNK + 9], 2] = 0.5  # d vanishes at two samples
+    pts[7, 0] = -1.0  # sqrt(x1) fails at an earlier one
+    orders, real_schedule = [], E._schedule
+
+    def schedule(code, *args):
+        order = real_schedule(code, *args)
+        orders.append(list(order))  # before the tape binds it in place
+        return order
+
+    with monkeypatch.context() as m:
+        m.setattr(E, "_schedule", schedule)
+        with pytest.raises(DomainError) as streamed:
+            E.eval_batch(roots, pts)
+    divisions = [v for fn, v, _, _ in orders[0] if fn is E._div]
+    assert len(divisions) == 3 and divisions[0] != min(divisions)  # deep's runs first
+    with monkeypatch.context() as m:
+        m.setattr(E, "CHUNK", 10 * n)
+        with pytest.raises(DomainError) as whole:
+            E.eval_batch(roots, pts)
+    got, want = streamed.value, whole.value
+    assert (str(got), got.index, got.point, got.count, got.samples) == (
+        str(want), want.index, want.point, want.count, want.samples)
+    message, index = (("division by zero", E.CHUNK + 3) if first == "division"
+                      else ("sqrt of negative value", 7))
+    assert (str(got), got.index, got.count, got.samples) == (message, index, 3, n)
+
+
+# ---------------------------------------------------------------------------
+# the scheduled order against the canonical one
+
+def _columns(roots, pts, params=None):
+    """The root columns of one sweep, and the DomainError it raises after
+    its last pass, or None: a failing op has written its values."""
+    def reduce(tape, pts):
+        cols = [np.empty(len(pts)) for _ in tape.outputs]
+        try:
+            for lo, new, _ in tape.passes(pts):
+                for buf, col in zip(tape.outputs, cols):
+                    col[lo:lo + tape.width - new] = buf[new:]
+        except DomainError as exc:
+            return cols, exc
+        return cols, None
+
+    return E.sweep(roots, pts, params, reduce)
+
+
+def _canonical_in_two_windows(roots, pts, params=None):
+    """The root columns of one-pass tapes, in the canonical order, over the
+    two windows that a streamed tape of ``CHUNK < N < 2 CHUNK`` points
+    passes over, so that each point sits at the same offset of a buffer."""
+    n, width = len(pts), E.CHUNK
+    head, _ = _columns(roots, pts[:width], params)
+    tail, _ = _columns(roots, pts[n - width:], params)
+    return [np.concatenate([a, b[2 * width - n:]]) for a, b in zip(head, tail)]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_a_scheduled_verify_tape_computes_the_canonical_bits(name):
+    spec = catalog.get_spec(name)
+    roots = [residual(tree) for suite in suites.SUITE_NAMES
+             for tree in suites._suite(suite)(spec).values()]
+    roots += _gate_roots(spec).values()
+    pts = default_samples(spec, E.CHUNK + 37, seed=11)
+    got = E.eval_batch(roots, pts, spec.params)  # two passes of the scheduled tape
+    for a, b in zip(got, _canonical_in_two_windows(roots, pts, spec.params)):
+        assert a.tobytes() == b.tobytes()
+
+
+_PARAMS = {"a": 0.75, "b2": -1.25, "tau": 2.0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ast, _ast, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=15),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_scheduled_tape_computes_the_canonical_bits(f, g, k, extra, seed):
+    # exp(x_k) is its own derivative by x_k, and (f/g)' reuses f/g
+    p = E.add(E.mul(E.exp(E.coord(k)), f), E.sqrt(E.div(f, g)))
+    rows = [differentiate(p, i) for i in (1, 2, 3)]
+    roots = [p, *rows, *(differentiate(row, j) for row in rows for j in (1, 2, 3)), f]
+    pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(16 + extra, 3))
+    orders, real_schedule = [], E._schedule
+
+    def schedule(code, *args):
+        order = real_schedule(code, *args)
+        orders.append((list(code), list(order)))  # before the tape binds them in place
+        return order
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(E, "CHUNK", 16)
+        m.setattr(E, "_schedule", schedule)
+        got, error = _columns(roots, pts, _PARAMS)
+        want = _canonical_in_two_windows(roots, pts, _PARAMS)
+        m.setattr(E, "CHUNK", 32)
+        _, whole = _columns(roots, pts, _PARAMS)  # one canonical pass over every point
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert (error is None) == (whole is None)
+    if error is not None:
+        assert (str(error), error.index, error.point, error.count, error.samples) == (
+            str(whole), whole.index, whole.point, whole.count, whole.samples)
+    (code, order), = orders
+    assert sorted(v for _, v, _, _ in order) == sorted(v for _, v, _, _ in code)  # each once
+    at = {v: pos for pos, (_, v, _, _) in enumerate(order)}
+    for pos, (_, _, a, b) in enumerate(order):
+        assert at.get(a, -1) < pos and at.get(b, -1) < pos  # after its operands
+
+
 def test_eval_batch_streams_on_the_one_pass_driver(tapes):
     n = 3 * E.CHUNK + 5
     pts = np.ones((n, 3))
@@ -775,8 +903,6 @@ def test_the_quotient_rule_agrees_with_the_squared_rule_on_every_frame():
     # the rule the quotient had before, as an oracle: first and second
     # derivatives of every catalog frame component, each column to 1e-12 of
     # its largest value at 200 in-domain samples
-    from np3kit import catalog
-    from np3kit.frame import default_samples
     for name in catalog.names():
         spec = catalog.get_spec(name)
         pts = default_samples(spec, 200, seed=1)
@@ -905,7 +1031,6 @@ def test_repr_of_an_expression():
 
 
 def test_repr_of_a_residual_root_is_short():
-    from np3kit import catalog, suites
     spec = catalog.get_spec("flat_radial")
     root = residual(suites._bianchi(spec)["bianchi_xi_component"])
     start = time.process_time()

@@ -247,7 +247,7 @@ def test_domain_error_memory_does_not_grow_with_the_sample_count():
     assert _error_peak_mb(20000) <= _error_peak_mb(5000) + 10
 
 
-@pytest.mark.parametrize("name,streamed", [("flat_radial", 1100), ("example1", 175)])
+@pytest.mark.parametrize("name,streamed", [("flat_radial", 700), ("example1", 170)])
 def test_a_streamed_tape_is_scheduled_for_fewer_slots(name, streamed, monkeypatch):
     spec = catalog.get_spec(name)
     run_suites(spec, "all", default_samples(spec, 30))  # the symbolic build, before counting
@@ -273,12 +273,17 @@ def test_a_streamed_tape_is_scheduled_for_fewer_slots(name, streamed, monkeypatc
 VERIFY_TAPES = {"c6": (364, 57), "example1": (1822, 182), "example2": (1802, 174),
                 "flat_cosymplectic": (0, 2), "flat_radial": (13051, 1243), "h2xr": (212, 30),
                 "kenmotsu": (274, 36), "nil3": (0, 4), "sasakian": (0, 5), "sol": (417, 54)}
+# slots of the same tape scheduled for several passes: a change to the
+# schedule moves these too
+STREAMED_SLOTS = {"c6": 55, "example1": 169, "example2": 169, "flat_cosymplectic": 2,
+                  "flat_radial": 670, "h2xr": 27, "kenmotsu": 34, "nil3": 4, "sasakian": 5,
+                  "sol": 49}
 
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_the_verify_dag_did_not_move(name, monkeypatch):
     spec = catalog.get_spec(name)
-    pts = default_samples(spec, 200, seed=1)
+    one, many = default_samples(spec, 200, seed=1), default_samples(spec, E.CHUNK + 1, seed=1)
     compiled, real_init = [], E._Tape.__init__
 
     def init(self, *args, **kwargs):
@@ -286,8 +291,10 @@ def test_the_verify_dag_did_not_move(name, monkeypatch):
         compiled.append((len(self.code), self.slots))
 
     monkeypatch.setattr(E._Tape, "__init__", init)
-    run_suites(spec, "all", pts)
-    assert compiled == [VERIFY_TAPES[name]]
+    run_suites(spec, "all", one)
+    run_suites(spec, "all", many)
+    ops, slots = VERIFY_TAPES[name]
+    assert compiled == [(ops, slots), (ops, STREAMED_SLOTS[name])]
 
 
 def _traced_peak(spec, n):
