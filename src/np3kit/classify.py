@@ -37,7 +37,7 @@ from .cexpr import as_cexpr, c_const, eval_forms, fold, residual
 from .expr import Expr
 from .frame import (ManifoldSpec, connection_table, default_samples, riemann,
                     spec_cached)
-from .npcore import (W_DEL, W_DELBAR, W_XI, _nonzero, d_del, d_delbar, d_xi, ricci_complex,
+from .npcore import (W_DEL, W_DELBAR, W_XI, contract, d_del, d_delbar, d_xi, ricci_complex,
                      spin_coefficients)
 from .sampling import InsufficientSamples
 
@@ -234,15 +234,12 @@ def _ts_identity_forms(spec: ManifoldSpec) -> dict:
     R, tau = data.riemann, data.scalar
     r, xr = closed["rho"], closed["xi_rho"]
     rb, xrb = r.conj(), xr.conj()
-    alpha, beta, zero = r.im, r.re, c_const(0)
+    alpha, beta, zero, n = r.im, r.re, c_const(0), range(3)
 
     def display(V, W, Z, a, b):
-        """R(V, W)Z - (a D + b Dbar) in frame components; R is contracted over
-        the nonzero constant complex-frame weights only."""
-        weights = [(i, j, k, v * w * z) for i, v in _nonzero(V) for j, w in _nonzero(W)
-                   for k, z in _nonzero(Z)]
-        return [sum((c * as_cexpr(R[i][j][k][l]) for i, j, k, c in weights), zero)
-                - (a * W_DEL[l] + b * W_DELBAR[l]) for l in range(3)]
+        """R(V, W)Z - (a D + b Dbar) in frame components."""
+        return [contract([[[R[i][j][k][l] for k in n] for j in n] for i in n], V, W, Z)
+                - (a * W_DEL[l] + b * W_DELBAR[l]) for l in n]
 
     f = [[gm[i][2][j] for j in range(3)] for i in range(3)]  # f[i][j] = Gamma_{i,xi,j}
     return {

@@ -106,19 +106,28 @@ def np_metric_forms(spec: ManifoldSpec) -> dict:
         return sum((x * y for x, y in zip(u, v)), E.const(0.0))
 
     P = [[dot(F[i], [finv[l][k] for l in range(3)]) for k in range(3)] for i in range(3)]
-
-    def pair(a, b):
-        return sum((v * w * as_cexpr(dot(P[i], P[j])) for i, v in _nonzero(a)
-                    for j, w in _nonzero(b)), c_const(0))
-
-    return {"g(del,delbar)-1": pair(W_DEL, W_DELBAR) - 1, "g(del,del)": pair(W_DEL, W_DEL),
-            "g(xi,del)": pair(W_XI, W_DEL), "g(xi,xi)-1": pair(W_XI, W_XI) - 1}
+    gram = [[dot(p, q) for q in P] for p in P]
+    return {"g(del,delbar)-1": contract(gram, W_DEL, W_DELBAR) - 1,
+            "g(del,del)": contract(gram, W_DEL, W_DEL), "g(xi,del)": contract(gram, W_XI, W_DEL),
+            "g(xi,xi)-1": contract(gram, W_XI, W_XI) - 1}
 
 
 def _nonzero(weights) -> list:
     """(index, weight) for the weights that are not an exact zero."""
     return [(i, w) for i, w in enumerate(weights)
             if not (E._is_const(w.re, 0.0) and E._is_const(w.im, 0.0))]
+
+
+def contract(table, *weights) -> CExpr:
+    """The sum over i, j, ... of w1[i] w2[j] ... table[i][j]... .
+
+    The weights multiply first, then the entry; an exact-zero weight is
+    skipped, so its index never reads the table.
+    """
+    terms = [(table, c_const(1))]
+    for w in weights:
+        terms = [(t[i], c * x) for t, c in terms for i, x in _nonzero(w)]
+    return sum((c * as_cexpr(t) for t, c in terms), c_const(0))
 
 
 def phi_apply(weights):
@@ -162,14 +171,13 @@ def d_frame(spec: ManifoldSpec, q, i: int) -> CExpr:
 
 
 def d_del(spec: ManifoldSpec, q) -> CExpr:
-    """D(q) = (e1(q) - i e2(q))/sqrt(2)."""
-    e1q, e2q = d_frame(spec, q, 0), d_frame(spec, q, 1)
-    return c_const(1 / _SQ2) * e1q + c_const(-1j / _SQ2) * e2q
+    """D(q) = (e1(q) - i e2(q))/sqrt(2).  D weighs no xi, so the contraction
+    never reads a third row."""
+    return contract((d_frame(spec, q, 0), d_frame(spec, q, 1)), W_DEL)
 
 
 def d_delbar(spec: ManifoldSpec, q) -> CExpr:
-    e1q, e2q = d_frame(spec, q, 0), d_frame(spec, q, 1)
-    return c_const(1 / _SQ2) * e1q + c_const(1j / _SQ2) * e2q
+    return contract((d_frame(spec, q, 0), d_frame(spec, q, 1)), W_DELBAR)
 
 
 def d_xi(spec: ManifoldSpec, q) -> CExpr:
@@ -291,21 +299,13 @@ def weighted_derivative(q, s: int, direction: str, spec: ManifoldSpec,
 def ricci_complex(spec: ManifoldSpec) -> dict:
     """Complex-bilinear Ricci entries keyed by frame pair."""
     S = riemann(spec).ricci
-
-    def sc(Vw, Ww):
-        acc = c_const(0)
-        for j in range(3):
-            for k in range(3):
-                acc = acc + Vw[j] * Ww[k] * as_cexpr(S[j][k])
-        return acc
-
     return {
-        "dd": sc(W_DEL, W_DEL),
-        "dx": sc(W_DEL, W_XI),
-        "ddb": sc(W_DEL, W_DELBAR),
-        "xx": sc(W_XI, W_XI),
-        "dbx": sc(W_DELBAR, W_XI),
-        "dbdb": sc(W_DELBAR, W_DELBAR),
+        "dd": contract(S, W_DEL, W_DEL),
+        "dx": contract(S, W_DEL, W_XI),
+        "ddb": contract(S, W_DEL, W_DELBAR),
+        "xx": contract(S, W_XI, W_XI),
+        "dbx": contract(S, W_DELBAR, W_XI),
+        "dbdb": contract(S, W_DELBAR, W_DELBAR),
     }
 
 
