@@ -12,8 +12,9 @@ Five spin coefficients encode the connection:
     beta  =  g(Dbar, nabla_D D)
     eps   =  g(Dbar, nabla_xi D)     frame rotation along xi (purely imaginary)
 
-Everything here works with frame components; directional derivatives along
-D are complex combinations of the real frame derivatives.
+Every NP scalar is a :func:`contract` of a real frame table with the
+constant null-frame weights of D, Dbar and xi: the spin coefficients of the
+connection table, the Ricci scalars of the Ricci table, D(q) of e1(q), e2(q).
 
 The five generalized Sachs identities relate frame derivatives of the spin
 coefficients to Ricci components; the two second-Bianchi identities do the
@@ -87,10 +88,8 @@ class GaugeAngle:
 
 def np_frame(spec: ManifoldSpec):
     """(D, Dbar) as complex vectors in *coordinate* components."""
-    F = spec.frame
-    d = tuple(CExpr(E.mul(1 / _SQ2, F[0][l]), E.mul(-1 / _SQ2, F[1][l])) for l in range(3))
-    dbar = tuple(c.conj() for c in d)
-    return d, dbar
+    d = tuple(contract(column, W_DEL) for column in zip(*spec.frame))
+    return d, tuple(c.conj() for c in d)
 
 
 def np_metric_forms(spec: ManifoldSpec) -> dict:
@@ -119,11 +118,9 @@ def _nonzero(weights) -> list:
 
 
 def contract(table, *weights) -> CExpr:
-    """The sum over i, j, ... of w1[i] w2[j] ... table[i][j]... .
-
-    The weights multiply first, then the entry; an exact-zero weight is
-    skipped, so its index never reads the table.
-    """
+    """The sum over i, j, ... of w1[i] w2[j] ... table[i][j]...: the weights
+    multiply first, then the entry, and an exact-zero weight is skipped, so
+    its index never reads the table."""
     terms = [(table, c_const(1))]
     for w in weights:
         terms = [(t[i], c * x) for t, c in terms for i, x in _nonzero(w)]
@@ -137,42 +134,13 @@ def phi_apply(weights):
     return (-as_cexpr(b), as_cexpr(a), zero)
 
 
-def cov_complex(spec: ManifoldSpec, Xw, Yw):
-    """nabla_X Y for complex frame-weight fields (triples of CExpr)."""
-    gamma = connection_table(spec).gamma
-    Xw = tuple(as_cexpr(x) for x in Xw)
-    Yw = tuple(as_cexpr(y) for y in Yw)
-    out = []
-    for m in range(3):
-        acc = c_const(0)
-        for i in range(3):
-            xim = Xw[i]
-            y = Yw[m]
-            dre = frame_directional(spec, y.re, i)
-            dim = frame_directional(spec, y.im, i)
-            acc = acc + xim * CExpr(dre, dim)
-            for k in range(3):
-                acc = acc + xim * Yw[k] * as_cexpr(gamma[i][k][m])
-        out.append(acc)
-    return tuple(out)
-
-
-def g_complex(Vw, Ww) -> CExpr:
-    """Complex-bilinear metric on frame weights."""
-    acc = c_const(0)
-    for v, w in zip(Vw, Ww):
-        acc = acc + as_cexpr(v) * as_cexpr(w)
-    return acc
-
-
 def d_frame(spec: ManifoldSpec, q, i: int) -> CExpr:
     q = as_cexpr(q)
     return CExpr(frame_directional(spec, q.re, i), frame_directional(spec, q.im, i))
 
 
 def d_del(spec: ManifoldSpec, q) -> CExpr:
-    """D(q) = (e1(q) - i e2(q))/sqrt(2).  D weighs no xi, so the contraction
-    never reads a third row."""
+    """D(q) = (e1(q) - i e2(q))/sqrt(2); D weighs no xi, so no xi(q) is read."""
     return contract((d_frame(spec, q, 0), d_frame(spec, q, 1)), W_DEL)
 
 
@@ -189,18 +157,17 @@ def d_xi(spec: ManifoldSpec, q) -> CExpr:
 
 @spec_cached
 def spin_coefficients(spec: ManifoldSpec) -> SpinCoefficients:
-    """The five coefficients from their defining inner products."""
-    ddxi = cov_complex(spec, W_DEL, W_XI)
-    dbxi = cov_complex(spec, W_DELBAR, W_XI)
-    xixi = cov_complex(spec, W_XI, W_XI)
-    dd = cov_complex(spec, W_DEL, W_DEL)
-    xid = cov_complex(spec, W_XI, W_DEL)
+    """The five coefficients as contractions of the connection table
+    Gamma[i][j][k] = g(nabla_{E_i} E_j, E_k) with the constant null-frame
+    weights; constant weights have no derivative, so each is exactly its
+    defining inner product, e.g. sigma = -g(D, nabla_D xi)."""
+    gamma = connection_table(spec).gamma
     return SpinCoefficients(
-        kappa=-g_complex(W_DEL, xixi),
-        sigma=-g_complex(W_DEL, ddxi),
-        rho=g_complex(W_DEL, dbxi),
-        beta_np=g_complex(W_DELBAR, dd),
-        epsilon_np=g_complex(W_DELBAR, xid),
+        kappa=-contract(gamma, W_XI, W_XI, W_DEL),
+        sigma=-contract(gamma, W_DEL, W_XI, W_DEL),
+        rho=contract(gamma, W_DELBAR, W_XI, W_DEL),
+        beta_np=contract(gamma, W_DEL, W_DEL, W_DELBAR),
+        epsilon_np=contract(gamma, W_XI, W_DEL, W_DELBAR),
     )
 
 
