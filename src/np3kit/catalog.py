@@ -51,10 +51,6 @@ def _doc(name, e1, e2, xi, domain=(), box=((-1, 1), (-1, 1), (-1, 1))):
     }
 
 
-def _rho(theta, omega):
-    return complex(theta, omega)
-
-
 _R = "sqrt(x1^2 + x2^2 + x3^2)"
 _RC = "sqrt(x1^2 + x2^2)"
 
@@ -82,8 +78,8 @@ _add(CatalogEntry(
         "omega": "-0.5*exp(2*x3)",
         "div_xi": "-2",
         "spots": [
-            {"point": (0.0, 0.0, 0.0), "rho": _rho(-1.0, -0.5), "kappa": 0j, "sigma": 0j},
-            {"point": (0.3, -0.4, 0.5), "rho": _rho(-1.0, -0.5 * math.e)},
+            {"point": (0.0, 0.0, 0.0), "rho": complex(-1.0, -0.5), "kappa": 0j, "sigma": 0j},
+            {"point": (0.3, -0.4, 0.5), "rho": complex(-1.0, -0.5 * math.e)},
         ],
         "flags": {"is_geodesic": True, "is_shear_free": True, "is_twist_free": False,
                   "expansion": "contracting", "is_parallel": False,
@@ -109,9 +105,9 @@ _add(CatalogEntry(
         "omega": "-0.5*x3^2",
         "div_xi": "-2/x3",
         "spots": [
-            {"point": (0.0, 0.0, 1.0), "rho": _rho(-1.0, -0.5), "kappa": 0j, "sigma": 0j},
-            {"point": (0.0, 0.0, 2.0), "rho": _rho(-0.5, -2.0)},
-            {"point": (0.0, 0.0, 0.5), "rho": _rho(-2.0, -0.125)},
+            {"point": (0.0, 0.0, 1.0), "rho": complex(-1.0, -0.5), "kappa": 0j, "sigma": 0j},
+            {"point": (0.0, 0.0, 2.0), "rho": complex(-0.5, -2.0)},
+            {"point": (0.0, 0.0, 0.5), "rho": complex(-2.0, -0.125)},
         ],
         "flags": {"is_geodesic": True, "is_shear_free": True, "is_twist_free": False,
                   "expansion": "contracting", "is_parallel": False,

@@ -132,23 +132,32 @@ def spec_from_document(doc: dict) -> ManifoldSpec:
         raise SchemaError("'frame' must have exactly the keys e1, e2, xi")
     params = doc.get("params", {})
     if not isinstance(params, dict) or not all(
-            isinstance(k, str) and isinstance(v, (int, float)) for k, v in params.items()):
+            isinstance(k, str) and _is_number(v) for k, v in params.items()):
         raise SchemaError("'params' must map names to numbers")
 
-    def parse_field(key):
-        comps = frame_doc[key]
-        if not isinstance(comps, (list, tuple)) or len(comps) != 3:
-            raise SchemaError(f"frame field {key!r} must have 3 component expressions")
-        return tuple(E.parse(str(c), coord_names=coords) for c in comps)
+    def parse(items, error, count=None):
+        """``items``, a list of ``count`` strings or numbers, parsed."""
+        if (not isinstance(items, (list, tuple)) or count not in (None, len(items))
+                or not all(isinstance(x, str) or _is_number(x) for x in items)):
+            raise SchemaError(error)
+        return tuple(E.parse(str(x), coord_names=coords) for x in items)
 
-    e1, e2, xi = parse_field("e1"), parse_field("e2"), parse_field("xi")
-    domain = tuple(E.parse(str(d), coord_names=coords) for d in doc.get("domain", []))
+    e1, e2, xi = (parse(frame_doc[key], f"frame field {key!r} must be 3 expressions, "
+                        "strings or numbers", 3) for key in ("e1", "e2", "xi"))
+    domain = parse(doc.get("domain", []), "'domain' must be a list of expressions, "
+                   "strings or numbers")
     box = doc.get("box", DEFAULT_BOX)
+    if not (isinstance(box, (list, tuple)) and len(box) == 3 and all(
+            isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_is_number, b))
+            and b[0] < b[1] for b in box)):
+        raise SchemaError("'box' must be three (lo, hi) pairs of numbers with lo < hi")
     box = tuple((float(lo), float(hi)) for lo, hi in box)
-    if len(box) != 3 or any(hi <= lo for lo, hi in box):
-        raise SchemaError("'box' must be three (lo, hi) pairs with lo < hi")
     return ManifoldSpec(name=name, coords=tuple(coords), e1=e1, e2=e2, xi=xi,
                         domain=domain, params=dict(params), box=box)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def spec_to_document(spec: ManifoldSpec) -> dict:
@@ -176,8 +185,8 @@ def default_samples(spec: ManifoldSpec, count: int, seed: int = 0) -> np.ndarray
     return sample_box(spec.box, count, seed=seed, domain=spec.domain, params=spec.params)
 
 
-def _check_nondegenerate(spec: ManifoldSpec, probes: int = 8):
-    pts = default_samples(spec, probes, seed=0)
+def _check_nondegenerate(spec: ManifoldSpec):
+    pts = default_samples(spec, 8, seed=0)
     with np.errstate(all="ignore"):  # an overflowing det is inf, and passes; a NaN one fails
         dets = np.linalg.det(eval_forms(spec.frame, pts, spec.params))
     worst = float(np.min(np.abs(dets)))

@@ -239,17 +239,13 @@ def gauge_transform(coeffs: SpinCoefficients, angle: GaugeAngle,
     )
 
 
-def weighted_derivative(q, s: int, direction: str, spec: ManifoldSpec,
-                        coeffs: SpinCoefficients | None = None) -> CExpr:
+def weighted_derivative(q, s: int, direction: str, spec: ManifoldSpec) -> CExpr:
     """Spin-weight preserving derivative of a weight-s quantity.
 
     direction: 'eth' -> D(q) - s q beta;  'eth_bar' -> Dbar(q) + s q conj(beta);
     'P' -> xi(q) - s eps q.
     """
-    q = as_cexpr(q)
-    if coeffs is None:
-        coeffs = spin_coefficients(spec)
-    sw = c_const(float(s))
+    q, coeffs, sw = as_cexpr(q), spin_coefficients(spec), c_const(float(s))
     if direction == "eth":
         return d_del(spec, q) - sw * q * coeffs.beta_np
     if direction == "eth_bar":

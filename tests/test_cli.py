@@ -81,6 +81,22 @@ def test_bad_file_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_a_malformed_document_exits_3(tmp_path, capsys):
+    """A box pair of three numbers or of a string, a domain that is one
+    string and a null frame component are input errors, not a failed
+    verification (1) or a domain error (2)."""
+    flat = {"name": "flat", "coords": ["x1", "x2", "x3"],
+            "frame": {"e1": ["1", "0", "0"], "e2": ["0", "1", "0"], "xi": ["0", "0", "1"]}}
+    for i, bad in enumerate(({"box": [[0, 1, 2], [0, 1], [0, 1]]},
+                             {"box": [["a", 1], [0, 1], [0, 1]]}, {"domain": "x3"},
+                             {"frame": dict(flat["frame"], e2=["0", None, "0"])})):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(dict(flat, **bad)))
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (code, out) == (3, ""), bad
+        assert err.startswith(f"np3kit: error: cannot load {path}"), bad
+
+
 def test_classify_file_spec(tmp_path, capsys):
     doc = {
         "name": "file_spec",

@@ -102,6 +102,22 @@ def test_an_overflowing_determinant_loads_without_a_warning(overflow_doc):
         assert load_manifold(overflow_doc).name == "overflow"
 
 
+# documents that crashed, loaded a wrong spec or were accepted: a box pair
+# of three numbers, of a string or with a NaN bound, a domain that is one
+# string, not a list of them, a null or boolean frame component, each read
+# as a parameter's name, and a boolean parameter value
+MALFORMED = [
+    {"box": [[0, 1, 2], [0, 1], [0, 1]]},
+    {"box": [["a", 1], [0, 1], [0, 1]]},
+    {"box": [[0, float("nan")], [0, 1], [0, 1]]},
+    {"domain": "x3"},
+    {"domain": [None]},
+    {"frame": dict(FLAT["frame"], e2=["0", None, "0"])},
+    {"frame": dict(FLAT["frame"], xi=["0", "0", True])},
+    {"params": {"a": True}},
+]
+
+
 def test_load_schema_errors():
     with pytest.raises(SchemaError):
         load_manifold({"name": "x"})
@@ -113,6 +129,10 @@ def test_load_schema_errors():
         load_manifold({"name": "x", "coords": ["x1", "x2", "x3"],
                        "frame": {"e1": ["exp(2*", "0", "0"], "e2": ["0", "1", "0"],
                                  "xi": ["0", "0", "1"]}})
+    for malformed in MALFORMED:
+        with pytest.raises(SchemaError):
+            load_manifold(dict(FLAT, **malformed))
+
 
 
 def test_document_roundtrip(example1):

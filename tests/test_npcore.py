@@ -3,13 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from np3kit import catalog
 from np3kit import expr as E
 from np3kit.cexpr import CExpr, c_const, eval_forms, residual
-from np3kit.frame import (curvature_values_many, default_samples, load_manifold,
-                          spec_to_document)
-from np3kit.npcore import (GaugeAngle, W_DEL, bianchi_forms, d_del, gauge_transform,
+from np3kit.frame import (covariant_derivative, curvature_values_many, default_samples,
+                          load_manifold, spec_to_document)
+from np3kit.npcore import (GaugeAngle, W_DEL, bianchi_forms, contract, d_del, gauge_transform,
                            grad_xi_norm_sq, kinematics, np_frame, np_metric_forms,
                            phi_apply, ricci_from_sachs_forms, sachs_forms,
                            spin_coefficients, spin_coefficients_from_f,
@@ -117,6 +119,83 @@ def test_epsilon_purely_imaginary(example1, example2, sol):
         pts = default_samples(spec, 25, seed=4)
         re_eps = residual(spin_coefficients(spec).epsilon_np.re)
         assert np.max(eval_forms(re_eps, pts, spec.params)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the null-frame contraction
+
+class _Unread:
+    """Stands where an index of a zero weight points: reading it fails."""
+
+    def __getitem__(self, i):
+        raise AssertionError("contract read an index of a zero weight")
+
+
+_PART = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
+_WEIGHTS = st.lists(st.builds(complex, _PART, _PART), min_size=3, max_size=3)
+
+
+def _table(weights, entry, n):
+    """(table, values): nested lists over the axes of ``weights`` with an
+    ``_Unread`` at every index of an exact-zero weight, and the (N,) values of
+    its entries as one array, shape (3,) * depth + (N,), zeros where unread."""
+    if not weights:
+        return entry()
+    zeros = np.zeros((3,) * (len(weights) - 1) + (n,))
+    pairs = [_table(weights[1:], entry, n) if w != 0 else (_Unread(), zeros) for w in weights[0]]
+    return [t for t, _ in pairs], np.array([v for _, v in pairs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(_WEIGHTS, min_size=d, max_size=d)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_contract_is_the_weighted_sum_and_never_reads_a_zero_weight(weights, complex_entries,
+                                                                     seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (7, 3))
+    x = [E.coord(i) for i in (1, 2, 3)]
+
+    def real():
+        a, b, c = rng.uniform(-3.0, 3.0, 3)
+        return E.add(E.mul(a, x[rng.integers(3)]), E.mul(b, E.exp(E.mul(c, x[rng.integers(3)]))))
+
+    def entry():
+        form = CExpr(real(), real()) if complex_entries else real()
+        return form, eval_forms(form, pts)
+
+    table, values = _table(weights, entry, len(pts))
+    got = eval_forms(contract(table, *[tuple(map(c_const, w)) for w in weights]), pts)
+    axes = "abcd"[:len(weights)]
+    spec = ",".join(axes) + f",{axes}n->n"
+    want = np.einsum(spec, *map(np.array, weights), values)
+    scale = np.einsum(spec, *(np.abs(w) for w in weights), np.abs(values))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+_UNIT = [tuple(E.const(float(i == j)) for j in range(3)) for i in range(3)]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_spin_coefficients_are_their_defining_inner_products(name):
+    """Each coefficient against its inner product built from the real
+    covariant derivative, e.g. nabla_D xi = (nabla_e1 xi - i nabla_e2 xi)/sqrt(2),
+    with g complex-bilinear on frame components."""
+    spec = catalog.get_spec(name)
+    pts = default_samples(spec, 500, seed=3)
+    forms = [[covariant_derivative(spec, _UNIT[i], _UNIT[j]) for j in range(3)] for i in range(3)]
+    nab = np.array(eval_forms(forms, pts, spec.params))  # nab[i, j]: nabla_{E_i} E_j, (N, 3)
+
+    def nabla(X, Y):
+        return sum(X[i] * Y[j] * nab[i, j] for i in range(3) for j in range(3))
+
+    d, db, xi = np.array([1, -1j, 0]) / SQ2, np.array([1, 1j, 0]) / SQ2, np.array([0, 0, 1])
+    want = {"kappa": -nabla(xi, xi) @ d, "sigma": -nabla(d, xi) @ d, "rho": nabla(db, xi) @ d,
+            "beta_np": nabla(d, d) @ db, "epsilon_np": nabla(xi, d) @ db}
+    co = spin_coefficients(spec)
+    got = eval_forms({k: getattr(co, k) for k in want}, pts, spec.params)
+    bound = 1e-13 * max(1.0, *(np.max(np.abs(v)) for v in got.values()))
+    for k in want:
+        assert np.max(np.abs(got[k] - want[k])) <= bound, k
 
 
 # ---------------------------------------------------------------------------

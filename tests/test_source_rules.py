@@ -9,8 +9,10 @@ themselves, and every check record comes from ``suites._check``.  Only
 ``expr`` runs passes over a tape; every other module evaluates through
 ``expr.sweep`` or its reductions.  Only ``expr`` makes nodes, so its
 constructors may take ``type(x) is Const`` to mean "a constant node".  Only
-``classify``'s one kappa = sigma = 0 gate makes a NotTransSasakian.  The
-forms are the numeric surface: a caller evaluates a suite's forms with
+``classify``'s one kappa = sigma = 0 gate makes a NotTransSasakian, and
+only ``npcore.contract`` skips the zero weights of a null-frame contraction,
+so no second contraction grows back beside it.  The forms are the
+numeric surface: a caller evaluates a suite's forms with
 ``cexpr.eval_forms`` itself, and only a pinned few definitions of the
 package call it, so no evaluator wraps a form under a name of its own.  No
 module keeps a table of its own at module level but ``expr._INTERN`` and
@@ -301,6 +303,28 @@ def test_gate_rule_flags_a_second_maker():
         "ERROR = NotTransSasakian('sol', 1.0)\n"
     )
     assert makers_of(source, "NotTransSasakian") == ["skip", "residuals", "line 10"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_contract_skips_zero_weights(path):
+    want = ["contract"] if path.name == "npcore.py" else []
+    assert makers_of(path.read_text(encoding="utf-8"), "_nonzero") == want
+
+
+def test_contraction_rule_flags_a_second_contraction():
+    source = (
+        "from . import npcore\n"
+        "from .npcore import _nonzero, contract\n"
+        "def ricci_complex(S, V, W):\n"
+        "    return contract(S, V, W)\n"
+        "def display(R, V, W, Z, l):\n"
+        "    return sum(v * w * z * R[i][j][k][l] for i, v in _nonzero(V)\n"
+        "               for j, w in _nonzero(W) for k, z in npcore._nonzero(Z))\n"
+        "def pair(a, b):\n"
+        "    return [(i, j) for i, _ in npcore._nonzero(a) for j, _ in npcore._nonzero(b)]\n"
+        "WEIGHTS = _nonzero(npcore.W_DEL)\n"
+    )
+    assert makers_of(source, "_nonzero") == ["display", "pair", "line 10"]
 
 
 EVALUATORS = {
