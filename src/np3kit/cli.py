@@ -11,6 +11,7 @@ name of a built-in catalog entry.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -63,6 +64,11 @@ def _emit(report, fmt, stream=None):
     print(text, file=stream if stream is not None else sys.stdout)
 
 
+def _check_tol(option, value):
+    if not 0.0 <= value < math.inf:  # false for NaN too
+        raise _CliError(EXIT_INPUT, f"{option} must be finite and at least 0, got {value!r}")
+
+
 def cmd_spin(args) -> int:
     spec = _load_spec(args.spec)
     try:
@@ -89,6 +95,8 @@ def cmd_classify(args) -> int:
     spec = _load_spec(args.spec)
     if args.samples < MIN_SAMPLES:
         raise _CliError(EXIT_INPUT, f"--samples must be at least {MIN_SAMPLES}")
+    _check_tol("--tol", args.tol)
+    _check_tol("--tol-const", args.tol_const)
     t0 = time.perf_counter()
     pts = default_samples(spec, args.samples, seed=args.seed)
     cls = classify(spec, samples=pts, tol=args.tol, tol_const=args.tol_const)
@@ -112,6 +120,7 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     if args.samples < 1:
         raise _CliError(EXIT_INPUT, "--samples must be at least 1")
+    _check_tol("--tol", args.tol)
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     t0 = time.perf_counter()
     pts = default_samples(spec, args.samples, seed=args.seed)
@@ -140,10 +149,10 @@ def cmd_ektau(args) -> int:
         writer = sys.stdout
         writer.write("kappa,tau,u,obstruction,expected_zero\n")
         # one block per kappa: 2,500 rows, about 200 KB
-        for k, obs_k, zero_k in zip(kappas_s, obstruction.reshape(-1, rows).tolist(),
-                                    expected_zero.reshape(-1, rows).tolist()):
-            writer.write("".join(chain.from_iterable(
-                zip(repeat(k), middles, map(repr, obs_k), map(flag, zero_k)))))
+        for k, obs_k, zero_k in zip(kappas_s, obstruction.reshape(-1, rows),
+                                    expected_zero.reshape(-1, rows)):
+            writer.write("".join(chain.from_iterable(zip(
+                repeat(k), middles, map(repr, obs_k.tolist()), map(flag, zero_k.tolist())))))
         return EXIT_OK
     rep = rigidity_obstruction(params, args.u)
     report = base_report(None)

@@ -67,15 +67,14 @@ pass runs the same bound program.  A reduction reads each pass's new points
 off the root buffers: :func:`eval_batch` writes them into result columns,
 ``cexpr.fold`` keeps one max or sum per root.  A tape of one pass runs its
 ops in the canonical order (the roots in order, each node after its
-operands, the right one first).  A tape of more passes runs them in an
-order that keeps fewer values live, each value's derivatives right after
-it, so it needs fewer slots.  A domain fault (a log of 0, say) is data:
-the op writes its values, the pass runs on and masks the failing samples,
-which is how ``sampling.in_domain`` filters points, and after the last
-pass the fault at the earliest op in the canonical order, and its first
-sample, is raised.  A request declares everything it evaluates up front,
-as one tree of forms (``cexpr.eval_forms``), so work shared across its
-checks is shared inside one tape.
+operands, the right one first).  A tape of more passes pulls each value's
+derivatives right after it, which keeps fewer values live, so it needs
+fewer slots.  A domain fault (a log of 0, say) is data: the op writes its
+values, the pass runs on and masks the failing samples, which is how
+``sampling.in_domain`` filters points, and after the last pass the fault at
+the earliest op in the canonical order, and its first sample, is raised.
+A request declares everything it evaluates up front, as one tree of forms
+(``cexpr.eval_forms``), so work its checks share is shared in one tape.
 """
 
 from __future__ import annotations
@@ -604,7 +603,7 @@ def _diff_binary(e: Binary, da: Expr, db: Expr) -> Expr:
 # evaluation
 
 # points per pass over a tape, and per slice of a streamed request: at 2,048
-# points the 670 slots of flat_radial's scheduled verify tape take 11.0 MB
+# points the 580 slots of flat_radial's scheduled verify tape take 9.5 MB
 # (its canonical order needs 1,243 slots, 20.4 MB)
 CHUNK = 2048
 
@@ -651,7 +650,7 @@ def sweep(exprs, points, params, reduce):
     n = len(pts)
     width = min(CHUNK, n)
     # only a tape of several passes is scheduled for fewer slots: scheduling
-    # every tape cost 0.029 CPU s more of compile per ``catalog.run_all(100)``
+    # every tape cost 0.022 CPU s more per warm ``run_all(100)`` + ``sol_obstruction``
     return reduce(_Tape(roots, params, width, scheduled=n > width), pts)
 
 
@@ -709,8 +708,8 @@ class _Tape:
 
     Nodes are numbered in a depth-first post-order walk (right operand
     first), the canonical order.  The ops run in that order unless the tape
-    is ``scheduled``: then :func:`_schedule` reorders them to keep fewer
-    values live, each value's derivatives right after it.  Only the first
+    is ``scheduled``: then :func:`_schedule` pulls each value's derivatives
+    right after it, to keep fewer values live.  Only the first
     division by a value, in run order, tests its divisor for zero, and a
     fault there is ranked as the canonically first of those divisions: the
     others fail on the same samples, so they divide unchecked.  Each value
@@ -778,7 +777,7 @@ class _Tape:
                 get = num.get
                 return get(id(row[1])), get(id(row[2])), get(id(row[3]))
 
-            code = _schedule(code, len(num), [v for v, _ in coords], outputs, tangents)
+            code = _schedule(code, len(num), outputs, tangents)
         del num, rows
         # the ops' value numbers, which rise along the canonical order: a
         # fault's rank among the faults of a pass
@@ -879,40 +878,22 @@ class _Tape:
             raise first
 
 
-def _schedule(code, count: int, coords, outputs, tangents) -> list:
-    """``code``, ops over ``count`` values in the canonical order, reordered
-    so that fewer values are live at once (Sethi & Ullman, *J. ACM* 17(4),
-    1970), each value's derivatives computed right after it.
-
-    Each value gets the number of slots its evaluation needs: a coordinate
-    (one of ``coords``) 1, a constant or parameter 0, a unary op as many as
-    its operand but at least 1, a binary op one more than its operands when
-    their numbers tie and the larger number otherwise.  The walk visits the
-    distinct ``outputs`` from the largest number down (a tie keeps their
-    order) and, at a binary op whose operands are both pending, the operand
-    with the larger number first (on a tie the right one, as canonically).
-
-    Once it places an op ``v``, the walk visits ``tangents(v)`` next, the
-    values of v's derivatives by x1, x2, x3 on the tape (None where one is
-    not), as a forward sweep carries a value with its tangents (Griewank &
-    Walther, *Evaluating Derivatives*, 2nd ed., ch. 3): a value and its
-    tangents share operands, so those die sooner.  A tangent over an op the
-    walk is still under, whose operands are still being placed, is left to
-    the walk that reaches it later.
+def _schedule(code, count: int, outputs, tangents) -> list:
+    """``code``, ops over ``count`` values in the canonical order, with each
+    op's derivatives by x1, x2, x3 (``tangents(v)``, None where one is not
+    on the tape) pulled right after it, as a forward sweep carries a value
+    with its tangents (Griewank & Walther, *Evaluating Derivatives*, 2nd
+    ed., ch. 3): the two share operands, so those die sooner and fewer
+    values are live at once.  A tangent over an op the walk is still under,
+    whose operands are still being placed, is left to the walk that reaches
+    it later.  So a tape with no derivative of its values on it keeps the
+    canonical order: the distinct ``outputs`` in order, the right operand
+    first.
     """
-    need = [0] * count
-    for v in coords:
-        need[v] = 1
-    for _, v, a, b in code:
-        if b is None:
-            need[v] = need[a] or 1
-        else:
-            na, nb = need[a], need[b]
-            need[v] = na + 1 if na == nb else na if na > nb else nb
     pending = {op[1]: op for op in code}  # value -> its op, until the op is placed
     under = bytearray(count)  # 1 while an op's operands are being placed
     order = []
-    for root in sorted(dict.fromkeys(outputs), key=need.__getitem__, reverse=True):
+    for root in dict.fromkeys(outputs):
         stack = [root]
         while stack:
             v = stack.pop()
@@ -931,13 +912,10 @@ def _schedule(code, count: int, coords, outputs, tangents) -> list:
                 continue
             under[v] = 1
             stack.append(~v)
-            _, _, a, b = op  # the operand pushed last is visited first
-            if b is None:
-                stack.append(a)
-            elif need[a] > need[b]:
-                stack += b, a
-            else:
-                stack += a, b
+            _, _, a, b = op  # the right operand, pushed last, is visited first
+            stack.append(a)
+            if b is not None:
+                stack.append(b)
     return order
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +144,31 @@ def test_verify_samples_floor(capsys, count):
     assert err == "np3kit: error: --samples must be at least 1\n"  # no traceback
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "sol", "--tol=inf"),
+    ("verify", "sol", "--tol=nan"),
+    ("verify", "sol", "--tol=-1e-8"),
+    ("classify", "sol", "--tol=inf"),
+    ("classify", "sol", "--tol=nan"),
+    ("classify", "sol", "--tol=-1e-8"),
+    ("classify", "sol", "--tol-const=inf"),
+    ("classify", "sol", "--tol-const=nan"),
+    ("classify", "sol", "--tol-const=-1e-6"),
+], ids=" ".join)
+def test_a_tolerance_that_is_not_finite_and_nonnegative_exits_3(capsys, argv):
+    # a check must not pass because its tolerance was widened past every
+    # residual, and a NaN tolerance would write NaN into the JSON
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    option, value = argv[-1].split("=")
+    assert (code, out) == (3, "")
+    assert err == f"np3kit: error: {option} must be finite and at least 0, got {float(value)!r}\n"
+
+
+def test_a_zero_tolerance_is_an_input(capsys):
+    code, _, err = run_cli(capsys, "classify", "sol", "--tol=0", "--tol-const=0")
+    assert (code, err) == (0, "")
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "example1", "--suite", "all",
                            "--format", "json")
@@ -229,6 +256,26 @@ def test_ektau_sweep_csv(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "459b54c328d74198bf4109392e86b52508409a1a443f78e6d44082744f99d419"
     assert len(out.encode()) == 9_765_609
+
+
+class _Sink:
+    """A stream that discards what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_the_sweep_holds_one_kappa_block_of_floats(monkeypatch):
+    # the grid's 125,000 obstructions as Python floats would take 3 MB alone
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        code = main(["ektau", "--kappa", "0", "--tau", "0", "--sweep"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3e6
 
 
 def test_verify_runs_one_tape_pass(capsys, tapes):

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from np3kit import catalog, suites
@@ -516,15 +516,15 @@ def test_a_streamed_error_ranks_the_checks_of_one_op():
 
 def test_a_streamed_error_is_named_in_the_canonical_order():
     n = 3 * E.CHUNK + 5
-    x1, x2, x3 = Coord(1), Coord(2), Coord(3)
-    deep = E.mul(E.div(1.0, x2), E.add(x1, x3))  # needs more slots than log(x1)
-    roots = [E.log(x1), deep]
+    x1, x2 = Coord(1), Coord(2)
+    root = E.sqrt(x2)
+    roots = [root, E.log(x1), differentiate(root, 2)]  # the derivative divides by sqrt(x2)
     pts = np.ones((n, 3))
-    pts[0, 1] = 0.0  # 1/x2 fails in the first pass
-    pts[-1, 0] = 0.0  # log(x1), first in the canonical order, in the last
+    pts[0, 1] = 0.0  # the division fails in the first pass
+    pts[-1, 0] = 0.0  # log(x1), before it in the canonical order, in the last
     scheduled = E._Tape(roots, {}, E.CHUNK, scheduled=True)
     order = [fn for fn, _, _, _ in scheduled.code]
-    assert order.index(E._div) < order.index(E._log)  # the scheduled walk reaches 1/x2 first
+    assert order.index(E._div) < order.index(E._log)  # pulled right after sqrt(x2)
     _, _, bad = next(scheduled.passes(pts))  # a failing pass runs on and masks its sample
     assert np.flatnonzero(bad).tolist() == [0]
     with pytest.raises(DomainError) as exc:
@@ -547,9 +547,11 @@ def test_a_divisor_checked_once_names_the_unchunked_error(first, monkeypatch):
     n = 3 * E.CHUNK + 5
     x1, x2, x3 = Coord(1), Coord(2), Coord(3)
     d = E.sub(x3, 0.5)
+    lift = E.power(d, x2)  # its derivative by x3 divides by d
     near = E.div(x1, d)  # canonically the first of the three divisions by d
-    deep = E.mul(E.div(x2, d), E.add(E.mul(x1, x2), E.div(E.add(x1, x2), d)))
-    roots = [near, E.sqrt(x1), deep] if first == "division" else [E.sqrt(x1), near, deep]
+    deep = E.mul(E.div(x2, d), differentiate(lift, 3))
+    roots = ([lift, near, E.sqrt(x1), deep] if first == "division"
+             else [E.sqrt(x1), lift, near, deep])
     pts = np.ones((n, 3))
     pts[[E.CHUNK + 3, 2 * E.CHUNK + 9], 2] = 0.5  # d vanishes at two samples
     pts[7, 0] = -1.0  # sqrt(x1) fails at an earlier one
@@ -565,7 +567,7 @@ def test_a_divisor_checked_once_names_the_unchunked_error(first, monkeypatch):
         with pytest.raises(DomainError) as streamed:
             E.eval_batch(roots, pts)
     divisions = [v for fn, v, _, _ in orders[0] if fn is E._div]
-    assert len(divisions) == 3 and divisions[0] != min(divisions)  # deep's runs first
+    assert len(divisions) == 3 and divisions[0] != min(divisions)  # pulled after lift
     with monkeypatch.context() as m:
         m.setattr(E, "CHUNK", 10 * n)
         with pytest.raises(DomainError) as whole:
@@ -656,6 +658,28 @@ def test_a_scheduled_tape_computes_the_canonical_bits(f, g, k, extra, seed):
     at = {v: pos for pos, (_, v, _, _) in enumerate(order)}
     for pos, (_, _, a, b) in enumerate(order):
         assert at.get(a, -1) < pos and at.get(b, -1) < pos  # after its operands
+
+
+def _tangent_on_tape(roots) -> bool:
+    """Whether a derivative of an op reachable from ``roots`` is an op
+    reachable from them too."""
+    ops, stack = set(), list(roots)
+    while stack:
+        e = stack.pop()
+        if type(e) in (Unary, Binary) and e not in ops:
+            ops.add(e)
+            stack += (e.arg,) if type(e) is Unary else (e.left, e.right)
+    return any(e.d is not None and any(t in ops for t in e.d[1:]) for e in ops)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ast, min_size=1, max_size=4))
+def test_a_tape_without_derivatives_is_scheduled_in_the_canonical_order(roots):
+    assume(not _tangent_on_tape(roots))
+    canonical = E._Tape(roots, _PARAMS, 16)
+    scheduled = E._Tape(roots, _PARAMS, 16, scheduled=True)
+    assert scheduled.number.tolist() == canonical.number.tolist()
+    assert scheduled.slots == canonical.slots
 
 
 def test_eval_batch_streams_on_the_one_pass_driver(tapes):

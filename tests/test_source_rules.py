@@ -18,7 +18,8 @@ package call it, so no evaluator wraps a form under a name of its own.  No
 module keeps a table of its own at module level but ``expr._INTERN`` and
 the ``catalog._ENTRIES`` registry: a derived value lives on the object it
 derives from.  No module of the package or its tests imports a name at top
-level that it never reads, and neither does a demo.
+level that it never reads, and neither does a demo.  No function of the
+package takes a parameter that its body never reads: a dead knob.
 """
 
 import ast
@@ -396,3 +397,44 @@ def test_import_rule_flags_an_unused_name():
     )
     assert unused_imports(source) == ["json", "os", "parallel_and_collinearity"]
     assert unused_imports(source, package_init=True) == ["json", "os"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter of a function or lambda in
+    a source that its body never reads, sorted.  A nested function's
+    reads count for the functions around it, which it closes over."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", "lambda")
+            found += [f"{name}({p})" for p in params if p not in read]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_parameter(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_parameter_rule_flags_a_dead_knob():
+    source = (
+        "def _schedule(code, count, coords, outputs, tangents=None):\n"
+        "    order = [op for op in code if op[1] < count]\n"
+        "    def visit(v, *rest, **opts):\n"
+        "        return tangents(v), outputs\n"
+        "    return order, visit\n"
+        "class Tape:\n"
+        "    def run(self, pts, *, width=0):\n"
+        "        del pts\n"
+        "        return self\n"
+        "KEY = lambda pair, default=None: pair[0]\n"
+    )
+    assert unread_parameters(source) == [
+        "_schedule(coords)", "lambda(default)", "run(pts)", "run(width)", "visit(opts)",
+        "visit(rest)"]

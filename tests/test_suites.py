@@ -275,9 +275,9 @@ VERIFY_TAPES = {"c6": (359, 58), "example1": (1797, 182), "example2": (1777, 174
                 "kenmotsu": (264, 36), "nil3": (0, 4), "sasakian": (0, 5), "sol": (407, 54)}
 # slots of the same tape scheduled for several passes: a change to the
 # schedule moves these too
-STREAMED_SLOTS = {"c6": 53, "example1": 169, "example2": 169, "flat_cosymplectic": 2,
-                  "flat_radial": 670, "h2xr": 27, "kenmotsu": 34, "nil3": 4, "sasakian": 5,
-                  "sol": 49}
+STREAMED_SLOTS = {"c6": 58, "example1": 161, "example2": 161, "flat_cosymplectic": 2,
+                  "flat_radial": 580, "h2xr": 30, "kenmotsu": 35, "nil3": 4, "sasakian": 5,
+                  "sol": 48}
 
 
 @pytest.mark.parametrize("name", catalog.names())
