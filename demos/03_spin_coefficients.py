@@ -11,8 +11,8 @@ import math
 from np3kit import catalog
 from np3kit.cexpr import eval_forms
 from np3kit.expr import const, evaluate
-from np3kit.npcore import (GaugeAngle, gauge_transform, kinematics, sachs_forms,
-                           spin_coefficients, weighted_derivative)
+from np3kit.npcore import (gauge_transform, kinematics, sachs_forms, spin_coefficients,
+                           weighted_derivative)
 
 spec = catalog.get_spec("example1")
 co = spin_coefficients(spec)
@@ -28,7 +28,7 @@ print("shear mag  :", evaluate(kin.shear_mag, origin))
 
 print("\nquarter-turn gauge (theta = pi/2): sigma flips sign, kappa picks up i,")
 print("rho is untouched:")
-gauged = gauge_transform(co, GaugeAngle(const(math.pi / 2)), spec)
+gauged = gauge_transform(co, const(math.pi / 2), spec)
 for name, value in gauged.evaluate(origin).items():
     print(f"  {name:11s} {value:.6g}")
 

@@ -14,16 +14,15 @@ Quick tour:
 from . import catalog, ektau
 from .cexpr import eval_forms, residual
 from .classify import (EinsteinVerdict, NotTransSasakian, StructureClass,
-                       classify, conformal_foliation_residual_many, einstein_check,
-                       induced_structure, ts_identity_residuals_many)
+                       classify, einstein_check, ts_identity_forms)
 from .expr import (DomainError, Expr, ParseError, UnboundParameter,
                    differentiate, evaluate, parse, unparse)
 from .frame import (CurvatureData, DegenerateFrame, ManifoldSpec, SchemaError,
                     connection_table, covariant_derivative, default_samples,
                     kulkarni_nomizu_forms, load_manifold, riemann,
                     spec_to_document, structure_functions)
-from .npcore import (GaugeAngle, KinematicDecomposition, SpinCoefficients,
-                     bianchi_forms, gauge_transform, kinematics, np_frame, np_metric_forms,
+from .npcore import (KinematicDecomposition, SpinCoefficients, bianchi_forms,
+                     gauge_transform, kinematics, np_frame, np_metric_forms,
                      ricci_from_sachs_forms, sachs_forms, spin_coefficients,
                      weighted_derivative)
 from .sampling import InsufficientSamples

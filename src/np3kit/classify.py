@@ -9,9 +9,9 @@ type functions.
 
 That gate is decided in one place, :func:`_not_trans_sasakian`, over the
 folded roots ``max_abs_kappa`` and ``max_abs_sigma`` of :func:`_gate_roots`,
-for every caller: the verdict, the Einstein test, the ts suite's skip and
-:func:`ts_identity_residuals_many`.  Each caller passes its own tolerance.
-A NaN in either maximum fails the gate, so it reads as NotTransSasakian.
+for every caller: the verdict, the Einstein test and the skip of the ts
+suite, which checks :func:`ts_identity_forms`.  Each caller passes its own
+tolerance.  A NaN in either maximum fails the gate: NotTransSasakian.
 
 The verdict lattice is most-specific-first, with an absolute tolerance for
 "vanishes" and a sampled-constancy tolerance for "is constant":
@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .cexpr import as_cexpr, c_const, eval_forms, fold, residual
-from .expr import Expr
+from .cexpr import as_cexpr, c_const, fold, residual
 from .frame import (ManifoldSpec, connection_table, default_samples, riemann,
                     spec_cached)
 from .npcore import (W_DEL, W_DELBAR, W_XI, contract, d_del, d_delbar, d_xi, ricci_complex,
@@ -42,10 +41,8 @@ from .npcore import (W_DEL, W_DELBAR, W_XI, contract, d_del, d_delbar, d_xi, ric
 from .sampling import InsufficientSamples
 
 __all__ = [
-    "InducedStructure", "StructureClass", "EinsteinVerdict", "NotTransSasakian",
-    "VERDICTS", "classify", "verdict_from_samples", "induced_structure",
-    "ts_identity_residuals_many", "conformal_foliation_residual_many",
-    "einstein_check",
+    "StructureClass", "EinsteinVerdict", "NotTransSasakian", "VERDICTS",
+    "classify", "verdict_from_samples", "ts_identity_forms", "einstein_check",
 ]
 
 VERDICTS = ("NotTransSasakian", "TransSasakian", "C6", "AlphaSasakian",
@@ -56,7 +53,7 @@ DEFAULT_TOL_CONST = 1e-6
 MIN_SAMPLES = 20
 DEFAULT_COUNT = 100  # points drawn (seed 0) when a sweep is given no samples
 
-# phi on frame components: rows are the images of (e1, e2, xi)
+# phi on frame components: rows are the images of (e1, e2, xi), eta = (0, 0, 1)
 PHI_MATRIX = ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
@@ -69,14 +66,6 @@ class NotTransSasakian(RuntimeError):
     def __init__(self, spec_name: str, worst: float):
         super().__init__(f"{spec_name!r} has max(|kappa|,|sigma|) = {worst:.3e} over the samples")
         self.worst = worst
-
-
-@dataclass(frozen=True)
-class InducedStructure:
-    phi: tuple = PHI_MATRIX          # action on frame vectors
-    eta: tuple = (0.0, 0.0, 1.0)     # frame components of g(xi, .)
-    alpha: Expr = None               # Im rho
-    beta: Expr = None                # Re rho
 
 
 @dataclass(frozen=True)
@@ -95,11 +84,6 @@ class EinsteinVerdict:
     is_einstein: bool
     a: float
     residuals: dict = field(default_factory=dict)
-
-
-def induced_structure(spec: ManifoldSpec) -> InducedStructure:
-    rho = spin_coefficients(spec).rho
-    return InducedStructure(alpha=rho.im, beta=rho.re)
 
 
 def _samples(spec: ManifoldSpec, samples) -> np.ndarray:
@@ -226,9 +210,9 @@ def _ts_closed_forms(spec: ManifoldSpec) -> dict:
     }
 
 
-def _ts_identity_forms(spec: ManifoldSpec) -> dict:
+def ts_identity_forms(spec: ManifoldSpec) -> dict:
     """{identity: the forms that vanish when it holds} for the trans-Sasakian
-    curvature identities: the trees of :func:`ts_identity_residuals_many`."""
+    curvature identities; they hold where kappa = sigma = 0."""
     closed, S, gm = _ts_closed_forms(spec), ricci_complex(spec), connection_table(spec).gamma
     data = riemann(spec)
     R, tau = data.riemann, data.scalar
@@ -257,34 +241,6 @@ def _ts_identity_forms(spec: ManifoldSpec) -> dict:
         "nabla_xi": [E.sub(f[0][0], beta), E.add(f[0][1], alpha), E.sub(f[1][0], alpha),
                      E.sub(f[1][1], beta), f[2][0], f[2][1], f[0][2], f[1][2], f[2][2]],
     }
-
-
-def ts_identity_residuals_many(spec: ManifoldSpec, points, tol=DEFAULT_TOL) -> dict:
-    """Per-point residual arrays of the trans-Sasakian curvature identities.
-
-    Raises NotTransSasakian when the gate fails over the points.
-    """
-    forms = {"gate": _gate_roots(spec),
-             "res": {name: residual(tree) for name, tree in _ts_identity_forms(spec).items()}}
-    values = eval_forms(forms, points, spec.params)
-    exc = _not_trans_sasakian({k: np.max(v) for k, v in values["gate"].items()}, tol, spec.name)
-    if exc:
-        raise exc
-    return values["res"]
-
-
-def conformal_foliation_residual_many(spec: ManifoldSpec, points) -> np.ndarray:
-    """Per-point max over the transverse plane of
-    |(Lie_xi g)(e_a, e_b) - 2 Theta delta_ab|.
-
-    Zero exactly where the congruence is shear-free.
-    """
-    g = connection_table(spec).gamma
-    # (Lie_xi g)(e_a, e_b) = f_ab + f_ba with f_ab = Gamma_{a,xi,b}
-    two_theta = E.mul(2.0, spin_coefficients(spec).rho.re)
-    forms = [E.sub(E.mul(2.0, g[0][2][0]), two_theta), E.add(g[0][2][1], g[1][2][0]),
-             E.sub(E.mul(2.0, g[1][2][1]), two_theta)]
-    return eval_forms(residual(forms), points, spec.params)
 
 
 def _einstein_roots(spec: ManifoldSpec) -> tuple:

@@ -48,7 +48,8 @@ def _load_spec(ref: str) -> ManifoldSpec:
         try:
             with open(ref, "r", encoding="utf-8") as fh:
                 return load_manifold(fh.read())
-        except (SchemaError, ParseError, DegenerateFrame) as exc:
+        except (OSError, UnicodeDecodeError, SchemaError, ParseError, DegenerateFrame) as exc:
+            # a directory or unreadable bytes are bad input, not a failed verification
             raise _CliError(EXIT_INPUT, f"cannot load {ref}: {exc}") from exc
     try:
         return catalog.get_spec(ref)
@@ -64,9 +65,11 @@ def _emit(report, fmt, stream=None):
     print(text, file=stream if stream is not None else sys.stdout)
 
 
-def _check_tol(option, value):
-    if not 0.0 <= value < math.inf:  # false for NaN too
-        raise _CliError(EXIT_INPUT, f"{option} must be finite and at least 0, got {value!r}")
+def _check_finite(option, value, low=-math.inf):
+    """Exit 3 unless ``value`` is finite (a NaN would reach the report) and >= ``low``."""
+    if not (math.isfinite(value) and value >= low):
+        bound = "" if low == -math.inf else f" and at least {low:g}"
+        raise _CliError(EXIT_INPUT, f"{option} must be finite{bound}, got {value!r}")
 
 
 def cmd_spin(args) -> int:
@@ -77,6 +80,8 @@ def cmd_spin(args) -> int:
         raise _CliError(EXIT_INPUT, f"--at expects x,y,z, got {args.at!r}") from None
     if len(point) != 3:
         raise _CliError(EXIT_INPUT, "--at expects exactly three coordinates")
+    for x in point:
+        _check_finite("--at", x)
     if not in_domain(spec.domain, np.asarray([point]), spec.params)[0]:
         raise _CliError(EXIT_DOMAIN, f"point {point} violates the domain of {spec.name!r}")
     t0 = time.perf_counter()
@@ -95,8 +100,8 @@ def cmd_classify(args) -> int:
     spec = _load_spec(args.spec)
     if args.samples < MIN_SAMPLES:
         raise _CliError(EXIT_INPUT, f"--samples must be at least {MIN_SAMPLES}")
-    _check_tol("--tol", args.tol)
-    _check_tol("--tol-const", args.tol_const)
+    _check_finite("--tol", args.tol, 0.0)
+    _check_finite("--tol-const", args.tol_const, 0.0)
     t0 = time.perf_counter()
     pts = default_samples(spec, args.samples, seed=args.seed)
     cls = classify(spec, samples=pts, tol=args.tol, tol_const=args.tol_const)
@@ -120,7 +125,7 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     if args.samples < 1:
         raise _CliError(EXIT_INPUT, "--samples must be at least 1")
-    _check_tol("--tol", args.tol)
+    _check_finite("--tol", args.tol, 0.0)
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     t0 = time.perf_counter()
     pts = default_samples(spec, args.samples, seed=args.seed)
@@ -136,6 +141,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ektau(args) -> int:
+    for option in ("kappa", "tau", "u"):
+        _check_finite(f"--{option}", getattr(args, option))
     params = ektau_params(args.kappa, args.tau)
     if args.sweep:
         kappas = np.linspace(-4.0, 4.0, 50)

@@ -40,8 +40,7 @@ from .frame import (ManifoldSpec, _frame_inverse, connection_table, frame_direct
                     riemann, spec_cached)
 
 __all__ = [
-    "SpinCoefficients", "KinematicDecomposition", "GaugeAngle",
-    "np_frame", "np_metric_forms", "phi_apply",
+    "SpinCoefficients", "KinematicDecomposition", "np_frame", "np_metric_forms",
     "spin_coefficients", "spin_coefficients_from_f", "kinematics",
     "gauge_transform", "weighted_derivative",
     "sachs_forms", "bianchi_forms", "ricci_from_sachs_forms",
@@ -76,11 +75,6 @@ class KinematicDecomposition:
     theta: Expr      # expansion, Re rho
     omega: Expr      # twist, Im rho
     shear_mag: Expr  # |sigma|
-
-
-@dataclass(frozen=True)
-class GaugeAngle:
-    theta_fn: Expr
 
 
 # --------------------------------------------------------------------------
@@ -125,13 +119,6 @@ def contract(table, *weights) -> CExpr:
     for w in weights:
         terms = [(t[i], c * x) for t, c in terms for i, x in _nonzero(w)]
     return sum((c * as_cexpr(t) for t, c in terms), c_const(0))
-
-
-def phi_apply(weights):
-    """Induced (1,1) tensor on frame weights: phi e1 = e2, phi e2 = -e1, phi xi = 0."""
-    a, b, _ = weights
-    zero = c_const(0)
-    return (-as_cexpr(b), as_cexpr(a), zero)
 
 
 def d_frame(spec: ManifoldSpec, q, i: int) -> CExpr:
@@ -216,15 +203,15 @@ def grad_xi_norm_sq(spec: ManifoldSpec) -> Expr:
 # --------------------------------------------------------------------------
 # gauge transformations and weighted operators
 
-def gauge_transform(coeffs: SpinCoefficients, angle: GaugeAngle,
+def gauge_transform(coeffs: SpinCoefficients, th: Expr,
                     spec: ManifoldSpec) -> SpinCoefficients:
-    """Spin coefficients of the rotated frame D' = e^{i theta} D.
+    """Spin coefficients of the rotated frame D' = e^{i theta} D, for the
+    angle expression ``th``.
 
         sigma' = e^{2 i theta} sigma      rho' = rho
         kappa' = e^{i theta} kappa        beta' = e^{i theta}(beta + i D(theta))
         eps'   = eps + i xi(theta)
     """
-    th = angle.theta_fn
     phase = CExpr(E.cos(th), E.sin(th))
     phase2 = phase * phase
     i_unit = c_const(1j)

@@ -28,7 +28,7 @@ import math
 
 from . import expr as E
 from .cexpr import fold, residual
-from .classify import DEFAULT_TOL, _gate_roots, _not_trans_sasakian, _ts_identity_forms
+from .classify import DEFAULT_TOL, _gate_roots, _not_trans_sasakian, ts_identity_forms
 from .frame import (ManifoldSpec, connection_table, kulkarni_nomizu_forms, riemann,
                     structure_functions)
 from .npcore import (bianchi_forms, grad_xi_norm_sq, np_metric_forms, ricci_from_sachs_forms,
@@ -100,7 +100,7 @@ def _bianchi(spec: ManifoldSpec) -> dict:
 def _ts(spec: ManifoldSpec) -> dict:
     shared = _route_residuals(spec)
     rho = spin_coefficients(spec).rho
-    return {**{f"ts_{name}": tree for name, tree in _ts_identity_forms(spec).items()},
+    return {**{f"ts_{name}": tree for name, tree in ts_identity_forms(spec).items()},
             "ts_div_2theta": shared["divergence_routes"],
             "ts_grad_norm_2rho2": E.sub(grad_xi_norm_sq(spec), E.mul(2.0, rho.abs2())),
             "ts_laplacian_closed_form": shared["laplacian_routes"],

@@ -13,14 +13,14 @@ import numpy as np
 
 from np3kit import catalog
 from np3kit import expr as E
-from np3kit.classify import classify, ts_identity_residuals_many, verdict_from_samples
+from np3kit.classify import classify, ts_identity_forms, verdict_from_samples
 from np3kit.cli import main as cli_main
 from np3kit.ektau import (AdaptedState, adapted_covariant_table, adapted_spin,
                           ektau_model, ektau_params, rigidity_obstruction,
                           rigidity_sweep, spin_from_f)
 from np3kit.cexpr import eval_forms, residual
 from np3kit.frame import connection_table, curvature_values_many, default_samples
-from np3kit.npcore import (GaugeAngle, gauge_transform, grad_xi_norm_sq,
+from np3kit.npcore import (gauge_transform, grad_xi_norm_sq,
                            spin_coefficients, weighted_derivative)
 from np3kit.suites import run_suites
 from np3kit.xi import divergence_xi, rough_laplacian_xi
@@ -110,7 +110,8 @@ def test_criterion_5_trans_sasakian_theorem_suite():
     for name in ("example1", "example2", "c6", "flat_radial"):
         spec = catalog.get_spec(name)
         pts = default_samples(spec, 100, seed=0)
-        res = ts_identity_residuals_many(spec, pts)
+        res = eval_forms({k: residual(tree) for k, tree in ts_identity_forms(spec).items()},
+                         pts, spec.params)
         for rname, vals in res.items():
             value = float(np.max(vals))
             worst = max(worst, value)
@@ -219,7 +220,7 @@ def test_criterion_9_gauge_property_suite():
     ok = True
     for _ in range(50):
         th = rng.uniform(-math.pi, math.pi)
-        g = gauge_transform(co, GaugeAngle(E.const(th)), spec)
+        g = gauge_transform(co, E.const(th), spec)
         k1 = g.kappa.evaluate_many(pts, spec.params)
         s1 = g.sigma.evaluate_many(pts, spec.params)
         r1 = g.rho.evaluate_many(pts, spec.params)

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from np3kit import catalog
 from np3kit import expr as E
-from np3kit.cexpr import eval_forms, fold
-from np3kit.classify import (NotTransSasakian, _einstein_roots, _einstein_verdict, _spread,
-                             classify, conformal_foliation_residual_many, einstein_check,
-                             induced_structure, ts_identity_residuals_many,
-                             verdict_from_samples)
+from np3kit.cexpr import eval_forms, fold, residual
+from np3kit.classify import (PHI_MATRIX, _einstein_roots, _einstein_verdict, _spread, classify,
+                             einstein_check, ts_identity_forms, verdict_from_samples)
 from np3kit.frame import connection_table, default_samples, load_manifold
-from np3kit.npcore import GaugeAngle, gauge_transform, spin_coefficients
+from np3kit.npcore import gauge_transform, spin_coefficients
 from np3kit.sampling import InsufficientSamples
 from np3kit.suites import run_suites
 
@@ -78,7 +76,7 @@ def test_classify_gauge_invariant():
     rng = random.Random(5)
     for _ in range(20):
         th = rng.uniform(-math.pi, math.pi)
-        gauged = gauge_transform(co, GaugeAngle(E.const(th)), spec)
+        gauged = gauge_transform(co, E.const(th), spec)
         k = gauged.kappa.evaluate_many(pts, spec.params)
         s = gauged.sigma.evaluate_many(pts, spec.params)
         r = gauged.rho.evaluate_many(pts, spec.params)
@@ -106,64 +104,60 @@ def test_spread_is_the_max_deviation_bitwise(xs, center):
 
 
 def test_induced_structure_squares_to_reeb_projector():
-    spec = catalog.get_spec("example1")
-    st = induced_structure(spec)
-    phi = np.array(st.phi)
-    # phi^2 = -I + eta (x) xi on frame vectors
-    want = -np.eye(3) + np.outer([0, 0, 1], st.eta)
-    assert np.array_equal(phi @ phi, want)
+    phi, eta = np.array(PHI_MATRIX), np.array([0.0, 0.0, 1.0])
+    # phi^2 = -I + eta (x) xi on frame vectors, and phi xi = 0
+    assert np.array_equal(phi @ phi, -np.eye(3) + np.outer([0, 0, 1], eta))
+    assert not phi[2].any()
     # alpha, beta are the twist and expansion
+    rho = spin_coefficients(catalog.get_spec("example1")).rho
     p = (0.0, 0.0, 0.5)
-    assert E.evaluate(st.alpha, p) == pytest.approx(-0.5 * math.e, rel=1e-12)
-    assert E.evaluate(st.beta, p) == pytest.approx(-1.0, rel=1e-12)
+    assert E.evaluate(rho.im, p) == pytest.approx(-0.5 * math.e, rel=1e-12)
+    assert E.evaluate(rho.re, p) == pytest.approx(-1.0, rel=1e-12)
+
+
+def _ts_residuals(spec, points):
+    """{identity: its pointwise residual} of the trans-Sasakian forms."""
+    forms = {name: residual(tree) for name, tree in ts_identity_forms(spec).items()}
+    return eval_forms(forms, points, spec.params)
 
 
 def test_ts_identity_residuals_example1():
     spec = catalog.get_spec("example1")
-    res = ts_identity_residuals_many(spec, [(0.0, 0.0, 0.0)])
+    res = _ts_residuals(spec, [(0.0, 0.0, 0.0)])
     assert max(v[0] for v in res.values()) <= 1e-8
     # also at a generic point with x2 != 0 where S(D, xi) != 0
-    res = ts_identity_residuals_many(spec, [(0.4, 0.8, -0.3)])
+    res = _ts_residuals(spec, [(0.4, 0.8, -0.3)])
     assert max(v[0] for v in res.values()) <= 1e-8
 
 
 def test_ts_identity_residuals_example2_and_c6():
     spec = catalog.get_spec("example2")
-    res = ts_identity_residuals_many(spec, [(0.0, 0.0, 1.0)])
+    res = _ts_residuals(spec, [(0.0, 0.0, 1.0)])
     assert max(v[0] for v in res.values()) <= 1e-8
     c6 = catalog.get_spec("c6")
-    res = ts_identity_residuals_many(c6, [(1.0, 0.0, 0.0)])
+    res = _ts_residuals(c6, [(1.0, 0.0, 0.0)])
     assert res["ricci_del_del"][0] <= 1e-9  # S(D,D) = 0
 
 
 def test_ts_identity_residuals_reject_sol():
-    with pytest.raises(NotTransSasakian):
-        ts_identity_residuals_many(catalog.get_spec("sol"), [(0.0, 0.0, 0.0)])
+    # the identities hold only where kappa = sigma = 0: the ts suite skips sol
+    [record] = run_suites(catalog.get_spec("sol"), ["ts"], [(0.0, 0.0, 0.0)])["ts"]
+    assert record["skipped"] and record["reason"].startswith("NotTransSasakian: ")
 
 
 def test_ts_identity_sweep():
     for name in ("example1", "example2", "c6", "flat_radial"):
         spec = catalog.get_spec(name)
         pts = default_samples(spec, 60, seed=3)
-        res = ts_identity_residuals_many(spec, pts)
+        res = _ts_residuals(spec, pts)
         worst = {k: float(np.max(v)) for k, v in res.items()}
         assert max(worst.values()) <= 1e-8, (name, worst)
         assert worst["alpha_beta_xi"] <= 1e-9, name
 
 
-def test_conformal_foliation_residuals():
-    assert conformal_foliation_residual_many(
-        catalog.get_spec("example1"), [(0.0, 0.0, 0.0)])[0] <= 1e-9
-    assert conformal_foliation_residual_many(
-        catalog.get_spec("flat_cosymplectic"), [(1.0, 2.0, 3.0)])[0] == 0.0
-    # Sol has shear -1, so the conformality defect is 2|sigma| = 2
-    for p in [(0.0, 0.0, 0.0), (0.7, -0.2, 0.4)]:
-        assert conformal_foliation_residual_many(
-            catalog.get_spec("sol"), [p])[0] == pytest.approx(2.0, abs=1e-10)
-
-
 def _conformal_foliation_pointwise(spec, point):
-    """The one-point form the array form replaced: nine E.evaluate calls."""
+    """max over the transverse plane of |(Lie_xi g)(e_a, e_b) - 2 Theta delta_ab|
+    at one point, from the connection table: nine E.evaluate calls."""
     gamma = connection_table(spec).gamma
     theta = E.evaluate(spin_coefficients(spec).rho.re, point, spec.params)
     worst = 0.0
@@ -175,13 +169,25 @@ def _conformal_foliation_pointwise(spec, point):
     return worst
 
 
+def test_conformal_foliation_residuals():
+    assert _conformal_foliation_pointwise(catalog.get_spec("example1"), (0.0, 0.0, 0.0)) <= 1e-9
+    assert _conformal_foliation_pointwise(
+        catalog.get_spec("flat_cosymplectic"), (1.0, 2.0, 3.0)) == 0.0
+    # Sol has shear -1, so the conformality defect is 2|sigma| = 2
+    for p in [(0.0, 0.0, 0.0), (0.7, -0.2, 0.4)]:
+        assert _conformal_foliation_pointwise(
+            catalog.get_spec("sol"), p) == pytest.approx(2.0, abs=1e-10)
+
+
 @pytest.mark.parametrize("name", ["example1", "c6", "sol"])
-def test_conformal_foliation_array_form_matches_pointwise(name):
+def test_conformal_foliation_defect_is_the_shear_in_another_norm(name):
+    """The defect is the shear in another norm: 2 max(|Re sigma|, |Im sigma|),
+    between sqrt(2) |sigma| and 2 |sigma|."""
     spec = catalog.get_spec(name)
     pts = default_samples(spec, 20, seed=4)
     want = [_conformal_foliation_pointwise(spec, p) for p in pts]
-    assert np.allclose(conformal_foliation_residual_many(spec, pts), want, rtol=0, atol=1e-14)
-    assert np.allclose([conformal_foliation_residual_many(spec, [p])[0] for p in pts], want,
+    sigma = spin_coefficients(spec).sigma
+    assert np.allclose(2 * eval_forms(residual([sigma.re, sigma.im]), pts, spec.params), want,
                        rtol=0, atol=1e-14)
 
 
@@ -195,7 +201,7 @@ def test_equivalence_theorem():
         k, s = eval_forms([co.kappa, co.sigma], pts, spec.params)
         is_ts = classify(spec, samples=pts).verdict != "NotTransSasakian"
         np_route = max(np.max(np.abs(k)), np.max(np.abs(s))) <= 1e-8
-        foliation = np.all(conformal_foliation_residual_many(spec, pts[:10]) <= 1e-8)
+        foliation = all(_conformal_foliation_pointwise(spec, p) <= 1e-8 for p in pts[:10])
         geodesic = np.max(np.abs(k)) <= 1e-8
         assert is_ts == np_route == (foliation and geodesic), name
 
@@ -246,8 +252,7 @@ def test_a_nan_kappa_or_sigma_fails_the_einstein_gate(key):
     assert "max_abs_d_rho" not in _einstein_verdict(values, 30).residuals
 
 
-@pytest.mark.parametrize("caller", ["classify", "einstein_check", "ts_suite",
-                                    "ts_identity_residuals_many"])
+@pytest.mark.parametrize("caller", ["classify", "einstein_check", "ts_suite"])
 def test_every_gate_caller_reads_a_nan_sigma_as_not_trans_sasakian(caller, overflow_doc):
     spec = load_manifold(overflow_doc)
     pts = default_samples(spec, 30)
@@ -255,12 +260,8 @@ def test_every_gate_caller_reads_a_nan_sigma_as_not_trans_sasakian(caller, overf
         assert classify(spec, pts).verdict == "NotTransSasakian"
     elif caller == "einstein_check":
         assert "max_abs_d_rho" not in einstein_check(spec, pts).residuals
-    elif caller == "ts_suite":
+    else:
         # skipped, and failed: a NaN gate decides nothing
         assert run_suites(spec, ["ts"], pts)["ts"] == [{
             "name": "ts_suite", "skipped": True, "pass": False,
             "reason": "NotTransSasakian: 'overflow' has max(|kappa|,|sigma|) = nan over the samples"}]
-    else:
-        with pytest.raises(NotTransSasakian) as exc:
-            ts_identity_residuals_many(spec, pts)
-        assert math.isnan(exc.value.worst)

@@ -97,6 +97,13 @@ def test_a_malformed_document_exits_3(tmp_path, capsys):
         code, out, err = run_cli(capsys, "classify", str(path))
         assert (code, out) == (3, ""), bad
         assert err.startswith(f"np3kit: error: cannot load {path}"), bad
+    # a path that cannot be read as UTF-8 text is an input error too
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path, undecodable):
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (3, ""), path
+        assert err.startswith(f"np3kit: error: cannot load {path}: "), path
 
 
 def test_classify_file_spec(tmp_path, capsys):
@@ -162,6 +169,25 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_exits_3(capsys, argv):
     option, value = argv[-1].split("=")
     assert (code, out) == (3, "")
     assert err == f"np3kit: error: {option} must be finite and at least 0, got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spin", "example1", "--at=nan,0,0"),
+    ("spin", "example1", "--at=0,inf,0"),
+    ("spin", "example1", "--at=0,0,-inf"),
+    ("ektau", "--tau=1", "--kappa=nan"),
+    ("ektau", "--kappa=1", "--tau=inf"),
+    ("ektau", "--kappa=1", "--tau=1", "--u=nan"),
+    ("ektau", "--kappa=1", "--tau=1", "--u=-inf"),
+    ("ektau", "--tau=0", "--sweep", "--kappa=inf"),
+], ids=" ".join)
+def test_a_numeric_input_that_is_not_finite_exits_3(capsys, argv):
+    # a NaN or an infinity would otherwise be written into the report
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    option, value = argv[-1].split("=")
+    bad = next(float(x) for x in value.split(",") if not math.isfinite(float(x)))
+    assert (code, out) == (3, "")
+    assert err == f"np3kit: error: {option} must be finite, got {bad!r}\n"
 
 
 def test_a_zero_tolerance_is_an_input(capsys):

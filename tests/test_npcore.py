@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from np3kit import catalog
 from np3kit import expr as E
 from np3kit.cexpr import CExpr, c_const, eval_forms, residual
+from np3kit.classify import PHI_MATRIX
 from np3kit.frame import (covariant_derivative, curvature_values_many, default_samples,
                           load_manifold, spec_to_document)
-from np3kit.npcore import (GaugeAngle, W_DEL, bianchi_forms, contract, d_del, gauge_transform,
+from np3kit.npcore import (W_DEL, bianchi_forms, contract, d_del, gauge_transform,
                            grad_xi_norm_sq, kinematics, np_frame, np_metric_forms,
-                           phi_apply, ricci_from_sachs_forms, sachs_forms,
+                           ricci_from_sachs_forms, sachs_forms,
                            spin_coefficients, spin_coefficients_from_f,
                            weighted_derivative)
 
@@ -55,10 +56,9 @@ def test_np_frame_returns_coordinate_components(example1):
 
 
 def test_phi_rotates_del_by_i():
-    out = phi_apply(W_DEL)
-    got = np.array([c.evaluate((0.0, 0.0, 0.0)) for c in out])
-    want = 1j * np.array([c.evaluate((0.0, 0.0, 0.0)) for c in W_DEL])
-    assert np.max(np.abs(got - want)) < 1e-15
+    # phi(D) = sum_i D_i phi(E_i), and the rows of PHI_MATRIX are the phi(E_i)
+    d = np.array([c.evaluate((0.0, 0.0, 0.0)) for c in W_DEL])
+    assert np.max(np.abs(d @ np.array(PHI_MATRIX) - 1j * d)) < 1e-15
 
 
 def test_spin_coefficients_example1(example1):
@@ -218,7 +218,7 @@ def _rotated_spec(spec, theta_text):
 
 def test_gauge_constant_quarter_turn(example1):
     co = spin_coefficients(example1)
-    gauged = gauge_transform(co, GaugeAngle(E.const(math.pi / 2)), example1)
+    gauged = gauge_transform(co, E.const(math.pi / 2), example1)
     p = (0.2, -0.6, 0.4)
     base = co.evaluate(p)
     new = gauged.evaluate(p)
@@ -229,7 +229,7 @@ def test_gauge_constant_quarter_turn(example1):
 
 def test_gauge_xi_direction_on_flat(flat):
     co = spin_coefficients(flat)
-    gauged = gauge_transform(co, GaugeAngle(E.Coord(1)), flat)
+    gauged = gauge_transform(co, E.Coord(1), flat)
     # xi = d/dx3 so xi(x1) = 0 and eps' = i xi(theta) = 0
     assert gauged.epsilon_np.evaluate((0.7, 0.1, -0.3)) == pytest.approx(0.0, abs=1e-14)
 
@@ -240,7 +240,7 @@ def test_gauge_formulas_match_rotated_frame(example1):
     rotated = _rotated_spec(example1, theta_text)
     th = E.parse(theta_text)
     co = spin_coefficients(example1)
-    gauged = gauge_transform(co, GaugeAngle(th), example1)
+    gauged = gauge_transform(co, th, example1)
     direct = spin_coefficients(rotated)
     for p in [(0.1, 0.2, 0.3), (-0.5, 0.4, 0.8)]:
         for name in ("kappa", "sigma", "rho", "beta_np", "epsilon_np"):
@@ -258,7 +258,7 @@ def test_gauge_invariants_50_random_constant_gauges(example1):
     r0 = co.rho.evaluate_many(pts, example1.params)
     for _ in range(50):
         th = rng.uniform(-math.pi, math.pi)
-        gauged = gauge_transform(co, GaugeAngle(E.const(th)), example1)
+        gauged = gauge_transform(co, E.const(th), example1)
         k1 = gauged.kappa.evaluate_many(pts, example1.params)
         s1 = gauged.sigma.evaluate_many(pts, example1.params)
         r1 = gauged.rho.evaluate_many(pts, example1.params)

@@ -332,7 +332,6 @@ EVALUATORS = {
     "cexpr.py": ["CExpr"],
     "npcore.py": ["SpinCoefficients"],
     "frame.py": ["_check_nondegenerate", "curvature_values_many"],
-    "classify.py": ["ts_identity_residuals_many", "conformal_foliation_residual_many"],
 }
 
 

@@ -15,7 +15,7 @@ import pytest
 from np3kit import catalog, cli
 from np3kit import expr as E
 from np3kit.cexpr import eval_forms, fold, residual
-from np3kit.classify import einstein_check, ts_identity_residuals_many
+from np3kit.classify import einstein_check, ts_identity_forms
 from np3kit.frame import (curvature_values_many, default_samples, kulkarni_nomizu_forms,
                           load_manifold)
 from np3kit.npcore import spin_coefficients
@@ -321,7 +321,8 @@ def test_library_sweeps_run_one_tape_each(tapes):
         pts = default_samples(spec, 60, seed=3)
         tapes.clear()
         if name == "example1":
-            ts_identity_residuals_many(spec, pts)
+            eval_forms({k: residual(tree) for k, tree in ts_identity_forms(spec).items()},
+                       pts, spec.params)
         parallel_and_collinearity(spec, samples=pts)
         einstein_check(spec, samples=pts)
         assert tapes == [[60]] * (3 if name == "example1" else 2)
