@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from np3kit.ektau import (AdaptedState, adapted_spin, ektau_model, ektau_params,
-                          rigidity_obstruction, rigidity_sweep, sol_obstruction,
-                          ts_system_residuals)
+from np3kit.ektau import (AdaptedState, adapted_covariant_table, ektau_model,
+                          ektau_params, rigidity_obstruction, rigidity_sweep,
+                          sol_obstruction, spin_from_f)
 
 print("canonical model for the Heisenberg frame (kappa=0, tau=1/2):")
 model = ektau_model(0.0, 0.5)
@@ -22,15 +22,16 @@ print("  nabla_{E1}E2 coefficient on E3:", model.gamma[0][1][2])
 
 print("\nvertical candidate (u=0): the structure is alpha-Sasakian of type (tau, 0)")
 p = ektau_params(1.0, 1.0)
-k, s, r = adapted_spin(p, AdaptedState.vertical())
+k, s, r = spin_from_f(adapted_covariant_table(p, AdaptedState.vertical()))
 print(f"  kappa_np={k}, sigma_np={s}, rho_np={r}")
 
 print("\ntilted candidate at u=pi/2 with no extra freedom:")
 state = AdaptedState(math.pi / 2, (0, 0, 0), (0, 0, 0))
-k, s, r = adapted_spin(p, state)
+k, s, r = spin_from_f(adapted_covariant_table(p, state))
+print(f"  |kappa_np| = {abs(k):.1e}  (geodesic up to the roundoff of cos(pi/2))")
 print(f"  sigma_np = {s}  (nonzero: the candidate is sheared)")
-print("  constraint-system residuals:", {k2: round(v, 12) for k2, v in
-                                         ts_system_residuals(p, state).items()})
+print(f"  rho_np = {r}  (alpha = Im rho, beta = Re rho)")
+print("  (this closed form matches the pipeline on tilted Heisenberg and H^2 x R frames)")
 
 print("\nobstruction values:")
 for kappa, tau in [(1.0, 1.0), (4.0, 1.0), (-1.0, 0.0), (0.0, 0.0)]:

@@ -53,8 +53,9 @@ DEFAULT_TOL_CONST = 1e-6
 MIN_SAMPLES = 20
 DEFAULT_COUNT = 100  # points drawn (seed 0) when a sweep is given no samples
 
-# phi on frame components: rows are the images of (e1, e2, xi), eta = (0, 0, 1)
+# phi on frame components: rows are the images of (e1, e2, xi); eta = g(xi, .)
 PHI_MATRIX = ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+ETA = (0.0, 0.0, 1.0)
 
 
 class NotTransSasakian(RuntimeError):
@@ -238,8 +239,8 @@ def ts_identity_forms(spec: ManifoldSpec) -> dict:
         "ricci_del_delbar": S["ddb"] - closed["S_ddb"],
         "scalar_curvature": as_cexpr(tau) - closed["scalar"],
         # nabla_X xi = -alpha phi X + beta (X - eta(X) xi)
-        "nabla_xi": [E.sub(f[0][0], beta), E.add(f[0][1], alpha), E.sub(f[1][0], alpha),
-                     E.sub(f[1][1], beta), f[2][0], f[2][1], f[0][2], f[1][2], f[2][2]],
+        "nabla_xi": [E.sub(E.add(f[i][j], E.mul(PHI_MATRIX[i][j], alpha)),
+                           E.mul(float(i == j) - ETA[i] * ETA[j], beta)) for i in n for j in n],
     }
 
 

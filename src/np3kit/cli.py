@@ -142,8 +142,11 @@ def cmd_verify(args) -> int:
 
 def cmd_ektau(args) -> int:
     for option in ("kappa", "tau", "u"):
-        _check_finite(f"--{option}", getattr(args, option))
-    params = ektau_params(args.kappa, args.tau)
+        value = getattr(args, option)
+        if value is not None:
+            _check_finite(f"--{option}", value)
+        elif not args.sweep:  # the sweep's grid is fixed
+            raise _CliError(EXIT_INPUT, f"--{option} is required unless --sweep is given")
     if args.sweep:
         kappas = np.linspace(-4.0, 4.0, 50)
         taus = np.linspace(-2.0, 2.0, 50)
@@ -161,6 +164,7 @@ def cmd_ektau(args) -> int:
             writer.write("".join(chain.from_iterable(zip(
                 repeat(k), middles, map(repr, obs_k.tolist()), map(flag, zero_k.tolist())))))
         return EXIT_OK
+    params = ektau_params(args.kappa, args.tau)
     rep = rigidity_obstruction(params, args.u)
     report = base_report(None)
     report["ektau"] = {
@@ -215,11 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ektau", help="rigidity obstruction for the fibered geometries")
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--kappa", type=float, help="required unless --sweep is given")
+    p.add_argument("--tau", type=float, help="required unless --sweep is given")
     p.add_argument("--u", type=float, default=1.5707963267948966,
                    help="tilt angle of the candidate (default pi/2)")
-    p.add_argument("--sweep", action="store_true", help="50x50x50 grid as CSV")
+    p.add_argument("--sweep", action="store_true",
+                   help="the fixed 50x50x50 (kappa, tau, u) grid as CSV")
     common(p, sampled=False)
     p.set_defaults(func=cmd_ektau)
     return parser

@@ -24,9 +24,12 @@ For tau = 0 the fiber data is the surface connection form folded into a
 single free slot value B(X) = dv(X) + omega(X); its curvature enters only
 through the obstruction.
 
-Everything in this module is plain numeric; the coordinate-free closed
-forms are cross-checked against the symbolic engine through the catalog
-frames (nil3, h2xr, sol).
+Everything in this module is plain numeric.  The tilted candidate has one
+closed form, ``adapted_covariant_table``, and its spin coefficients are read
+off it by ``spin_from_f``.  The tests check that closed form against the
+symbolic pipeline on tilted frames of the Heisenberg group (kappa = 0, any
+tau) and of H^2 x R, the canonical model's connection against the catalog
+frame nil3, and its curvature against Daniel's chart frame.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ import numpy as np
 __all__ = [
     "EkTauParams", "AdaptedState", "RigidityReport", "EkTauModel",
     "TauZeroForSigma", "ektau_params", "ektau_model",
-    "adapted_spin", "adapted_covariant_table", "spin_from_f",
-    "ts_system_residuals", "rigidity_obstruction", "rigidity_sweep",
-    "bracket_consistency", "sol_obstruction", "vertical_structure_type",
+    "adapted_covariant_table", "spin_from_f", "rigidity_obstruction",
+    "rigidity_sweep", "bracket_consistency", "sol_obstruction",
 ]
 
 _SQ2 = math.sqrt(2.0)
@@ -157,18 +159,6 @@ def spin_from_f(f) -> tuple:
     return kappa, sigma, rho
 
 
-def vertical_structure_type(params: EkTauParams) -> tuple:
-    """(alpha, beta) of the structure carried by the vertical field."""
-    return (params.tau, 0.0)
-
-
-def _terms(params: EkTauParams, state: AdaptedState) -> tuple:
-    """(tau, delta, sin u, cos u, *du, *dv) of the closed forms, with
-    tau = delta = 0 for a product geometry."""
-    tau, d = (params.tau, params.delta) if params.tau != 0.0 else (0.0, 0.0)
-    return (tau, d, math.sin(state.u), math.cos(state.u), *state.du, *state.dv)
-
-
 def adapted_covariant_table(params: EkTauParams, state: AdaptedState):
     """Shape-operator entries of the tilted candidate in its adapted frame.
 
@@ -177,36 +167,14 @@ def adapted_covariant_table(params: EkTauParams, state: AdaptedState):
     nabla_{xi} xi = sin(u)(dv(xi) + delta cos u) e1 - du(xi) e2
 
     and the tau = 0 analogue with B in place of dv: the same formulas with
-    tau = delta = 0.
+    tau = delta = 0.  Its spin coefficients are ``spin_from_f`` of this table.
     """
-    tau, d, su, cu, du1, du2, du3, v1, v2, v3 = _terms(params, state)
+    tau, d = (params.tau, params.delta) if params.tau != 0.0 else (0.0, 0.0)
+    su, cu = math.sin(state.u), math.cos(state.u)
+    (du1, du2, du3), (v1, v2, v3) = state.du, state.dv
     return ((su * v1, -(du1 + tau)),
             (su * v2 + tau + d * su * su, -du2),
             (su * (v3 + d * cu), -du3))
-
-
-def adapted_spin(params: EkTauParams, state: AdaptedState) -> tuple:
-    """(kappa_np, sigma_np, rho_np) of the tilted candidate, closed form."""
-    tau, d, su, cu, du1, du2, du3, v1, v2, v3 = _terms(params, state)
-    kappa = -(su * (v3 + d * cu) + 1j * du3) / _SQ2
-    sigma = -((su * v1 + du2) - 1j * (su * v2 - du1 + d * su * su)) / 2.0
-    rho = ((su * v1 - du2) + 1j * (su * v2 + du1 + 2 * tau + d * su * su)) / 2.0
-    return kappa, sigma, rho
-
-
-def ts_system_residuals(params: EkTauParams, state: AdaptedState) -> dict:
-    """Residuals of the four scalar equations equivalent to
-    kappa_np = sigma_np = 0, plus the implied type functions.  The second
-    is named ``sys2_B_xi`` for a product geometry, whose slots carry B."""
-    tau, d, su, cu, du1, du2, du3, v1, v2, v3 = _terms(params, state)
-    return {
-        "sys1_du_xi": du3,
-        "sys2_dv_xi" if tau != 0.0 else "sys2_B_xi": su * (v3 + d * cu),
-        "sys3_shear_re": du2 + su * v1,
-        "sys4_shear_im": du1 - su * v2 - d * su * su,
-        "alpha": 0.5 * (su * v2 + du1 + 2 * tau + d * su * su),
-        "beta": 0.5 * (su * v1 - du2),
-    }
 
 
 def rigidity_obstruction(params: EkTauParams, u: float) -> RigidityReport:
@@ -225,7 +193,7 @@ def rigidity_obstruction(params: EkTauParams, u: float) -> RigidityReport:
     return RigidityReport(
         obstruction_value=value,
         verdict=verdict,
-        implied_alpha_beta=vertical_structure_type(params),
+        implied_alpha_beta=(params.tau, 0.0),  # the vertical field's (alpha, beta)
     )
 
 
@@ -254,7 +222,9 @@ def bracket_consistency(params: EkTauParams, u: float, alpha: float, beta: float
     through dv(xi) = -delta cos u, dv(e1) = beta/sin u,
     dv(e2) = (alpha - tau - delta sin^2 u)/sin u, the two bracket
     evaluations become algebraic identities; the residuals are pure
-    roundoff.  Requires sin u != 0 and tau != 0.
+    roundoff.  ``system`` is max(|kappa_np|, |sigma_np|) of the state's
+    covariant table, and the implied alpha and beta are Im and Re of its
+    rho_np.  Requires sin u != 0 and tau != 0.
     """
     tau, d = params.tau, params.delta
     su, cu = math.sin(u), math.cos(u)
@@ -262,22 +232,16 @@ def bracket_consistency(params: EkTauParams, u: float, alpha: float, beta: float
         raise ValueError("bracket consistency needs a tilted state (sin u != 0)")
     du = (alpha - tau, -beta, 0.0)
     dv = (beta / su, (alpha - tau - d * su * su) / su, -d * cu)
-    state = AdaptedState(u, du, dv)
-    sys = ts_system_residuals(params, state)
-    res_system = max(abs(sys["sys1_du_xi"]), abs(sys["sys2_dv_xi"]),
-                     abs(sys["sys3_shear_re"]), abs(sys["sys4_shear_im"]))
-    # [e1, xi](u) evaluated through the bracket vs through xi(alpha)
-    lhs1 = beta * du[0] - (alpha + tau) * du[1]
-    res_xi_alpha = lhs1 - 2.0 * alpha * beta
-    # [e2, xi](u): bracket vs xi(beta)
-    lhs2 = (alpha + tau) * du[0] + beta * du[1]
-    res_xi_beta = lhs2 - (alpha * alpha - beta * beta - tau * tau)
+    kappa, sigma, rho = spin_from_f(adapted_covariant_table(params, AdaptedState(u, du, dv)))
     return {
-        "system": res_system,
-        "xi_alpha": res_xi_alpha,
-        "xi_beta": res_xi_beta,
-        "implied_alpha": sys["alpha"] - alpha,
-        "implied_beta": sys["beta"] - beta,
+        "system": max(abs(kappa), abs(sigma)),
+        # [e1, xi](u) evaluated through the bracket vs through xi(alpha)
+        "xi_alpha": beta * du[0] - (alpha + tau) * du[1] - 2.0 * alpha * beta,
+        # [e2, xi](u): bracket vs xi(beta)
+        "xi_beta": ((alpha + tau) * du[0] + beta * du[1]
+                    - (alpha * alpha - beta * beta - tau * tau)),
+        "implied_alpha": rho.imag - alpha,
+        "implied_beta": rho.real - beta,
     }
 
 

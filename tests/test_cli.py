@@ -284,6 +284,21 @@ def test_ektau_sweep_csv(capsys):
     assert len(out.encode()) == 9_765_609
 
 
+def test_ektau_sweep_needs_no_point(capsys):
+    # the grid is fixed, so --kappa and --tau are optional under --sweep
+    code, out, err = run_cli(capsys, "ektau", "--sweep")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "459b54c328d74198bf4109392e86b52508409a1a443f78e6d44082744f99d419"
+
+
+@pytest.mark.parametrize("given,missing", [("tau", "kappa"), ("kappa", "tau")])
+def test_ektau_without_sweep_needs_kappa_and_tau(capsys, given, missing):
+    code, out, err = run_cli(capsys, "ektau", f"--{given}", "1", "--format", "json")
+    assert (code, out) == (3, "")
+    assert err == f"np3kit: error: --{missing} is required unless --sweep is given\n"
+
+
 class _Sink:
     """A stream that discards what it is given."""
 

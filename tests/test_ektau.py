@@ -1,17 +1,16 @@
 import math
-import random
 
 import numpy as np
 import pytest
 
 from np3kit import catalog
 from np3kit.ektau import (AdaptedState, TauZeroForSigma, adapted_covariant_table,
-                          adapted_spin, bracket_consistency, ektau_model,
-                          ektau_params, rigidity_obstruction, rigidity_sweep,
-                          sol_obstruction, spin_from_f, ts_system_residuals,
-                          vertical_structure_type)
+                          bracket_consistency, ektau_model, ektau_params,
+                          rigidity_obstruction, rigidity_sweep, sol_obstruction,
+                          spin_from_f)
 from np3kit.cexpr import eval_forms
-from np3kit.frame import connection_table, default_samples
+from np3kit.frame import connection_table, default_samples, load_manifold, riemann
+from np3kit.npcore import spin_coefficients
 
 
 def test_params_delta_relation():
@@ -70,49 +69,55 @@ def test_vertical_spin_from_model():
     kappa, sigma, rho = spin_from_f(f)
     assert kappa == 0 and sigma == 0
     assert rho == pytest.approx(0.5j, abs=1e-15)
-    assert vertical_structure_type(m.params) == (0.5, 0.0)
+    assert rigidity_obstruction(m.params, 0.0).implied_alpha_beta == (0.5, 0.0)
 
 
-def test_adapted_spin_vertical_state():
+def closed_form_spin(params, state) -> tuple:
+    """(kappa_np, sigma_np, rho_np) of the tilted candidate's one closed form."""
+    return spin_from_f(adapted_covariant_table(params, state))
+
+
+def test_closed_form_vertical_state():
     p = ektau_params(1.0, 1.0)
-    k, s, r = adapted_spin(p, AdaptedState.vertical())
+    k, s, r = closed_form_spin(p, AdaptedState.vertical())
     assert k == 0 and s == 0
     assert r == pytest.approx(1j, abs=1e-15)
 
 
-def test_adapted_spin_tilted_shear():
+def test_closed_form_tilted_shear():
     # kappa=1, tau=1 => delta = -1.5; u = pi/2 with no du, dv
     p = ektau_params(1.0, 1.0)
     state = AdaptedState(math.pi / 2, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    k, s, r = adapted_spin(p, state)
+    k, s, r = closed_form_spin(p, state)
     assert k == pytest.approx(0.0, abs=1e-15)
     assert s == pytest.approx(-0.75j, abs=1e-12)
     assert r == pytest.approx(0.25j, abs=1e-12)
 
 
-def test_adapted_spin_du_xi():
+def test_closed_form_du_xi():
     p = ektau_params(1.0, 1.0)
     state = AdaptedState(0.0, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
-    k, _, _ = adapted_spin(p, state)
+    k, _, _ = closed_form_spin(p, state)
     assert k == pytest.approx(-1j / math.sqrt(2), abs=1e-15)
 
 
-def test_ts_system_residuals_vertical_and_tilted():
+def test_closed_form_constraints_vertical_and_tilted():
+    # kappa_np = sigma_np = 0 is four real equations: Re and Im of each
     p = ektau_params(1.0, 1.0)
-    sys = ts_system_residuals(p, AdaptedState.vertical())
-    assert all(abs(sys[k]) == 0 for k in sys if k.startswith("sys"))
-    assert (sys["alpha"], sys["beta"]) == (1.0, 0.0)
+    k, s, r = closed_form_spin(p, AdaptedState.vertical())
+    assert (k, s) == (0, 0)
+    assert (r.imag, r.real) == (1.0, 0.0)  # (alpha, beta)
 
     state = AdaptedState(math.pi / 2, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    sys = ts_system_residuals(p, state)
-    assert sys["sys2_dv_xi"] == pytest.approx(0.0, abs=1e-15)  # cos(pi/2) ~ 0
-    assert sys["sys4_shear_im"] == pytest.approx(1.5, abs=1e-12)  # -delta
+    k, s, _ = closed_form_spin(p, state)
+    assert k.real == pytest.approx(0.0, abs=1e-15)  # cos(pi/2) ~ 0
+    assert -2 * s.imag == pytest.approx(1.5, abs=1e-12)  # -delta
 
-    # a state built to solve dv(xi) = -delta cos u satisfies sys2 exactly
+    # a state built to solve dv(xi) = -delta cos u zeroes Re kappa_np exactly
     u = 0.8
     state = AdaptedState(u, (0.0, 0.0, 0.0),
                          (0.0, 0.0, -p.delta * math.cos(u)))
-    assert ts_system_residuals(p, state)["sys2_dv_xi"] == 0.0
+    assert closed_form_spin(p, state)[0].real == 0.0
 
 
 def test_adapted_table_values():
@@ -135,62 +140,56 @@ def test_product_case_table_and_spin():
     state = AdaptedState(math.pi / 2, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     f = adapted_covariant_table(p, state)
     assert all(v == (0.0, 0.0) for v in f)
-    k, s, r = adapted_spin(p, state)
+    k, s, r = spin_from_f(f)
     assert k == s == r == 0
 
 
-def test_adapted_spin_matches_master_route_1000_random_states():
-    rng = random.Random(42)
-    for trial in range(1000):
-        if trial % 2 == 0:
-            p = ektau_params(rng.uniform(-4, 4), rng.choice([-1, 1]) * rng.uniform(0.1, 2))
-        else:
-            p = ektau_params(rng.uniform(-4, 4), 0.0)
-        state = AdaptedState(
-            rng.uniform(0, math.pi),
-            tuple(rng.uniform(-2, 2) for _ in range(3)),
-            tuple(rng.uniform(-2, 2) for _ in range(3)),
-        )
-        direct = adapted_spin(p, state)
-        via_f = spin_from_f(adapted_covariant_table(p, state))
-        for a, b in zip(direct, via_f):
-            assert abs(a - b) <= 1e-12
-
-
-def test_h2xr_tilted_candidate_matches_generic_engine():
-    """Constant-angle tilt on H^2 x R: the product-case closed form against
-    the full symbolic pipeline on the tilted frame."""
-    from np3kit.frame import load_manifold
-    from np3kit.npcore import spin_coefficients
-    u0 = 0.6
-    su, cu = math.sin(u0), math.cos(u0)
-    doc = {
-        "name": "h2xr_tilted",
-        "coords": ["x1", "x2", "x3"],
-        "frame": {
-            "e1": ["0", "x2", "0"],
-            "e2": [f"{-cu}*x2", "0", f"{su}"],
-            "xi": [f"{su}*x2", "0", f"{cu}"],
-        },
-        "domain": ["x2"],
-        "box": [[-1, 1], [0.5, 2.0], [-1, 1]],
-    }
+def pipeline_gap(doc, params, state) -> float:
+    """max |closed form - pipeline| of (kappa_np, sigma_np, rho_np) at 50
+    seed-0 samples of the document's frame."""
     spec = load_manifold(doc)
     co = spin_coefficients(spec)
-    point = (0.3, 1.2, -0.4)
-    got = co.evaluate(point, spec.params)
+    got = eval_forms((co.kappa, co.sigma, co.rho), default_samples(spec, 50), spec.params)
+    return float(np.max(np.abs(got - np.array(closed_form_spin(params, state)))))
 
-    # closed form: T = E1, v = 0, dv = 0, du = 0; B(X) = omega(X); the
-    # surface connection form of the x2 > 0 half-plane frame has
-    # omega(E1) = 1, so B(e1) = 0, B(e2) = -cos(u0), B(xi) = sin(u0)
-    p = ektau_params(-1.0, 0.0)
-    state = AdaptedState(u0, (0.0, 0.0, 0.0), (0.0, -cu, su))
-    want = adapted_spin(p, state)
-    assert got["kappa"] == pytest.approx(want[0], abs=1e-12)
-    assert got["sigma"] == pytest.approx(want[1], abs=1e-12)
-    assert got["rho"] == pytest.approx(want[2], abs=1e-12)
-    # the candidate fails the geodesic condition outright
-    assert abs(got["kappa"]) == pytest.approx(su * su / math.sqrt(2), abs=1e-12)
+
+def test_heisenberg_tilted_candidate_matches_generic_engine(tilted_candidates):
+    """Constant tilts on the Heisenberg group: the closed form against the
+    full symbolic pipeline on the tilted frame."""
+    for doc, p, state in tilted_candidates["heisenberg"]:
+        assert pipeline_gap(doc, p, state) <= 1e-12, (p, state)
+        # the comparison is not of zeros: the tilted candidate is sheared
+        sigma = closed_form_spin(p, state)[1]
+        assert abs(sigma) == pytest.approx(abs(p.tau) * math.sin(state.u) ** 2, abs=1e-15)
+
+
+def test_h2xr_tilted_candidate_matches_generic_engine(tilted_candidates):
+    """Constant-angle tilts on H^2 x R: the product-case closed form against
+    the full symbolic pipeline on the tilted frame."""
+    for doc, p, state in tilted_candidates["h2xr"]:
+        assert pipeline_gap(doc, p, state) <= 1e-12, state
+        # the candidate fails the geodesic condition outright
+        kappa = closed_form_spin(p, state)[0]
+        assert abs(kappa) == pytest.approx(math.sin(state.u) ** 2 / math.sqrt(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa,tau", [(-1.0, 0.5), (0.0, 0.5), (1.0, 1.0), (4.0, 1.0),
+                                       (2.0, -0.7), (-1.0, 0.0), (-1.5, 0.0), (0.0, 0.0)])
+def test_model_curvature_matches_daniel_chart_frame(kappa, tau):
+    """The canonical model's Ricci tensor against the pipeline's on Daniel's
+    chart frame e1 = (1/lam, 0, -tau x2), e2 = (0, 1/lam, tau x1), xi = d3,
+    1/lam = 1 + kappa/4 (x1^2 + x2^2): both frames have xi = E3, and S is
+    invariant under horizontal rotations."""
+    inv_lam = f"(1 + {kappa / 4!r}*(x1^2 + x2^2))"
+    spec = load_manifold({
+        "name": "daniel", "coords": ["x1", "x2", "x3"],
+        "frame": {"e1": [inv_lam, "0", f"{-tau!r}*x2"], "e2": ["0", inv_lam, f"{tau!r}*x1"],
+                  "xi": ["0", "0", "1"]},
+    })
+    S = eval_forms(riemann(spec).ricci, default_samples(spec, 200), spec.params)
+    _, S_model = ektau_model(kappa, tau).curvature()
+    assert np.max(np.abs(S - S_model)) <= 1e-14
+    assert np.allclose(np.diag(S_model), [kappa - 2 * tau * tau] * 2 + [2 * tau * tau])
 
 
 def test_rigidity_obstruction_cases():

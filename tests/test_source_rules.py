@@ -19,10 +19,13 @@ module keeps a table of its own at module level but ``expr._INTERN`` and
 the ``catalog._ENTRIES`` registry: a derived value lives on the object it
 derives from.  No module of the package or its tests imports a name at top
 level that it never reads, and neither does a demo.  No function of the
-package takes a parameter that its body never reads: a dead knob.
+package takes a parameter that its body never reads: a dead knob.  Every
+name in a module's ``__all__`` is an attribute of the module, so a deleted
+definition takes its export with it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -437,3 +440,25 @@ def test_parameter_rule_flags_a_dead_knob():
     assert unread_parameters(source) == [
         "_schedule(coords)", "lambda(default)", "run(pts)", "run(width)", "visit(opts)",
         "visit(rest)"]
+
+
+def unresolved_exports(namespace: dict) -> list[str]:
+    """The names of a module namespace's ``__all__`` that it does not bind."""
+    return [name for name in namespace.get("__all__", ()) if name not in namespace]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    module = "np3kit" if path.stem == "__init__" else f"np3kit.{path.stem}"
+    assert unresolved_exports(vars(importlib.import_module(module))) == []
+
+
+def test_export_rule_flags_a_deleted_definition():
+    namespace = {}
+    exec("import math\n"
+         "__all__ = ['math', 'kept', 'deleted', 'Report']\n"
+         "def kept():\n"
+         "    return math.pi\n"
+         "class Report:\n"
+         "    pass\n", namespace)
+    assert unresolved_exports(namespace) == ["deleted"]
