@@ -46,15 +46,16 @@ can underflow to a false division by zero.
 Expressions are immutable and freely shared.  The constructors intern
 every node they make (hash-consing), so structurally equal subterms are
 the *same* object: a node is its own identity, and ``==`` and ``hash`` are
-``object``'s, O(1) however large the DAG.  The constructors dispatch on the
-exact type of each operand: only this module makes nodes, and a number is
-coerced once.  A node carries its own derivatives: :func:`differentiate`
-attaches one row to it, its derivatives by x1, x2 and x3 as each is first
-asked for, so the three derivatives of a subterm share one row, and
-repeated differentiation produces compact DAGs.  The intern table is
-module-global and never freed, and a row lives as long as its node; both
-only ever deduplicate work, and under concurrent use they may recompute,
-never corrupt.
+``object``'s, O(1) however large the DAG.  The intern table is keyed by
+the op and its operand nodes themselves, not their ids, so a key holds its
+operands and can never name a recycled id.  The constructors dispatch on
+the exact type of each operand: only this module makes nodes, and a number
+is coerced once.  A node carries its own derivatives: :func:`differentiate`
+builds its row whole, its derivatives by x1, x2 and x3 in one visit, so a
+DAG is walked once for all three, and repeated differentiation produces
+compact DAGs.  The intern table is module-global and never freed, and a
+row lives as long as its node; both only ever deduplicate work, and under
+concurrent use they may recompute, never corrupt.
 
 Evaluation has one driver, :func:`sweep`.  It compiles the distinct nodes
 of the requested expressions into a tape for passes of ``min(CHUNK, N)``
@@ -179,30 +180,30 @@ class Expr:
 
 
 # ``eq=False``: interning makes identity the structural equality.  ``d`` is
-# the node's derivative row, ``[None, d/dx1, d/dx2, d/dx3]``.
+# the node's derivative row, ``(None, d/dx1, d/dx2, d/dx3)``.
 @dataclass(frozen=True, repr=False, slots=True, eq=False)
 class Const(Expr):
     value: float
-    d: list | None = field(default=None, init=False)
+    d: tuple | None = field(default=None, init=False)
 
 
 @dataclass(frozen=True, repr=False, slots=True, eq=False)
 class Coord(Expr):
     index: int  # 1..3
-    d: list | None = field(default=None, init=False)
+    d: tuple | None = field(default=None, init=False)
 
 
 @dataclass(frozen=True, repr=False, slots=True, eq=False)
 class Param(Expr):
     name: str
-    d: list | None = field(default=None, init=False)
+    d: tuple | None = field(default=None, init=False)
 
 
 @dataclass(frozen=True, repr=False, slots=True, eq=False)
 class Unary(Expr):
     op: str
     arg: Expr
-    d: list | None = field(default=None, init=False)
+    d: tuple | None = field(default=None, init=False)
 
 
 @dataclass(frozen=True, repr=False, slots=True, eq=False)
@@ -210,7 +211,7 @@ class Binary(Expr):
     op: str
     left: Expr
     right: Expr
-    d: list | None = field(default=None, init=False)
+    d: tuple | None = field(default=None, init=False)
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +305,7 @@ def add(a, b) -> Expr:
     if (ta is Unary and a.op == "neg" and a.arg is b
             or tb is Unary and b.op == "neg" and b.arg is a):
         return _ZERO
-    key = ("add", id(a), id(b))
+    key = ("add", a, b)
     node = _INTERN.get(key)
     if node is None:
         node = _INTERN[key] = Binary("add", a, b)
@@ -330,7 +331,7 @@ def sub(a, b) -> Expr:
         return neg(b)
     elif a is b:
         return _ZERO
-    key = ("sub", id(a), id(b))
+    key = ("sub", a, b)
     node = _INTERN.get(key)
     if node is None:
         node = _INTERN[key] = Binary("sub", a, b)
@@ -360,7 +361,7 @@ def mul(a, b) -> Expr:
             return a
         if v == -1.0:
             return neg(a)
-    key = ("mul", id(a), id(b))
+    key = ("mul", a, b)
     node = _INTERN.get(key)
     if node is None:
         node = _INTERN[key] = Binary("mul", a, b)
@@ -385,7 +386,7 @@ def div(a, b) -> Expr:
         return a
     if a is b:
         return _ONE
-    key = ("div", id(a), id(b))
+    key = ("div", a, b)
     node = _INTERN.get(key)
     if node is None:
         node = _INTERN[key] = Binary("div", a, b)
@@ -408,7 +409,7 @@ def power(a, b) -> Expr:
                 return _mk_const(math.pow(a.value, v))
             except (ValueError, OverflowError):
                 pass  # e.g. (-1)^0.5: keep symbolic
-    key = ("pow", id(a), id(b))
+    key = ("pow", a, b)
     node = _INTERN.get(key)
     if node is None:
         node = _INTERN[key] = Binary("pow", a, b)
@@ -423,7 +424,7 @@ def neg(a) -> Expr:
         return _mk_const(-a.value)
     if ta is Unary and a.op == "neg":
         return a.arg
-    key = ("neg", id(a))
+    key = ("neg", a)
     node = _INTERN.get(key)
     if node is None:
         node = _INTERN[key] = Unary("neg", a)
@@ -442,7 +443,7 @@ def func(name: str, arg) -> Expr:
             return _mk_const(getattr(math, name)(arg.value))
         except (ValueError, OverflowError):
             pass  # e.g. log(-1) or exp(huge): keep symbolic
-    key = (name, id(arg))
+    key = (name, arg)
     node = _INTERN.get(key)
     if node is None:
         node = _INTERN[key] = Unary(name, arg)
@@ -514,51 +515,43 @@ def differentiate(f: Expr, coord_index: int) -> Expr:
 
     Iterative post-order walk: derived curvature expressions form deep DAGs
     and must not be limited by the interpreter recursion limit.  Each node
-    keeps its derivatives in its row ``d``, a coordinate's entry None until
-    it is asked for: the geometry pipeline differentiates many expressions
-    sharing the same subterms, often by all three coordinates.
+    the walk visits gets its whole row ``d``, its derivatives by x1, x2 and
+    x3 at once, as a forward sweep carries a value with all of its tangents:
+    the geometry pipeline asks for all three of each expression it
+    differentiates, and many expressions share subterms.
     """
     if coord_index not in (1, 2, 3):
         raise ValueError(f"coordinate index must be 1..3, got {coord_index}")
-    i = coord_index
-    row = f.d
-    if row is not None and row[i] is not None:
-        return row[i]
     stack = [f]
     while stack:
         e = stack[-1]
-        row = e.d
-        if row is None:  # the one write to a frozen node
-            row = [None, None, None, None]
-            object.__setattr__(e, "d", row)
-        elif row[i] is not None:
-            df = row[i]
+        if e.d is not None:
             stack.pop()
             continue
         kind = type(e)
         if kind is Binary:
             ra, rb = e.left.d, e.right.d
-            da, db = ra and ra[i], rb and rb[i]
-            if da is None or db is None:  # the right operand first
-                if da is None:
+            if ra is None or rb is None:  # the right operand first
+                if ra is None:
                     stack.append(e.left)
-                if db is None:
+                if rb is None:
                     stack.append(e.right)
                 continue
-            row[i] = df = _diff_binary(e, da, db)
+            row = (None, _diff_binary(e, ra[1], rb[1]), _diff_binary(e, ra[2], rb[2]),
+                   _diff_binary(e, ra[3], rb[3]))
         elif kind is Unary:
             ra = e.arg.d
-            du = ra and ra[i]
-            if du is None:
+            if ra is None:
                 stack.append(e.arg)
                 continue
-            row[i] = df = _diff_unary(e, du)
+            row = (None, _diff_unary(e, ra[1]), _diff_unary(e, ra[2]), _diff_unary(e, ra[3]))
         elif kind is Coord:
-            row[i] = df = _ONE if e.index == i else _ZERO
+            row = (None, *(_ONE if e.index == i else _ZERO for i in (1, 2, 3)))
         else:  # a constant or a parameter
-            row[i] = df = _ZERO
+            row = (None, _ZERO, _ZERO, _ZERO)
+        object.__setattr__(e, "d", row)  # the one write to a frozen node
         stack.pop()
-    return df  # f's, as f is popped last
+    return f.d[coord_index]
 
 
 def _diff_unary(e: Unary, du: Expr) -> Expr:
@@ -726,22 +719,21 @@ class _Tape:
 
     def __init__(self, exprs, params, width: int, scheduled: bool = False):
         roots = list(exprs)
-        num: dict[int, int] = {}  # id(node) -> value number
-        leaves, coords = {}, []  # value -> float; (value, column)
-        code = []  # (routine, out, a, b) over values; b is None for unary nodes
+        num = {}  # node -> value number
+        held = []  # value -> a leaf's float, else None; then what its readers get
+        coords, code = [], []  # (value, column); (routine, out, a, b), b None if unary
         rows = []  # value -> its node's derivative row, for the schedule
         for f in roots:
             stack = [f]
             while stack:
                 e = stack[-1]
-                key = id(e)
-                if key in num:
+                if e in num:
                     stack.pop()
                     continue
-                v = len(num)
+                v, leaf = len(held), None
                 kind = type(e)
                 if kind is Binary:
-                    a, b = num.get(id(e.left)), num.get(id(e.right))
+                    a, b = num.get(e.left), num.get(e.right)
                     if a is None or b is None:
                         if a is None:
                             stack.append(e.left)
@@ -750,49 +742,46 @@ class _Tape:
                         continue
                     code.append((_BINARY[e.op], v, a, b))
                 elif kind is Unary:
-                    a = num.get(id(e.arg))
+                    a = num.get(e.arg)
                     if a is None:
                         stack.append(e.arg)
                         continue
                     code.append((_UNARY[e.op], v, a, None))
                 elif kind is Const:
-                    leaves[v] = float(e.value)
+                    leaf = float(e.value)
                 elif kind is Coord:
                     coords.append((v, e.index - 1))
                 else:
                     try:
-                        leaves[v] = float(params[e.name])
+                        leaf = float(params[e.name])
                     except KeyError:
                         raise UnboundParameter(e.name) from None
                 stack.pop()
-                num[key] = v
+                num[e] = v
+                held.append(leaf)
                 if scheduled:
                     rows.append(e.d)
-        outputs = [num[id(f)] for f in roots]
-        if scheduled:
-            def tangents(v):  # the values of v's derivatives by x1, x2, x3, or None
-                row = rows[v]
-                if row is None:
-                    return ()
-                get = num.get
-                return get(id(row[1])), get(id(row[2])), get(id(row[3]))
-
-            code = _schedule(code, len(num), outputs, tangents)
+        count, outputs = len(held), [num[f] for f in roots]
+        if scheduled:  # the values of each value's derivatives by x1, x2, x3, or None
+            get = num.get
+            tangents = [() if r is None else (get(r[1]), get(r[2]), get(r[3])) for r in rows]
+            code = _schedule(code, count, outputs, tangents)
         del num, rows
         # the ops' value numbers, which rise along the canonical order: a
         # fault's rank among the faults of a pass
         self.number = number = np.array([v for _, v, _, _ in code], dtype=np.int64)
 
-        last = {}
+        last = [0] * count  # value -> the position of its last reader
         for pos, (_, _, a, b) in enumerate(code):
-            last[a] = last[b] = pos
+            last[a] = pos
+            if b is not None:
+                last[b] = pos
         for v in outputs:
             last[v] = len(code)
         fresh, free = itertools.count(), []
-        held = dict(leaves)  # value -> what its readers get: a float or a slot number
         for v, _ in coords:
             held[v] = next(fresh)
-        pinned = {v: next(fresh) for v in dict.fromkeys(outputs) if v in leaves}  # constant roots
+        pinned = {v: next(fresh) for v in dict.fromkeys(outputs) if type(held[v]) is float}
         checked = {}  # divisor value -> the position of the one division that tests it
         for pos, (fn, out, a, b) in enumerate(code):
             if fn is _div:  # a later division by b fails where the first one does
@@ -800,18 +789,19 @@ class _Tape:
                 if first != pos:
                     fn = np.true_divide
                     number[first] = min(number[first], out)
-            ra, rb = held[a], held.get(b)
+            ra = held[a]
             if type(ra) is int and last[a] == pos:
                 free.append(ra)
+            rb = None if b is None else held[b]
             if type(rb) is int and b != a and last[b] == pos:
                 free.append(rb)
             held[out] = so = free.pop() if free else next(fresh)
             code[pos] = (fn, so, ra, rb)
         outputs = [pinned[v] if v in pinned else held[v] for v in outputs]
-        fills = [(s, leaves[v]) for v, s in pinned.items()]
+        fills = [(s, held[v]) for v, s in pinned.items()]  # constant roots
         coords = [(held[v], k) for v, k in coords]
         size = next(fresh)
-        del held, pinned, last, leaves, checked, number
+        del held, pinned, last, checked, number
 
         # all buffers in one burst after the compile tables are freed, and the
         # code rebound in place: where the buffers land in the heap decides
@@ -880,7 +870,7 @@ class _Tape:
 
 def _schedule(code, count: int, outputs, tangents) -> list:
     """``code``, ops over ``count`` values in the canonical order, with each
-    op's derivatives by x1, x2, x3 (``tangents(v)``, None where one is not
+    op's derivatives by x1, x2, x3 (``tangents[v]``, None where one is not
     on the tape) pulled right after it, as a forward sweep carries a value
     with its tangents (Griewank & Walther, *Evaluating Derivatives*, 2nd
     ed., ch. 3): the two share operands, so those die sooner and fewer
@@ -890,7 +880,9 @@ def _schedule(code, count: int, outputs, tangents) -> list:
     canonical order: the distinct ``outputs`` in order, the right operand
     first.
     """
-    pending = {op[1]: op for op in code}  # value -> its op, until the op is placed
+    pending = [None] * count  # value -> its op, until the op is placed
+    for op in code:
+        pending[op[1]] = op
     under = bytearray(count)  # 1 while an op's operands are being placed
     order = []
     for root in dict.fromkeys(outputs):
@@ -899,15 +891,16 @@ def _schedule(code, count: int, outputs, tangents) -> list:
             v = stack.pop()
             if v < 0:  # its operands are placed
                 v = ~v
-                order.append(pending.pop(v))
+                order.append(pending[v])
+                pending[v] = None
                 under[v] = 0
                 # the last pushed, by x3, is visited first; a tangent that is
                 # v itself (d/dx exp(x) is exp(x)) is placed already
-                for t in tangents(v):
-                    if t in pending and not _waits(t, pending, under):
+                for t in tangents[v]:
+                    if t is not None and pending[t] is not None and not _waits(t, pending, under):
                         stack.append(t)
                 continue
-            op = pending.get(v)
+            op = pending[v]
             if op is None:  # a leaf, or placed already
                 continue
             under[v] = 1
@@ -924,7 +917,7 @@ def _waits(t, pending, under) -> bool:
     stack, seen = [t], set()
     while stack:
         v = stack.pop()
-        op = pending.get(v)
+        op = pending[v]
         if op is None or v in seen:
             continue
         if under[v]:

@@ -24,7 +24,6 @@ flips the sign of the twist.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -34,6 +33,16 @@ from . import expr as E
 from .cexpr import eval_forms
 from .expr import Expr
 from .sampling import sample_box
+
+# the interpreter's own SHA-256, as ``random`` takes its SHA-512: ``hashlib``
+# maps OpenSSL, 3.5 MB more in every process
+try:
+    from _sha2 import sha256
+except ImportError:  # Python 3.10 and 3.11
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "ManifoldSpec", "StructureFunctions", "ConnectionTable", "CurvatureData",
@@ -178,7 +187,7 @@ def spec_to_document(spec: ManifoldSpec) -> dict:
 
 def spec_hash(spec: ManifoldSpec) -> str:
     doc = json.dumps(spec_to_document(spec), sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+    return sha256(doc.encode()).hexdigest()[:16]
 
 
 def default_samples(spec: ManifoldSpec, count: int, seed: int = 0) -> np.ndarray:

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from np3kit import cli
 from np3kit.cli import main
 from np3kit.frame import default_samples, spec_from_document
 
@@ -327,3 +332,22 @@ def test_verify_runs_one_tape_pass(capsys, tapes):
     # 200-point pass is the sampler's domain filter, before it
     assert tapes[-1] == [200]
     assert tapes.count([200]) == 2 and all(len(t) == 1 for t in tapes)
+
+
+def test_a_request_does_not_load_openssl():
+    # hashlib's _hashlib maps OpenSSL, about 3.5 MB of every process
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from np3kit import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "example1", "--samples", "200", "--format", "json"]) == 0
+            assert cli.main(["classify", "example1", "--format", "json"]) == 0
+        print("_hashlib" in sys.modules)
+    """)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

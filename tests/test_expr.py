@@ -767,8 +767,8 @@ def test_point_evaluations_do_not_accumulate_memory():
 
 def _interned(op, *args):
     """The node for ``op`` over ``args``, interned as the constructors key
-    it: by the op and its operands' ids."""
-    key = (op, *map(id, args))
+    it: by the op and its operand nodes."""
+    key = (op, *args)
     node = E._INTERN.get(key)
     if node is None:
         node = E._INTERN[key] = (Unary if len(args) == 1 else Binary)(op, *args)
@@ -1037,6 +1037,29 @@ def test_differentiate_builds_the_reference_nodes(seed, size):
     f = _random_dag(random.Random(seed), size)
     for i in (3, 1, 2):
         assert differentiate(f, i) is _ref_diff(f, i, {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=1, max_value=3))
+def test_one_walk_builds_the_whole_row_of_every_node_under_it(seed, size, i):
+    f = _random_dag(random.Random(seed), size)
+    differentiate(f, i)
+    stack, seen = [f], set()
+    while stack:
+        e = stack.pop()
+        if e not in seen:
+            seen.add(e)
+            assert e.d[0] is None and len(e.d) == 4
+            assert all(type(t) in (Const, Coord, E.Param, Unary, Binary) for t in e.d[1:])
+            if type(e) is Unary:
+                stack.append(e.arg)
+            elif type(e) is Binary:
+                stack += (e.left, e.right)
+    before = len(E._INTERN)
+    for j in (1, 2, 3):
+        assert differentiate(f, j) is f.d[j]
+    assert len(E._INTERN) == before  # the other derivatives were built by the first walk
 
 
 def test_repr_of_an_expression():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import warnings
@@ -7,13 +8,14 @@ import weakref
 import numpy as np
 import pytest
 
+from np3kit import catalog
 from np3kit import expr as E
 from np3kit.cexpr import eval_forms, residual
 from np3kit.frame import (
     DegenerateFrame, SchemaError, connection_table, covariant_derivative,
     curvature_values_many, default_samples, kulkarni_nomizu_forms,
     load_manifold, riemann, spec_cached,
-    spec_from_document, spec_to_document, structure_functions,
+    spec_from_document, spec_hash, spec_to_document, structure_functions,
 )
 
 EXAMPLE1 = {
@@ -316,3 +318,15 @@ def test_spec_cached_memo_is_freed_with_its_spec():
     del spec
     gc.collect()
     assert curvature() is None
+
+
+def test_spec_hash_is_hashlibs_sha256_of_the_document():
+    # spec_hash takes the interpreter's built-in SHA-256, not hashlib's
+    aliased = spec_from_document({
+        "name": "warped", "coords": ["u", "v", "w"],
+        "frame": {"e1": ["exp(a*w)", "0", "0"], "e2": ["0", "exp(-a*w)", "0"],
+                  "xi": ["0", "b*u", "1"]},
+        "domain": ["1 - u^2"], "params": {"a": 0.5, "b": -2}, "box": [[-0.5, 0.5]] * 3})
+    for spec in [catalog.get_spec(name) for name in catalog.names()] + [aliased]:
+        doc = json.dumps(spec_to_document(spec), sort_keys=True)
+        assert spec_hash(spec) == hashlib.sha256(doc.encode()).hexdigest()[:16], spec.name

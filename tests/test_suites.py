@@ -1,5 +1,6 @@
 """Streamed requests: suites.run_suites over expr.CHUNK-point slices."""
 
+import hashlib
 import json
 import math
 import os
@@ -295,6 +296,50 @@ def test_the_verify_dag_did_not_move(name, monkeypatch):
     run_suites(spec, "all", many)
     ops, slots = VERIFY_TAPES[name]
     assert compiled == [(ops, slots), (ops, STREAMED_SLOTS[name])]
+
+
+# a digest of the whole compiled program of the one-pass and the streamed
+# verify tape: a change to the compiler that emits another op order, slot
+# reuse, operand or fault rank moves these
+VERIFY_PROGRAMS = {"example1": ("8bb69255bd56da70", "27a6c633e0cd25ba"),
+                   "flat_radial": ("ef6696b34e3070f8", "5f4abc36742b4eb2")}
+
+
+def _program_digest(tape) -> str:
+    """Each op's routine, its out slot, its operands (a slot or a constant)
+    and its ``number``, hashed.  Slots are numbered by first use (the
+    coordinate columns, then each op's operands and output in run order), so
+    the digest pins which values share a buffer, not where numpy put it."""
+    names = {fn: op for table in (E._UNARY, E._BINARY) for op, fn in table.items()}
+    names[np.true_divide] = "div-unchecked"
+    slot = {}
+
+    def ref(x):
+        if isinstance(x, np.ndarray):
+            return slot.setdefault(id(x), len(slot))
+        return x if x is None else float(x).hex()
+
+    for buf, _ in tape.coords:
+        ref(buf)
+    program = [(names[fn], ref(a), ref(b), ref(out)) for fn, out, a, b in tape.code]
+    text = json.dumps([program, tape.number.tolist(), [ref(buf) for buf in tape.outputs]])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_PROGRAMS))
+def test_the_verify_program_did_not_move(name, monkeypatch):
+    spec = catalog.get_spec(name)
+    one, many = default_samples(spec, 200, seed=1), default_samples(spec, E.CHUNK + 1, seed=1)
+    digests, real_init = [], E._Tape.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        digests.append(_program_digest(self))
+
+    monkeypatch.setattr(E._Tape, "__init__", init)
+    run_suites(spec, "all", one)
+    run_suites(spec, "all", many)
+    assert tuple(digests) == VERIFY_PROGRAMS[name]
 
 
 def _traced_peak(spec, n):
