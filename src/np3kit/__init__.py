@@ -8,7 +8,7 @@ Quick tour:
     >>> classify.__module__  # library layout mirrors the pipeline
     'np3kit.classify'
     >>> spin_coefficients(spec).rho.evaluate((0.0, 0.0, 0.0))
-    (-1-0.5j)
+    (-0.9999999999999998-0.4999999999999999j)
 """
 
 from . import catalog, ektau

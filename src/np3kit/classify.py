@@ -7,6 +7,10 @@ is trans-Sasakian exactly when the congruence of xi is geodesic and
 shear-free (kappa = sigma = 0), and then rho = beta + i alpha carries the
 type functions.
 
+The trans-Sasakian curvature identities, and the Einstein test's closed
+forms, are read off the Sachs equations at kappa = sigma = 0
+(``npcore._sachs_ricci``): this module takes no frame derivative of its own.
+
 That gate is decided in one place, :func:`_not_trans_sasakian`, over the
 folded roots ``max_abs_kappa`` and ``max_abs_sigma`` of :func:`_gate_roots`,
 for every caller: the verdict, the Einstein test and the skip of the ts
@@ -28,7 +32,7 @@ The verdict lattice is most-specific-first, with an absolute tolerance for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from . import expr as E
 from .cexpr import as_cexpr, c_const, fold, residual
 from .frame import (ManifoldSpec, connection_table, default_samples, riemann,
                     spec_cached)
-from .npcore import (W_DEL, W_DELBAR, W_XI, contract, d_del, d_delbar, d_xi, ricci_complex,
+from .npcore import (W_DEL, W_DELBAR, W_XI, _sachs_ricci, contract, ricci_complex,
                      spin_coefficients)
 from .sampling import InsufficientSamples
 
@@ -190,35 +194,19 @@ def _structure_class(values: dict, n: int, tol=DEFAULT_TOL,
 # trans-Sasakian identity residuals
 
 @spec_cached
-def _ts_closed_forms(spec: ManifoldSpec) -> dict:
-    """Closed-form expressions for curvature data of a trans-Sasakian spec."""
-    co = spin_coefficients(spec)
-    r, b, e = co.rho, co.beta_np, co.epsilon_np
-    rb, bb = r.conj(), b.conj()
-    xr = d_xi(spec, r)
-    S_xx = c_const(-2) * (xr + r * r)
-    S_ddb = (-as_cexpr(r.abs2()) - c_const(2) * as_cexpr(b.abs2()) - (r - rb) * e
-             - xr - r * r - d_del(spec, bb) - d_delbar(spec, b))
-    return {
-        "rho": r, "beta_np": b, "eps": e,
-        "d_rho": d_del(spec, r),
-        "db_rhobar": d_delbar(spec, rb),
-        "xi_rho": xr,
-        "S_dx": -d_del(spec, r),
-        "S_xx": S_xx,
-        "S_ddb": S_ddb,
-        "scalar": S_ddb + c_const(0.5) * S_xx,
-    }
+def _ts_closed_forms(spec: ManifoldSpec) -> tuple:
+    """``npcore._sachs_ricci`` at kappa = sigma = 0: (T, S) with the curvature
+    term T[4] = -(xi(rho) + rho^2) and the Ricci entry S(D,xi) = -D(rho)."""
+    zero = c_const(0)
+    return _sachs_ricci(spec, replace(spin_coefficients(spec), kappa=zero, sigma=zero))
 
 
 def ts_identity_forms(spec: ManifoldSpec) -> dict:
     """{identity: the forms that vanish when it holds} for the trans-Sasakian
     curvature identities; they hold where kappa = sigma = 0."""
-    closed, S, gm = _ts_closed_forms(spec), ricci_complex(spec), connection_table(spec).gamma
-    data = riemann(spec)
-    R, tau = data.riemann, data.scalar
-    r, xr = closed["rho"], closed["xi_rho"]
-    rb, xrb = r.conj(), xr.conj()
+    (*_, t4), closed = _ts_closed_forms(spec)
+    S, gm, data = ricci_complex(spec), connection_table(spec).gamma, riemann(spec)
+    R, tau, r = data.riemann, data.scalar, spin_coefficients(spec).rho
     alpha, beta, zero, n = r.im, r.re, c_const(0), range(3)
 
     def display(V, W, Z, a, b):
@@ -229,15 +217,15 @@ def ts_identity_forms(spec: ManifoldSpec) -> dict:
     f = [[gm[i][2][j] for j in range(3)] for i in range(3)]  # f[i][j] = Gamma_{i,xi,j}
     return {
         # 2 alpha beta + d alpha(xi) = 0, in its complex form
-        "alpha_beta_xi": r * r - rb * rb + xr - xrb,
-        "R_del_delbar_xi": display(W_DEL, W_DELBAR, W_XI, -closed["db_rhobar"], closed["d_rho"]),
-        "R_del_xi_xi": display(W_DEL, W_XI, W_XI, -(rb * rb + xrb), zero),
-        "R_delbar_xi_xi": display(W_DELBAR, W_XI, W_XI, zero, -(r * r + xr)),
-        "ricci_del_del": S["dd"],
-        "ricci_del_xi": S["dx"] - closed["S_dx"],
-        "ricci_xi_xi": S["xx"] - closed["S_xx"],
-        "ricci_del_delbar": S["ddb"] - closed["S_ddb"],
-        "scalar_curvature": as_cexpr(tau) - closed["scalar"],
+        "alpha_beta_xi": t4.conj() - t4,
+        "R_del_delbar_xi": display(W_DEL, W_DELBAR, W_XI, closed["dx"].conj(), -closed["dx"]),
+        "R_del_xi_xi": display(W_DEL, W_XI, W_XI, t4.conj(), zero),
+        "R_delbar_xi_xi": display(W_DELBAR, W_XI, W_XI, zero, t4),
+        "ricci_del_del": S["dd"] - closed["dd"],
+        "ricci_del_xi": S["dx"] - closed["dx"],
+        "ricci_xi_xi": S["xx"] - closed["xx"],
+        "ricci_del_delbar": S["ddb"] - closed["ddb"],
+        "scalar_curvature": as_cexpr(tau) - (closed["ddb"] + c_const(0.5) * closed["xx"]),
         # nabla_X xi = -alpha phi X + beta (X - eta(X) xi)
         "nabla_xi": [E.sub(E.add(f[i][j], E.mul(PHI_MATRIX[i][j], alpha)),
                            E.mul(float(i == j) - ETA[i] * ETA[j], beta)) for i in n for j in n],
@@ -246,13 +234,13 @@ def ts_identity_forms(spec: ManifoldSpec) -> dict:
 
 def _einstein_roots(spec: ManifoldSpec) -> tuple:
     """(maxima, sums): the roots :func:`einstein_check` decides from, by name."""
-    S, closed = riemann(spec).ricci, _ts_closed_forms(spec)
+    S, closed = riemann(spec).ricci, _ts_closed_forms(spec)[1]
     n = range(3)
     maxima = {**_gate_roots(spec),
               "max_abs_S_offdiag": residual([S[i][j] for i in n for j in n if i != j]),
               **{f"max_S{i}{i}": S[i][i] for i in n}, **{f"max_neg_S{i}{i}": -S[i][i] for i in n},
-              "max_abs_d_rho": residual(closed["d_rho"]),
-              "einstein_closed_form": residual(closed["S_ddb"] - closed["S_xx"])}
+              "max_abs_d_rho": residual(closed["dx"]),
+              "einstein_closed_form": residual(closed["ddb"] - closed["xx"])}
     return maxima, {"sum_S22": S[2][2]}
 
 

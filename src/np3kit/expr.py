@@ -597,7 +597,7 @@ def _diff_binary(e: Binary, da: Expr, db: Expr) -> Expr:
 
 # points per pass over a tape, and per slice of a streamed request: at 2,048
 # points the 580 slots of flat_radial's scheduled verify tape take 9.5 MB
-# (its canonical order needs 1,243 slots, 20.4 MB)
+# (its canonical order needs 1,240 slots, 20.3 MB)
 CHUNK = 2048
 
 

@@ -20,10 +20,13 @@ The five generalized Sachs identities relate frame derivatives of the spin
 coefficients to Ricci components; the two second-Bianchi identities do the
 same for derivatives of Ricci components.  ``sachs_forms`` and
 ``bianchi_forms`` are left minus right of each, as forms that vanish;
-``cexpr.eval_forms`` evaluates them over (N,3) points.  (Two sign/index
-slips in the usual printed form of the Bianchi pair are corrected here; the
-implemented identities are the ones that actually vanish for the
-Levi-Civita connection, verified against a direct divergence computation.)
+``cexpr.eval_forms`` evaluates them over (N,3) points.  The Sachs equations
+are written once, in ``_sachs``, for any spin coefficients and Ricci entries;
+at zero Ricci entries each is its curvature term, which ``_sachs_ricci``
+solves for Ricci (``ricci_from_sachs_forms``, and classify at kappa = sigma = 0).
+(Two sign/index slips in the usual printed form of the Bianchi pair are
+corrected here; the implemented identities are the ones that actually vanish
+for the Levi-Civita connection, verified against a direct divergence computation.)
 """
 
 from __future__ import annotations
@@ -262,13 +265,11 @@ def ricci_complex(spec: ManifoldSpec) -> dict:
 # --------------------------------------------------------------------------
 # Sachs and Bianchi residuals
 
-@spec_cached
-def sachs_forms(spec: ManifoldSpec) -> tuple:
-    """LHS - RHS of the five generalized Sachs equations, as complex forms."""
-    co = spin_coefficients(spec)
+def _sachs(spec: ManifoldSpec, co: SpinCoefficients, S: dict) -> tuple:
+    """LHS - RHS of the five generalized Sachs equations, as complex forms, for
+    spin coefficients ``co`` and complex Ricci entries ``S`` by :func:`ricci_complex` key."""
     k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
-    kb, sb, rb, bb = k.conj(), s.conj(), r.conj(), b.conj()
-    S = ricci_complex(spec)
+    kb, rb, bb = k.conj(), r.conj(), b.conj()
     half = c_const(0.5)
     return (
         # xi(sigma) - D(kappa) = kappa^2 + 2 sigma eps - sigma(rho+conj rho)
@@ -292,6 +293,21 @@ def sachs_forms(spec: ManifoldSpec) -> tuple:
         -d_xi(spec, r) - d_delbar(spec, k)
         - (as_cexpr(k.abs2()) + as_cexpr(s.abs2()) + r * r + k * bb + half * S["xx"]),
     )
+
+
+@spec_cached
+def sachs_forms(spec: ManifoldSpec) -> tuple:
+    """LHS - RHS of the five generalized Sachs equations, as complex forms."""
+    return _sachs(spec, spin_coefficients(spec), ricci_complex(spec))
+
+
+def _sachs_ricci(spec: ManifoldSpec, co: SpinCoefficients) -> tuple:
+    """(T, S): T the five Sachs forms of ``co`` at zero Ricci entries, where
+    each is its curvature term, and S the complex Ricci entries, by
+    :func:`ricci_complex` key, that make them vanish."""
+    T = _sachs(spec, co, dict.fromkeys(("dd", "dx", "ddb", "xx"), c_const(0)))
+    S_xx = c_const(2) * T[4]
+    return T, {"dd": T[0], "dx": T[1], "ddb": c_const(0.5) * S_xx - T[3], "xx": S_xx}
 
 
 @spec_cached
@@ -320,16 +336,8 @@ def ricci_from_sachs_forms(spec: ManifoldSpec) -> tuple:
     """The (3,3) real-frame Ricci table solved from the Sachs equations for
     the curvature terms; independent of riemann() except through the
     connection."""
-    co = spin_coefficients(spec)
-    k, s, r, b, e = co.kappa, co.sigma, co.rho, co.beta_np, co.epsilon_np
-    kb, rb, bb = k.conj(), r.conj(), b.conj()
-    S_dd = (d_xi(spec, s) - d_del(spec, k)
-            - (k * k + c_const(2) * s * e - s * (r + rb) - k * b))
-    S_dx = -d_del(spec, r) - d_delbar(spec, s) - (c_const(2) * s * bb + (r - rb) * k)
-    S_xx = c_const(-2) * (d_xi(spec, r) + d_delbar(spec, k)
-                          + as_cexpr(k.abs2()) + as_cexpr(s.abs2()) + r * r + k * bb)
-    S_ddb = (as_cexpr(s.abs2()) - as_cexpr(r.abs2()) - c_const(2) * as_cexpr(b.abs2())
-             - (r - rb) * e - d_del(spec, bb) - d_delbar(spec, b) + c_const(0.5) * S_xx)
+    S = _sachs_ricci(spec, spin_coefficients(spec))[1]
+    S_dd, S_dx, S_ddb, S_xx = S["dd"], S["dx"], S["ddb"], S["xx"]
     s01, s02, s12 = E.neg(S_dd.im), E.mul(_SQ2, S_dx.re), E.mul(-_SQ2, S_dx.im)
     return ((E.add(S_dd.re, S_ddb.re), s01, s02),
             (s01, E.add(E.neg(S_dd.re), S_ddb.re), s12),

@@ -31,8 +31,9 @@ from .cexpr import fold, residual
 from .classify import DEFAULT_TOL, _gate_roots, _not_trans_sasakian, ts_identity_forms
 from .frame import (ManifoldSpec, connection_table, kulkarni_nomizu_forms, riemann,
                     structure_functions)
-from .npcore import (bianchi_forms, grad_xi_norm_sq, np_metric_forms, ricci_from_sachs_forms,
-                     sachs_forms, spin_coefficients, spin_coefficients_from_f)
+from .npcore import (bianchi_forms, grad_xi_norm_sq, np_metric_forms, ricci_complex,
+                     ricci_from_sachs_forms, sachs_forms, spin_coefficients,
+                     spin_coefficients_from_f)
 from .xi import _route_residuals
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_suites", "run_request", "suite_passed"]
@@ -52,7 +53,7 @@ def _check(name, value, tol):
 def _kn(spec: ManifoldSpec) -> dict:
     g, c = connection_table(spec).gamma, structure_functions(spec).c
     data = riemann(spec)
-    R, S, tau = data.riemann, data.ricci, data.scalar
+    R, S, tau, Sc = data.riemann, data.ricci, data.scalar, ricci_complex(spec)
     n = range(3)
     # a commuted sum or a negated difference is the same number in either
     # index order, so a symmetric check lists one order only
@@ -71,7 +72,7 @@ def _kn(spec: ManifoldSpec) -> dict:
                                   for i in n for j in n for k in n for l in n],
         "ricci_symmetric": [E.sub(S[j][k], S[k][j]) for j in n for k in n if j <= k],
         "kulkarni_nomizu": kulkarni_nomizu_forms(spec),
-        "scalar_convention": E.sub(tau, E.mul(0.5, E.add(E.add(S[0][0], S[1][1]), S[2][2]))),
+        "scalar_convention": E.sub(tau, E.add(Sc["ddb"].re, E.mul(0.5, Sc["xx"].re))),
         "np_metric": np_metric_forms(spec),
     }
 

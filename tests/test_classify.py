@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from np3kit import catalog
 from np3kit import expr as E
 from np3kit.cexpr import eval_forms, fold, residual
-from np3kit.classify import (PHI_MATRIX, _einstein_roots, _einstein_verdict, _spread, classify,
-                             einstein_check, ts_identity_forms, verdict_from_samples)
+from np3kit.classify import (PHI_MATRIX, _einstein_roots, _einstein_verdict, _spread,
+                             _ts_closed_forms, classify, einstein_check, ts_identity_forms,
+                             verdict_from_samples)
 from np3kit.frame import connection_table, default_samples, load_manifold
-from np3kit.npcore import gauge_transform, spin_coefficients
+from np3kit.npcore import (W_DEL, W_DELBAR, W_XI, contract, gauge_transform,
+                           ricci_from_sachs_forms, spin_coefficients)
 from np3kit.sampling import InsufficientSamples
 from np3kit.suites import run_suites
 
@@ -143,6 +145,26 @@ def test_ts_identity_residuals_reject_sol():
     # the identities hold only where kappa = sigma = 0: the ts suite skips sol
     [record] = run_suites(catalog.get_spec("sol"), ["ts"], [(0.0, 0.0, 0.0)])["ts"]
     assert record["skipped"] and record["reason"].startswith("NotTransSasakian: ")
+
+
+RICCI_PAIRS = {"dd": (W_DEL, W_DEL), "dx": (W_DEL, W_XI), "ddb": (W_DEL, W_DELBAR),
+               "xx": (W_XI, W_XI)}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_the_ts_closed_forms_are_the_ricci_from_sachs_at_kappa_sigma_zero(name):
+    spec = catalog.get_spec(name)
+    table = ricci_from_sachs_forms(spec)
+    general = {key: contract(table, *pair) for key, pair in RICCI_PAIRS.items()}
+    values = eval_forms({"general": general, "closed": _ts_closed_forms(spec)[1]},
+                        default_samples(spec, 500, seed=3), spec.params)
+    gap = {key: np.abs(values["general"][key] - values["closed"][key]) for key in RICCI_PAIRS}
+    if name == "sol":
+        # sigma = -1 and kappa = 0: only |sigma|^2 in the xi(rho) equation differs
+        assert np.max(np.abs(gap["xx"] - 2.0)) <= 1e-12
+        del gap["xx"]
+    scale = max(1.0, *(float(np.max(np.abs(z))) for z in values["general"].values()))
+    assert max(float(np.max(g)) for g in gap.values()) <= 1e-14 * scale
 
 
 def test_ts_identity_sweep():

@@ -11,8 +11,11 @@ themselves, and every check record comes from ``suites._check``.  Only
 constructors may take ``type(x) is Const`` to mean "a constant node".  Only
 ``classify``'s one kappa = sigma = 0 gate makes a NotTransSasakian, and
 only ``npcore.contract`` skips the zero weights of a null-frame contraction,
-so no second contraction grows back beside it.  The forms are the
-numeric surface: a caller evaluates a suite's forms with
+so no second contraction grows back beside it.  Only a pinned few
+definitions take a frame derivative D, Dbar or xi of an NP scalar: the one
+statement of the Sachs equations, the Bianchi pair, the gauge and weighted
+operators and the rough Laplacian, so no closed form re-derives one by
+hand.  The forms are the numeric surface: a caller evaluates a suite's forms with
 ``cexpr.eval_forms`` itself, and only a pinned few definitions of the
 package call it, so no evaluator wraps a form under a name of its own.  No
 module keeps a table of its own at module level but ``expr._INTERN`` and
@@ -276,12 +279,12 @@ def test_node_rule_flags_a_second_maker():
     assert node_constructions(source) == ["Binary", "Const", "Coord"]
 
 
-def makers_of(source: str, cls: str) -> list[str]:
-    """Top-level definitions that call ``cls``, bare or as an attribute."""
+def makers_of(source: str, *names: str) -> list[str]:
+    """Top-level definitions that call any of ``names``, bare or as an attribute."""
     makers = []
     for top in ast.parse(source).body:
         if any(isinstance(node, ast.Call)
-               and cls in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & set(names)
                for node in ast.walk(top)):
             makers.append(getattr(top, "name", f"line {top.lineno}"))
     return makers
@@ -329,6 +332,35 @@ def test_contraction_rule_flags_a_second_contraction():
         "WEIGHTS = _nonzero(npcore.W_DEL)\n"
     )
     assert makers_of(source, "_nonzero") == ["display", "pair", "line 10"]
+
+
+FRAME_DERIVATIVES = ("d_del", "d_delbar", "d_xi")
+DIFFERENTIATORS = {
+    "npcore.py": ["gauge_transform", "weighted_derivative", "_sachs", "bianchi_forms"],
+    "xi.py": ["rough_laplacian_xi"],
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_pinned_definitions_take_frame_derivatives(path):
+    got = makers_of(path.read_text(encoding="utf-8"), *FRAME_DERIVATIVES)
+    assert got == DIFFERENTIATORS.get(path.name, [])
+
+
+def test_derivative_rule_flags_a_second_differentiator():
+    source = (
+        "from . import npcore\n"
+        "from .npcore import d_del, d_delbar, d_xi\n"
+        "def closed_forms(spec, r):\n"
+        "    return {'d_rho': d_del(spec, r), 'xi_rho': npcore.d_xi(spec, r)}\n"
+        "class Display:\n"
+        "    def row(self, spec, r):\n"
+        "        return -d_delbar(spec, r.conj())\n"
+        "def table():\n"
+        "    return {'del': d_del, 'xi': npcore.d_xi}\n"
+        "XI_RHO = d_xi(None, 0)\n"
+    )
+    assert makers_of(source, *FRAME_DERIVATIVES) == ["closed_forms", "Display", "line 10"]
 
 
 EVALUATORS = {
