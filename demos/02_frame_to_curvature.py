@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from np3kit.cexpr import eval_forms, residual
-from np3kit.expr import evaluate, unparse
+from np3kit.expr import unparse
 from np3kit.frame import (connection_table, curvature_values_many,
                           kulkarni_nomizu_forms, load_manifold,
                           structure_functions)
@@ -40,7 +40,7 @@ for k in range(3):
 gamma = connection_table(spec).gamma
 p = (0.0, 0.0, 0.0)
 print("\nconnection at the origin, nabla_{e1} xi:")
-print("  coefficients:", [evaluate(gamma[0][2][k], p) for k in range(3)])
+print("  coefficients:", eval_forms(gamma[0][2], [p])[0].tolist())
 print("  (the paper-style warped example gives -e1 + (1/2) e^{2 x3} e2)")
 
 # the array evaluators take (N,3) points; one point is a batch of one

@@ -10,7 +10,7 @@ import math
 
 from np3kit import catalog
 from np3kit.cexpr import eval_forms
-from np3kit.expr import const, evaluate
+from np3kit.expr import const
 from np3kit.npcore import (gauge_transform, kinematics, sachs_forms, spin_coefficients,
                            weighted_derivative)
 
@@ -22,22 +22,24 @@ for name, value in co.evaluate(origin).items():
     print(f"  {name:11s} {value:.6g}")
 
 kin = kinematics(co)
-print("expansion  :", evaluate(kin.theta, origin))
-print("twist      :", evaluate(kin.omega, origin))
-print("shear mag  :", evaluate(kin.shear_mag, origin))
+(theta, omega, shear_mag), = eval_forms((kin.theta, kin.omega, kin.shear_mag), [origin])
+print("expansion  :", theta)
+print("twist      :", omega)
+print("shear mag  :", shear_mag)
 
 print("\nquarter-turn gauge (theta = pi/2): sigma flips sign, kappa picks up i,")
 print("rho is untouched:")
 gauged = gauge_transform(co, const(math.pi / 2), spec)
-for name, value in gauged.evaluate(origin).items():
+gauged_values = gauged.evaluate(origin)
+for name, value in gauged_values.items():
     print(f"  {name:11s} {value:.6g}")
 
 print("\nnon-constant gauge theta = x1: eps' = eps + i xi(theta) = eps, since")
-print("xi = d/dx3 here:", gauged.epsilon_np.evaluate(origin))
+print("xi = d/dx3 here:", gauged_values["epsilon_np"])
 
 # spin-weighted derivative: for weight 0 it is just the directional derivative
 eth_rho = weighted_derivative(co.rho, 0, "eth", spec)
-print("\neth(rho) at origin (weight 0):", eth_rho.evaluate(origin))
+print("\neth(rho) at origin (weight 0):", eval_forms(eth_rho, [origin])[0])
 
 print("\ngeneralized Sachs residuals at a generic point (identities of the")
 print("Levi-Civita connection, so pure roundoff):")

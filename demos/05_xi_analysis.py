@@ -11,7 +11,6 @@ import numpy as np
 
 from np3kit import catalog
 from np3kit.cexpr import eval_forms, residual
-from np3kit.expr import evaluate
 from np3kit.frame import default_samples
 from np3kit.xi import divergence_xi, parallel_and_collinearity, rough_laplacian_xi
 
@@ -19,7 +18,7 @@ spec = catalog.get_spec("kenmotsu")
 lap = rough_laplacian_xi(spec)
 p = (0.2, -0.5, 0.3)
 print("kenmotsu: Delta xi at a point (frame components):",
-      [round(evaluate(c, p, spec.params), 12) for c in lap.generic])
+      [round(c, 12) for c in eval_forms(lap.generic, [p], spec.params)[0].tolist()])
 print("  (Sasakian and Kenmotsu both give Delta xi = 2 xi)")
 pts = default_samples(spec, 50, seed=0)
 routes = residual([a - b for a, b in zip(lap.generic, lap.np_closed)])
@@ -27,7 +26,7 @@ print("  two-route discrepancy over 50 samples:",
       f"{np.max(eval_forms(routes, pts, spec.params)):.2e}")
 
 div = divergence_xi(spec)
-print("  div xi =", evaluate(div.direct, p, spec.params), "(Kenmotsu: 2 Theta = 2)")
+print("  div xi =", eval_forms(div.direct, [p], spec.params)[0], "(Kenmotsu: 2 Theta = 2)")
 
 print("\nharmonicity residual (reduces to D(rho) on trans-Sasakian specs):")
 for name, point in [("kenmotsu", p), ("c6", (1.0, 0.3, 0.0)), ("example1", (0.3, 0.7, 0.1))]:

@@ -7,7 +7,7 @@ Quick tour:
     >>> spec = catalog.get_spec("example1")
     >>> classify.__module__  # library layout mirrors the pipeline
     'np3kit.classify'
-    >>> spin_coefficients(spec).rho.evaluate((0.0, 0.0, 0.0))
+    >>> spin_coefficients(spec).evaluate((0.0, 0.0, 0.0))["rho"]
     (-0.9999999999999998-0.4999999999999999j)
 """
 
@@ -16,7 +16,7 @@ from .cexpr import eval_forms, residual
 from .classify import (EinsteinVerdict, NotTransSasakian, StructureClass,
                        classify, einstein_check, ts_identity_forms)
 from .expr import (DomainError, Expr, ParseError, UnboundParameter,
-                   differentiate, evaluate, parse, unparse)
+                   differentiate, parse, unparse)
 from .frame import (CurvatureData, DegenerateFrame, ManifoldSpec, SchemaError,
                     connection_table, covariant_derivative, default_samples,
                     kulkarni_nomizu_forms, load_manifold, riemann,

@@ -22,7 +22,7 @@ from .classify import (DEFAULT_COUNT, DEFAULT_TOL, _einstein_roots, _einstein_ve
                        _structure_class)
 from .frame import ManifoldSpec, default_samples, load_manifold, riemann
 from .npcore import spin_coefficients
-from .suites import _check, run_request, suite_passed
+from .suites import _check, _record, run_request, suite_passed
 from .xi import _congruence_report, _congruence_roots, divergence_xi
 
 __all__ = ["CatalogEntry", "UnknownEntry", "names", "get", "get_spec", "run", "run_all"]
@@ -307,9 +307,8 @@ def run(name: str, count: int = DEFAULT_COUNT, seed: int = 0, tol: float = DEFAU
                                           ({**cmax, **emax}, {**csum, **esum}), tol)
 
     cls = _structure_class(values, count, tol)
-    verdict_ok = cls.verdict == exp["verdict"]
-    checks = [{"name": "verdict", "expected": exp["verdict"], "got": cls.verdict,
-               "pass": verdict_ok}]
+    checks = [_record("verdict", cls.verdict == exp["verdict"], expected=exp["verdict"],
+                      got=cls.verdict)]
     checks += records[:len(matches)]
 
     for spot in exp.get("spots", []):
@@ -323,18 +322,17 @@ def run(name: str, count: int = DEFAULT_COUNT, seed: int = 0, tol: float = DEFAU
     report = _congruence_report(values, count, tol)
     for fname, want in exp.get("flags", {}).items():
         got = getattr(report, fname)
-        checks.append({"name": f"flag_{fname}", "expected": want, "got": got,
-                       "pass": got == want})
+        checks.append(_record(f"flag_{fname}", got == want, expected=want, got=got))
 
     ev = _einstein_verdict(values, count, tol)
     want_einstein = exp.get("einstein", None)
     if want_einstein is False:
-        checks.append({"name": "einstein", "expected": False, "got": ev.is_einstein,
-                       "pass": not ev.is_einstein})
+        checks.append(_record("einstein", not ev.is_einstein, expected=False,
+                              got=ev.is_einstein))
     elif want_einstein is not None:
         ok = ev.is_einstein and abs(ev.a - float(want_einstein)) <= 1e-8
-        checks.append({"name": "einstein", "expected": float(want_einstein),
-                       "got": ev.a if ev.is_einstein else None, "pass": ok})
+        checks.append(_record("einstein", ok, expected=float(want_einstein),
+                              got=ev.a if ev.is_einstein else None))
 
     checks += records[len(matches):]
 

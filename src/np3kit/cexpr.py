@@ -70,9 +70,6 @@ class CExpr:
         """|z|^2 as a real expression."""
         return E.add(E.mul(self.re, self.re), E.mul(self.im, self.im))
 
-    def evaluate(self, point, params=None) -> complex:
-        return complex(eval_forms(self, np.asarray([point], dtype=float), params)[0])
-
     def evaluate_many(self, points, params=None) -> np.ndarray:
         return eval_forms(self, points, params)
 

@@ -40,13 +40,13 @@ from . import expr as E
 from .cexpr import as_cexpr, c_const, fold, residual
 from .frame import (ManifoldSpec, connection_table, default_samples, riemann,
                     spec_cached)
-from .npcore import (W_DEL, W_DELBAR, W_XI, _sachs_ricci, contract, ricci_complex,
-                     spin_coefficients)
+from .npcore import (W_DEL, W_DELBAR, W_XI, SpinCoefficients, _sachs_ricci, contract,
+                     ricci_complex, spin_coefficients)
 from .sampling import InsufficientSamples
 
 __all__ = [
     "StructureClass", "EinsteinVerdict", "NotTransSasakian", "VERDICTS",
-    "classify", "verdict_from_samples", "ts_identity_forms", "einstein_check",
+    "classify", "ts_identity_forms", "einstein_check",
 ]
 
 VERDICTS = ("NotTransSasakian", "TransSasakian", "C6", "AlphaSasakian",
@@ -96,20 +96,15 @@ def _samples(spec: ManifoldSpec, samples) -> np.ndarray:
     return default_samples(spec, DEFAULT_COUNT) if samples is None else np.asarray(samples)
 
 
-def _spin_scalars(kappa, sigma, rho, alpha, beta, modulus) -> tuple:
-    """(maxima, sums) that :func:`classify` decides from, by name, of forms
-    (``modulus`` is ``residual``) or of sampled arrays (``np.abs``)."""
-    maxima = {"max_abs_kappa": modulus(kappa), "max_abs_sigma": modulus(sigma),
-              "max_abs_rho": modulus(rho), "max_abs_alpha": modulus(alpha),
-              "max_abs_beta": modulus(beta), "max_alpha": alpha, "max_neg_alpha": -alpha,
+def _spin_roots(co: SpinCoefficients) -> tuple:
+    """(maxima, sums): the roots of ``cexpr.fold`` that :func:`classify`
+    decides from, by name, over the spin coefficients ``co``."""
+    alpha, beta = co.rho.im, co.rho.re
+    maxima = {"max_abs_kappa": residual(co.kappa), "max_abs_sigma": residual(co.sigma),
+              "max_abs_rho": residual(co.rho), "max_abs_alpha": residual(alpha),
+              "max_abs_beta": residual(beta), "max_alpha": alpha, "max_neg_alpha": -alpha,
               "max_beta": beta, "max_neg_beta": -beta}
     return maxima, {"sum_alpha": alpha, "sum_beta": beta}
-
-
-def _spin_roots(spec: ManifoldSpec) -> tuple:
-    """:func:`_spin_scalars` as roots of ``cexpr.fold``."""
-    co = spin_coefficients(spec)
-    return _spin_scalars(co.kappa, co.sigma, co.rho, co.rho.im, co.rho.re, residual)
 
 
 def _spread(hi, lo, center) -> float:
@@ -126,7 +121,7 @@ def _summary(values: dict, name: str, n: int) -> tuple:
 
 def _gate_roots(spec: ManifoldSpec) -> dict:
     """The roots of the kappa = sigma = 0 gate, as :func:`_spin_roots` names them."""
-    maxima = _spin_roots(spec)[0]
+    maxima = _spin_roots(spin_coefficients(spec))[0]
     return {name: maxima[name] for name in ("max_abs_kappa", "max_abs_sigma")}
 
 
@@ -139,7 +134,7 @@ def _not_trans_sasakian(values: dict, tol, name: str = "") -> NotTransSasakian |
 
 
 def _verdict(values: dict, n: int, tol, tol_const) -> str:
-    """The verdict lattice over :func:`_spin_scalars` of ``n`` samples."""
+    """The verdict lattice over the folded :func:`_spin_roots` of ``n`` samples."""
     # a NaN in rho, which its modulus carries into its max, decides no class
     rho = values["max_abs_rho"]
     if _not_trans_sasakian(values, tol) or rho != rho:
@@ -159,19 +154,11 @@ def _verdict(values: dict, n: int, tol, tol_const) -> str:
     return "TransSasakian"
 
 
-def verdict_from_samples(kappa, sigma, rho, tol=DEFAULT_TOL,
-                         tol_const=DEFAULT_TOL_CONST) -> str:
-    """Verdict from sampled coefficient arrays, decided as :func:`classify` decides."""
-    maxima, sums = _spin_scalars(kappa, sigma, rho, np.imag(rho), np.real(rho), np.abs)
-    values = {**{k: float(np.max(x)) for k, x in maxima.items()},
-              **{k: float(np.sum(x)) for k, x in sums.items()}}
-    return _verdict(values, len(rho), tol, tol_const)
-
-
 def classify(spec: ManifoldSpec, samples=None, tol=DEFAULT_TOL,
              tol_const=DEFAULT_TOL_CONST) -> StructureClass:
     pts = _samples(spec, samples)
-    return _structure_class(fold(*_spin_roots(spec), pts, spec.params), len(pts), tol, tol_const)
+    values = fold(*_spin_roots(spin_coefficients(spec)), pts, spec.params)
+    return _structure_class(values, len(pts), tol, tol_const)
 
 
 def _structure_class(values: dict, n: int, tol=DEFAULT_TOL,

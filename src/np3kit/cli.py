@@ -219,10 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ektau", help="rigidity obstruction for the fibered geometries")
-    p.add_argument("--kappa", type=float, help="required unless --sweep is given")
-    p.add_argument("--tau", type=float, help="required unless --sweep is given")
+    ignored = "--sweep checks that a given value is finite, then ignores it"
+    p.add_argument("--kappa", type=float, help=f"required unless --sweep is given; {ignored}")
+    p.add_argument("--tau", type=float, help=f"required unless --sweep is given; {ignored}")
     p.add_argument("--u", type=float, default=1.5707963267948966,
-                   help="tilt angle of the candidate (default pi/2)")
+                   help=f"tilt angle of the candidate (default pi/2); {ignored}")
     p.add_argument("--sweep", action="store_true",
                    help="the fixed 50x50x50 (kappa, tau, u) grid as CSV")
     common(p, sampled=False)

@@ -69,10 +69,6 @@ class EkTauParams:
         # defined as sigma - 2 tau so the relation holds exactly in floats
         return self.sigma_bracket - 2.0 * self.tau
 
-    @property
-    def is_space_form(self) -> bool:
-        return self.kappa == 4.0 * self.tau * self.tau and self.tau != 0.0
-
 
 def ektau_params(kappa: float, tau: float) -> EkTauParams:
     return EkTauParams(float(kappa), float(tau))
@@ -177,22 +173,26 @@ def adapted_covariant_table(params: EkTauParams, state: AdaptedState):
             (su * (v3 + d * cu), -du3))
 
 
-def rigidity_obstruction(params: EkTauParams, u: float) -> RigidityReport:
-    """The scalar whose non-vanishing forces the candidate to be vertical.
+def _obstruction(kappa, tau, u) -> tuple:
+    """(obstruction, on_locus) over broadcast (kappa, tau, u).
 
     tau != 0: 2 tau delta sin^2 u, evaluated as (kappa - 4 tau^2) sin^2 u so
-    it is exactly zero on the space-form locus.  tau = 0: kappa sin u.
+    it is exactly zero on the space-form locus kappa = 4 tau^2.  tau = 0:
+    kappa sin u, whose locus is the flat product kappa = 0.
     """
-    su = math.sin(u)
-    if params.tau != 0.0:
-        value = (params.kappa - 4.0 * params.tau * params.tau) * su * su
-        verdict = "space_form_exception" if params.is_space_form else "forced_vertical"
-    else:
-        value = params.kappa * su
-        verdict = "product_flat_exception" if params.kappa == 0.0 else "forced_vertical"
+    su = np.sin(u)
+    obstruction = np.where(tau != 0.0, (kappa - 4.0 * tau * tau) * su * su, kappa * su)
+    on_locus = np.where(tau != 0.0, kappa == 4.0 * tau * tau, kappa == 0.0)
+    return obstruction, on_locus
+
+
+def rigidity_obstruction(params: EkTauParams, u: float) -> RigidityReport:
+    """The scalar whose non-vanishing forces the candidate to be vertical."""
+    value, on_locus = _obstruction(params.kappa, params.tau, u)
+    exception = "space_form_exception" if params.tau != 0.0 else "product_flat_exception"
     return RigidityReport(
-        obstruction_value=value,
-        verdict=verdict,
+        obstruction_value=float(value),
+        verdict=exception if on_locus else "forced_vertical",
         implied_alpha_beta=(params.tau, 0.0),  # the vertical field's (alpha, beta)
     )
 
@@ -204,14 +204,10 @@ def rigidity_sweep(kappas, taus, us):
     grid point is expected to vanish exactly when it lies on
     {kappa = 4 tau^2, tau != 0} or {kappa = tau = 0} or {sin u = 0}.
     """
-    k = np.asarray(kappas, dtype=float)[:, None, None]
-    t = np.asarray(taus, dtype=float)[None, :, None]
     u = np.asarray(us, dtype=float)[None, None, :]
-    su = np.sin(u)
-    obstruction = np.where(t != 0.0, (k - 4.0 * t * t) * su * su, k * su)
-    on_locus = np.where(t != 0.0, k == 4.0 * t * t, k == 0.0)
-    expected_zero = on_locus | (su == 0.0)
-    return obstruction, expected_zero
+    obstruction, on_locus = _obstruction(np.asarray(kappas, dtype=float)[:, None, None],
+                                         np.asarray(taus, dtype=float)[None, :, None], u)
+    return obstruction, on_locus | (np.sin(u) == 0.0)
 
 
 def bracket_consistency(params: EkTauParams, u: float, alpha: float, beta: float) -> dict:
@@ -256,6 +252,7 @@ def sol_obstruction() -> dict:
     fails.  Checked at 50 seed-0 samples, to 1e-9.
     """
     from . import catalog
+    from .cexpr import eval_forms
     from .frame import curvature_values_many, default_samples
     from .npcore import spin_coefficients
 
@@ -264,7 +261,7 @@ def sol_obstruction() -> dict:
     _, S, _ = curvature_values_many(spec, pts)
     ricci_residual = float(np.max(np.abs(S - np.diag([0.0, 0.0, -2.0]))))
 
-    sigma = spin_coefficients(spec).sigma.evaluate_many(pts, spec.params)
+    sigma = eval_forms(spin_coefficients(spec).sigma, pts, spec.params)
     sigma_vertical = complex(sigma[np.argmax(np.abs(sigma + 1.0))])
     sigma_residual = float(np.max(np.abs(sigma + 1.0)))
 

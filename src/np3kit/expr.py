@@ -94,8 +94,7 @@ __all__ = [
     "sin", "cos", "tan", "exp", "log", "sqrt",
     "absolute", "maximum", "cabs",
     "const", "coord", "param", "as_expr",
-    "parse", "unparse", "differentiate", "evaluate", "evaluate_many",
-    "eval_batch", "sweep", "CHUNK",
+    "parse", "unparse", "differentiate", "eval_batch", "sweep", "CHUNK",
 ]
 
 FUNCTIONS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
@@ -599,21 +598,6 @@ def _diff_binary(e: Binary, da: Expr, db: Expr) -> Expr:
 # points the 580 slots of flat_radial's scheduled verify tape take 9.5 MB
 # (its canonical order needs 1,240 slots, 20.3 MB)
 CHUNK = 2048
-
-
-def evaluate(f: Expr, point, params=None) -> float:
-    """IEEE double value of f at a 3-point, with domain checking."""
-    out = evaluate_many(f, np.asarray([point], dtype=float), params)
-    return float(out[0])
-
-
-def evaluate_many(f: Expr, points: np.ndarray, params=None) -> np.ndarray:
-    """Vectorized evaluation at an (N,3) array of points.
-
-    Raises DomainError if *any* point hits a singularity; residual sweeps
-    are expected to sample inside the manifold's domain.
-    """
-    return eval_batch([f], points, params)[0]
 
 
 def eval_batch(exprs, points, params=None) -> list[np.ndarray]:

@@ -1,9 +1,10 @@
 """Named residual-check suites over a sample-point sweep.
 
-Each check is a dict {name, max_residual, tolerance, pass}; a suite is a
-list of checks.  These identities hold exactly for the Levi-Civita
-connection, so with exact symbolic differentiation the only residual is
-floating-point roundoff; the default tolerance is absolute 1e-8.
+Each check is a dict {name, max_residual, tolerance, pass}, built by
+:func:`_record` as every check record is; a suite is a list of checks.
+These identities hold exactly for the Levi-Civita connection, so with
+exact symbolic differentiation the only residual is floating-point
+roundoff; the default tolerance is absolute 1e-8.
 
 A suite is one function, ``suite(spec) -> {check name: tree}``: each tree
 holds the forms that vanish when its identity holds (see
@@ -44,10 +45,15 @@ SUITE_NAMES = ("sachs", "bianchi", "kn", "ts", "xi")
 TOLERANCES = {"spin_coefficient_routes": 1e-10, "ricci_diag": 1e-9, "ricci_xi_xi": 1e-9}
 
 
+def _record(name, ok, **fields):
+    """The record of one check: its name, ``fields`` in order, then its pass bit."""
+    return {"name": name, **fields, "pass": bool(ok)}
+
+
 def _check(name, value, tol):
     """The record of one residual check: it passes when ``value`` <= ``tol``."""
     value = float(value)
-    return {"name": name, "max_residual": value, "tolerance": tol, "pass": bool(value <= tol)}
+    return _record(name, value <= tol, max_residual=value, tolerance=tol)
 
 
 def _kn(spec: ManifoldSpec) -> dict:
@@ -153,8 +159,8 @@ def run_request(spec: ManifoldSpec, names, pts, checks=None, scalars=({}, {}),
                        for name in trees] for group, trees in groups.items()}
     exc = "ts" in names and _not_trans_sasakian(values, max(tol, DEFAULT_TOL), spec.name)
     if exc:
-        results["ts"] = [{"name": "ts_suite", "skipped": True, "reason": f"NotTransSasakian: {exc}",
-                          "pass": not math.isnan(exc.worst)}]
+        results["ts"] = [_record("ts_suite", not math.isnan(exc.worst), skipped=True,
+                                 reason=f"NotTransSasakian: {exc}")]
     return results, results.pop(None), values
 
 

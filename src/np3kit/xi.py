@@ -124,7 +124,7 @@ def _route_residuals(spec: ManifoldSpec) -> dict:
 
 def _congruence_roots(spec: ManifoldSpec) -> tuple:
     """(maxima, sums): the roots :func:`parallel_and_collinearity` decides from."""
-    maxima, sums = _spin_roots(spec)
+    maxima, sums = _spin_roots(spin_coefficients(spec))
     routes, lap = _route_residuals(spec), rough_laplacian_xi(spec)
     maxima["max_transverse_laplacian"] = residual(lap.generic[:2])
     for name in ("laplacian_routes", "divergence_routes", "bochner_reduction"):

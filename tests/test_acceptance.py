@@ -13,11 +13,11 @@ import numpy as np
 
 from np3kit import catalog
 from np3kit import expr as E
-from np3kit.classify import classify, ts_identity_forms, verdict_from_samples
+from np3kit.classify import _spin_roots, _structure_class, classify, ts_identity_forms
 from np3kit.cli import main as cli_main
 from np3kit.ektau import (adapted_covariant_table, ektau_model, ektau_params,
                           rigidity_obstruction, rigidity_sweep, spin_from_f)
-from np3kit.cexpr import eval_forms, residual
+from np3kit.cexpr import eval_forms, fold, residual
 from np3kit.frame import (connection_table, curvature_values_many, default_samples,
                           load_manifold)
 from np3kit.npcore import (gauge_transform, grad_xi_norm_sq,
@@ -51,8 +51,8 @@ def test_criterion_2_example2_reproduction():
     t0 = time.perf_counter()
     spec = catalog.get_spec("example2")
     co = spin_coefficients(spec)
-    r1 = co.rho.evaluate((0.0, 0.0, 1.0))
-    r2 = co.rho.evaluate((0.0, 0.0, 2.0))
+    r1 = eval_forms(co.rho, [(0.0, 0.0, 1.0)])[0]
+    r2 = eval_forms(co.rho, [(0.0, 0.0, 2.0)])[0]
     ok = (abs(r1 - (-1.0 - 0.5j)) <= 1e-9
           and abs(r1.imag - (-0.5)) <= 1e-9 and abs(r1.real - (-1.0)) <= 1e-9
           and abs(r2 - (-0.5 - 2.0j)) <= 1e-9)
@@ -66,16 +66,16 @@ def test_criterion_3_c6_and_flat():
     c6 = catalog.get_spec("c6")
     cls = classify(c6)
     pts = default_samples(c6, 100, seed=0)
-    div_vals = E.evaluate_many(divergence_xi(c6).direct, pts, c6.params)
+    div_vals = eval_forms(divergence_xi(c6).direct, pts, c6.params)
     ok = cls.verdict == "C6" and np.max(np.abs(div_vals)) <= 1e-9
 
     flat = catalog.get_spec("flat_cosymplectic")
     cls_flat = classify(flat)
     co = spin_coefficients(flat)
     fpts = default_samples(flat, 100, seed=0)
-    k = np.max(np.abs(co.kappa.evaluate_many(fpts, flat.params)))
-    s = np.max(np.abs(co.sigma.evaluate_many(fpts, flat.params)))
-    r = co.rho.evaluate_many(fpts, flat.params)
+    k = np.max(np.abs(eval_forms(co.kappa, fpts, flat.params)))
+    s = np.max(np.abs(eval_forms(co.sigma, fpts, flat.params)))
+    r = eval_forms(co.rho, fpts, flat.params)
     theta, omega = np.max(np.abs(r.real)), np.max(np.abs(r.imag))
     kin_ok = max(k, s, theta, omega) <= 1e-10
     ok = ok and cls_flat.verdict == "Cosymplectic" and kin_ok
@@ -118,18 +118,18 @@ def test_criterion_5_trans_sasakian_theorem_suite():
             if value > 1e-8:
                 failures.append(f"{name}:{rname}")
         p = spec.params
-        rho = spin_coefficients(spec).rho.evaluate_many(pts, p)
-        div_vals = E.evaluate_many(divergence_xi(spec).direct, pts, p)
+        rho = eval_forms(spin_coefficients(spec).rho, pts, p)
+        div_vals = eval_forms(divergence_xi(spec).direct, pts, p)
         extra = {
             "div_2theta": np.max(np.abs(div_vals - 2 * rho.real)),
-            "grad_norm": np.max(np.abs(E.evaluate_many(grad_xi_norm_sq(spec), pts, p)
+            "grad_norm": np.max(np.abs(eval_forms(grad_xi_norm_sq(spec), pts, p)
                                        - 2 * np.abs(rho) ** 2)),
         }
         lap = rough_laplacian_xi(spec)
         closed_form = residual([E.sub(a, b) for a, b in zip(lap.generic, lap.np_closed)])
         extra["laplacian_closed_form"] = np.max(eval_forms(closed_form, pts, p))
         lap_vals = eval_forms(lap.generic, pts, p)
-        grad = E.evaluate_many(grad_xi_norm_sq(spec), pts, p)
+        grad = eval_forms(grad_xi_norm_sq(spec), pts, p)
         extra["bochner"] = np.max(np.abs(lap_vals[:, 2] - grad))
         for rname, value in extra.items():
             worst = max(worst, float(value))
@@ -146,7 +146,7 @@ def test_criterion_6_sol_obstruction():
     pts = default_samples(spec, 100, seed=0)
     _, S, _ = curvature_values_many(spec, pts)
     ricci_ok = np.max(np.abs(S - np.diag([0.0, 0.0, -2.0]))) <= 1e-9
-    sigma = spin_coefficients(spec).sigma.evaluate_many(pts, spec.params)
+    sigma = eval_forms(spin_coefficients(spec).sigma, pts, spec.params)
     sigma_ok = np.max(np.abs(sigma - (-1.0))) <= 1e-12
     verdict_ok = classify(spec, samples=pts).verdict == "NotTransSasakian"
     _report(6, "Sol: Ricci=diag(0,0,-2) <=1e-9, sigma=-1 exact to 1e-12, "
@@ -210,22 +210,24 @@ def test_criterion_9_gauge_property_suite():
     spec = catalog.get_spec("example1")
     pts = default_samples(spec, 20, seed=0)
     co = spin_coefficients(spec)
-    k0 = co.kappa.evaluate_many(pts, spec.params)
-    s0 = co.sigma.evaluate_many(pts, spec.params)
-    r0 = co.rho.evaluate_many(pts, spec.params)
-    base_verdict = verdict_from_samples(k0, s0, r0)
+    k0 = eval_forms(co.kappa, pts, spec.params)
+    s0 = eval_forms(co.sigma, pts, spec.params)
+    r0 = eval_forms(co.rho, pts, spec.params)
+    base_verdict = classify(spec, samples=pts).verdict
     rng = random.Random(7)
     ok = True
     for _ in range(50):
         th = rng.uniform(-math.pi, math.pi)
         g = gauge_transform(co, E.const(th), spec)
-        k1 = g.kappa.evaluate_many(pts, spec.params)
-        s1 = g.sigma.evaluate_many(pts, spec.params)
-        r1 = g.rho.evaluate_many(pts, spec.params)
+        k1 = eval_forms(g.kappa, pts, spec.params)
+        s1 = eval_forms(g.sigma, pts, spec.params)
+        r1 = eval_forms(g.rho, pts, spec.params)
         ok = ok and bool(np.array_equal(r1, r0))  # rho invariant exactly
         ok = ok and np.max(np.abs(np.abs(s1) - np.abs(s0))) <= 1e-12
         ok = ok and np.max(np.abs(np.abs(k1) - np.abs(k0))) <= 1e-12
-        ok = ok and verdict_from_samples(k1, s1, r1) == base_verdict
+        # the gauged coefficients, decided as classify decides its own
+        values = fold(*_spin_roots(g), pts, spec.params)
+        ok = ok and _structure_class(values, len(pts)).verdict == base_verdict
 
     # weighted-operator covariance for one non-constant gauge angle
     theta_text = "0.4*x1 + 0.2*x2"
@@ -248,8 +250,8 @@ def test_criterion_9_gauge_property_suite():
     phase_s1 = CExpr(E.cos(E.mul(float(s + 1), th)), E.sin(E.mul(float(s + 1), th)))
     got = weighted_derivative(phase_s * co.sigma, s, "eth", rotated)
     want = phase_s1 * weighted_derivative(co.sigma, s, "eth", spec)
-    cov = np.max(np.abs(got.evaluate_many(pts, spec.params)
-                        - want.evaluate_many(pts, spec.params)))
+    cov = np.max(np.abs(eval_forms(got, pts, spec.params)
+                        - eval_forms(want, pts, spec.params)))
     ok = ok and cov <= 1e-10
     _report(9, "50 constant gauges: rho exactly invariant, |sigma|,|kappa| "
                "invariant <=1e-12, verdict unchanged; eth covariance at 20 "

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from np3kit import catalog
 from np3kit import expr as E
 from np3kit.cexpr import eval_forms, fold, residual
-from np3kit.classify import (PHI_MATRIX, _einstein_roots, _einstein_verdict, _spread,
-                             _ts_closed_forms, classify, einstein_check, ts_identity_forms,
-                             verdict_from_samples)
+from np3kit.classify import (DEFAULT_TOL, DEFAULT_TOL_CONST, PHI_MATRIX, _einstein_roots,
+                             _einstein_verdict, _spin_roots, _spread, _structure_class,
+                             _ts_closed_forms, _verdict, classify, einstein_check,
+                             ts_identity_forms)
 from np3kit.frame import connection_table, default_samples, load_manifold
 from np3kit.npcore import (W_DEL, W_DELBAR, W_XI, contract, gauge_transform,
                            ricci_from_sachs_forms, spin_coefficients)
@@ -78,14 +79,12 @@ def test_classify_gauge_invariant():
     rng = random.Random(5)
     for _ in range(20):
         th = rng.uniform(-math.pi, math.pi)
+        # the gauged coefficients, folded and decided as classify decides its own
         gauged = gauge_transform(co, E.const(th), spec)
-        k = gauged.kappa.evaluate_many(pts, spec.params)
-        s = gauged.sigma.evaluate_many(pts, spec.params)
-        r = gauged.rho.evaluate_many(pts, spec.params)
-        assert verdict_from_samples(k, s, r) == base.verdict
-        alpha, beta = np.imag(r), np.real(r)
-        assert np.mean(alpha) == pytest.approx(base.alpha_summary[0], abs=1e-12)
-        assert np.mean(beta) == pytest.approx(base.beta_summary[0], abs=1e-12)
+        cls = _structure_class(fold(*_spin_roots(gauged), pts, spec.params), len(pts))
+        assert cls.verdict == base.verdict
+        assert cls.alpha_summary[0] == pytest.approx(base.alpha_summary[0], abs=1e-12)
+        assert cls.beta_summary[0] == pytest.approx(base.beta_summary[0], abs=1e-12)
 
 
 _EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, math.inf, -math.inf, math.nan])
@@ -113,8 +112,8 @@ def test_induced_structure_squares_to_reeb_projector():
     # alpha, beta are the twist and expansion
     rho = spin_coefficients(catalog.get_spec("example1")).rho
     p = (0.0, 0.0, 0.5)
-    assert E.evaluate(rho.im, p) == pytest.approx(-0.5 * math.e, rel=1e-12)
-    assert E.evaluate(rho.re, p) == pytest.approx(-1.0, rel=1e-12)
+    assert eval_forms(rho.im, [p])[0] == pytest.approx(-0.5 * math.e, rel=1e-12)
+    assert eval_forms(rho.re, [p])[0] == pytest.approx(-1.0, rel=1e-12)
 
 
 def _ts_residuals(spec, points):
@@ -179,14 +178,14 @@ def test_ts_identity_sweep():
 
 def _conformal_foliation_pointwise(spec, point):
     """max over the transverse plane of |(Lie_xi g)(e_a, e_b) - 2 Theta delta_ab|
-    at one point, from the connection table: nine E.evaluate calls."""
+    at one point, from the connection table: one form at a time."""
     gamma = connection_table(spec).gamma
-    theta = E.evaluate(spin_coefficients(spec).rho.re, point, spec.params)
+    theta = eval_forms(spin_coefficients(spec).rho.re, [point], spec.params)[0]
     worst = 0.0
     for a in range(2):
         for b in range(2):
-            lie = (E.evaluate(gamma[a][2][b], point, spec.params)
-                   + E.evaluate(gamma[b][2][a], point, spec.params))
+            lie = (eval_forms(gamma[a][2][b], [point], spec.params)[0]
+                   + eval_forms(gamma[b][2][a], [point], spec.params)[0])
             worst = max(worst, abs(lie - 2.0 * theta * (1.0 if a == b else 0.0)))
     return worst
 
@@ -247,22 +246,30 @@ def test_einstein_checks():
     assert sas.residuals["max_abs_d_rho"] <= 1e-12
 
 
+def _folded_spin_roots(name: str, n: int = 30) -> dict:
+    """The folded :func:`_spin_roots` of a catalog entry over ``n`` samples."""
+    spec = catalog.get_spec(name)
+    return fold(*_spin_roots(spin_coefficients(spec)), default_samples(spec, n), spec.params)
+
+
 @pytest.mark.parametrize("nan_in", ["kappa", "sigma"])
 def test_a_nan_kappa_or_sigma_is_not_trans_sasakian(nan_in):
-    zero = np.zeros(30, dtype=complex)
-    nan = zero.copy()
-    nan[7] = np.nan
-    args = (nan, zero, zero) if nan_in == "kappa" else (zero, nan, zero)
-    assert verdict_from_samples(*args) == "NotTransSasakian"
+    values = _folded_spin_roots("flat_cosymplectic")
+    assert _verdict(values, 30, DEFAULT_TOL, DEFAULT_TOL_CONST) == "Cosymplectic"
+    values[f"max_abs_{nan_in}"] = math.nan
+    assert _verdict(values, 30, DEFAULT_TOL, DEFAULT_TOL_CONST) == "NotTransSasakian"
 
 
-@pytest.mark.parametrize("rho", [0.0, 1j], ids=["zero", "twist"])
-def test_a_nan_rho_is_not_trans_sasakian(rho):
-    # a NaN rho would otherwise read as C5 (beside zeros) or TransSasakian (beside 1j)
-    zero = np.zeros(30, dtype=complex)
-    r = np.full(30, rho, dtype=complex)
-    r[7] = complex(np.nan, np.imag(rho))
-    assert verdict_from_samples(zero, zero, r) == "NotTransSasakian"
+@pytest.mark.parametrize("name,verdict", [("flat_cosymplectic", "Cosymplectic"),
+                                          ("sasakian", "Sasakian")], ids=["zero", "twist"])
+def test_a_nan_rho_is_not_trans_sasakian(name, verdict):
+    # a NaN in Re rho at one sample reaches every root of beta and |rho|; it
+    # would otherwise read as C5 (rho = 0 elsewhere) or TransSasakian (rho = i)
+    values = _folded_spin_roots(name)
+    assert _verdict(values, 30, DEFAULT_TOL, DEFAULT_TOL_CONST) == verdict
+    values.update(dict.fromkeys(
+        ("max_abs_rho", "max_abs_beta", "max_beta", "max_neg_beta", "sum_beta"), math.nan))
+    assert _verdict(values, 30, DEFAULT_TOL, DEFAULT_TOL_CONST) == "NotTransSasakian"
 
 
 @pytest.mark.parametrize("key", ["max_abs_kappa", "max_abs_sigma"])

@@ -17,7 +17,7 @@ def test_params_delta_relation():
     p = ektau_params(4.0, 1.0)
     assert p.sigma_bracket == 2.0
     assert p.delta == p.sigma_bracket - 2.0 * p.tau  # exactly
-    assert p.delta == 0.0 and p.is_space_form
+    assert p.delta == 0.0
     q = ektau_params(1.0, 1.0)
     assert q.delta == pytest.approx(-1.5)
     with pytest.raises(TauZeroForSigma):
@@ -210,6 +210,19 @@ def test_rigidity_obstruction_cases():
     rep = rigidity_obstruction(ektau_params(0.0, 0.0), 1.0)
     assert rep.obstruction_value == 0.0
     assert rep.verdict == "product_flat_exception"
+
+
+def test_a_sweep_cell_is_the_single_point_report():
+    # the grid holds both loci: (1, 0.5) and (4, +-1) are space forms, (0, 0) is flat
+    kappas, taus, us = [-1.0, 0.0, 1.0, 4.0], [-1.0, 0.0, 0.5, 1.0], [0.0, 0.7, math.pi / 2]
+    obstruction, expected_zero = rigidity_sweep(kappas, taus, us)
+    for i, j, k in np.ndindex(obstruction.shape):
+        rep = rigidity_obstruction(ektau_params(kappas[i], taus[j]), us[k])
+        assert type(rep.obstruction_value) is float
+        assert rep.obstruction_value == obstruction[i, j, k]
+        on_locus = rep.verdict != "forced_vertical"
+        assert expected_zero[i, j, k] == (on_locus or us[k] == 0.0)
+        assert on_locus == ((kappas[i], taus[j]) in ((1.0, 0.5), (4.0, 1.0), (4.0, -1.0), (0.0, 0.0)))
 
 
 def test_rigidity_sweep_grid():

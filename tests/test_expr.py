@@ -20,11 +20,16 @@ from np3kit.cexpr import CExpr, c_const, eval_forms, residual
 from np3kit.classify import _gate_roots
 from np3kit.expr import (
     Binary, Const, Coord, DomainError, ParseError, Unary, UnboundParameter,
-    differentiate, evaluate, evaluate_many, parse, unparse,
+    differentiate, parse, unparse,
 )
 from np3kit.frame import default_samples
 
 X1, X2, X3 = E.coord(1), E.coord(2), E.coord(3)
+
+
+def _at(f, point, params=None):
+    """f at one point, as a float: a batch of one through ``eval_batch``."""
+    return float(E.eval_batch([f], [point], params)[0][0])
 
 
 def test_parse_exp():
@@ -55,9 +60,9 @@ def test_parse_rejects_malformed(text):
 
 def test_unknown_identifier_is_parameter():
     ast = parse("a*x1")
-    assert evaluate(ast, (2.0, 0.0, 0.0), {"a": 3.0}) == 6.0
+    assert _at(ast, (2.0, 0.0, 0.0), {"a": 3.0}) == 6.0
     with pytest.raises(UnboundParameter):
-        evaluate(ast, (2.0, 0.0, 0.0))
+        _at(ast, (2.0, 0.0, 0.0))
 
 
 def test_coordinate_aliases():
@@ -69,51 +74,51 @@ def test_differentiate_examples():
     f = parse("exp(2*x3)")
     df = differentiate(f, 3)
     for z in (0.0, 0.3, -1.0):
-        assert evaluate(df, (0, 0, z)) == pytest.approx(2 * math.exp(2 * z), rel=1e-12)
+        assert _at(df, (0, 0, z)) == pytest.approx(2 * math.exp(2 * z), rel=1e-12)
 
     assert differentiate(parse("x2"), 1) is E.const(0.0)
 
     g = differentiate(parse("1/x3"), 3)
     for z in (1.0, 2.0, -0.5):
-        assert evaluate(g, (0, 0, z)) == pytest.approx(-1.0 / z**2, rel=1e-12)
+        assert _at(g, (0, 0, z)) == pytest.approx(-1.0 / z**2, rel=1e-12)
 
 
 def test_a_quotient_derivative_does_not_square_the_divisor():
     # (a'b - ab')/b^2 would underflow b^2 to 0 here and raise "division by
     # zero", and overflow b^2 to inf there and read -0.0
-    assert evaluate(differentiate(parse("x2/x1"), 1), (1e-170, 1e-170, 0)) == -1e170
-    assert evaluate(differentiate(parse("1/(x1^2+1)"), 1), (1e100, 0, 0)) == -2e-300
+    assert _at(differentiate(parse("x2/x1"), 1), (1e-170, 1e-170, 0)) == -1e170
+    assert _at(differentiate(parse("1/(x1^2+1)"), 1), (1e100, 0, 0)) == -2e-300
 
 
 def test_differentiate_chain_and_power():
     f = parse("sin(x1^3)")
     df = differentiate(f, 1)
     x = 0.7
-    assert evaluate(df, (x, 0, 0)) == pytest.approx(3 * x**2 * math.cos(x**3), rel=1e-12)
+    assert _at(df, (x, 0, 0)) == pytest.approx(3 * x**2 * math.cos(x**3), rel=1e-12)
 
     g = parse("x1^x2")  # non-integer exponent route
     dg = differentiate(g, 1)
     x, y = 1.3, 0.7
-    assert evaluate(dg, (x, y, 0)) == pytest.approx(y * x ** (y - 1), rel=1e-12)
+    assert _at(dg, (x, y, 0)) == pytest.approx(y * x ** (y - 1), rel=1e-12)
 
 
 def test_evaluate_examples():
-    assert evaluate(parse("exp(2*x3)"), (0, 0, 0)) == 1.0
-    assert evaluate(parse("1/x3"), (0, 0, 2)) == 0.5
+    assert _at(parse("exp(2*x3)"), (0, 0, 0)) == 1.0
+    assert _at(parse("1/x3"), (0, 0, 2)) == 0.5
     with pytest.raises(DomainError):
-        evaluate(parse("1/x3"), (0, 0, 0))
+        _at(parse("1/x3"), (0, 0, 0))
     with pytest.raises(DomainError):
-        evaluate(parse("log(x1)"), (0.0, 0, 0))
+        _at(parse("log(x1)"), (0.0, 0, 0))
     with pytest.raises(DomainError):
-        evaluate(parse("sqrt(x1)"), (-1.0, 0, 0))
+        _at(parse("sqrt(x1)"), (-1.0, 0, 0))
 
 
-def test_evaluate_many_matches_scalar():
+def test_a_column_matches_one_point_at_a_time():
     f = parse("exp(x1) * sin(x2) + x3^2")
     pts = np.array([[0.1, 0.2, 0.3], [1.0, -1.0, 2.0], [0.0, 0.0, 0.0]])
-    vals = evaluate_many(f, pts)
+    vals = E.eval_batch([f], pts)[0]
     for p, v in zip(pts, vals):
-        assert evaluate(f, tuple(p)) == pytest.approx(v, rel=1e-15)
+        assert _at(f, tuple(p)) == pytest.approx(v, rel=1e-15)
 
 
 def test_parse_folds_as_the_constructors_do():
@@ -124,7 +129,7 @@ def test_parse_folds_as_the_constructors_do():
     # exact cancellations of one node fold, dropping its domain checks
     assert parse("log(x1) - log(x1)") is parse("x2 + -x2") is parse("-x2 + x2") is E.const(0)
     assert parse("log(x1)/log(x1)") is E.const(1)
-    assert evaluate(parse("exp(x1) - exp(x1)"), (1000.0, 0, 0)) == 0.0  # not inf - inf
+    assert _at(parse("exp(x1) - exp(x1)"), (1000.0, 0, 0)) == 0.0  # not inf - inf
 
 
 def test_nodes_are_their_own_identity():
@@ -138,7 +143,7 @@ def test_differentiate_keeps_the_derivative_on_a_raw_node():
     raw = Binary("mul", Unary("sin", Coord(1)), Coord(1))  # not interned
     first = differentiate(raw, 1)
     assert differentiate(raw, 1) is first
-    assert evaluate(first, (0.5, 0, 0)) == pytest.approx(math.cos(0.5) * 0.5 + math.sin(0.5))
+    assert _at(first, (0.5, 0, 0)) == pytest.approx(math.cos(0.5) * 0.5 + math.sin(0.5))
 
 
 @pytest.mark.parametrize("c", [E.const(float("inf")), E.const(float("-inf")),
@@ -152,7 +157,7 @@ def test_operator_overloads_build_same_ast():
     written = E.exp(2 * x3) / x1 + x3**2
     parsed = parse("exp(2*x3)/x1 + x3^2")
     pts = np.array([[0.5, 0.0, 0.2], [1.5, 1.0, -0.4]])
-    np.testing.assert_allclose(evaluate_many(written, pts), evaluate_many(parsed, pts), rtol=1e-15)
+    np.testing.assert_allclose(eval_forms(written, pts), eval_forms(parsed, pts), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +191,7 @@ def _random_expr(rng: random.Random, depth: int) -> E.Expr:
 def _central_diff(f, p, i, h):
     step = np.zeros(3)
     step[i - 1] = h
-    return (evaluate(f, tuple(p + step)) - evaluate(f, tuple(p - step))) / (2 * h)
+    return (_at(f, tuple(p + step)) - _at(f, tuple(p - step))) / (2 * h)
 
 
 def _regular_point(f, rng, i=1, tries=60, h=1e-5):
@@ -195,7 +200,7 @@ def _regular_point(f, rng, i=1, tries=60, h=1e-5):
     for _ in range(tries):
         p = np.array([rng.uniform(-1.5, 1.5) for _ in range(3)])
         try:
-            v = evaluate(f, tuple(p))
+            v = _at(f, tuple(p))
             cd, cd2 = _central_diff(f, p, i, h), _central_diff(f, p, i, h / 2)
         except (DomainError, UnboundParameter, OverflowError):
             continue
@@ -221,7 +226,7 @@ def test_derivative_matches_central_difference_on_1000_random_exprs():
             continue
         df = differentiate(f, i)
         try:
-            exact = evaluate(df, tuple(p))
+            exact = _at(df, tuple(p))
         except DomainError:
             continue
         if not math.isfinite(exact) or abs(exact) > 1e5:
@@ -239,7 +244,7 @@ def test_parsed_text_of_a_raw_tree_evaluates_as_the_tree():
         p = _regular_point(raw, rng)
         if p is None:
             continue
-        assert evaluate(g, tuple(p)) == pytest.approx(evaluate(raw, tuple(p)), rel=1e-12, abs=1e-12)
+        assert _at(g, tuple(p)) == pytest.approx(_at(raw, tuple(p)), rel=1e-12, abs=1e-12)
 
 
 # hypothesis strategy for constructor-built expressions (round-trip property)
@@ -405,7 +410,7 @@ def _random_forms(rng: random.Random, depth: int = 2):
 
 
 def _per_leaf(node, pts):
-    """The values eval_forms promises, one evaluate_many call per real leaf."""
+    """The values eval_forms promises, one ``eval_batch`` column per real leaf."""
     if isinstance(node, dict):
         return {k: _per_leaf(v, pts) for k, v in node.items()}
     if isinstance(node, list):
@@ -413,9 +418,9 @@ def _per_leaf(node, pts):
     if isinstance(node, tuple):
         return np.stack([_per_leaf(v, pts) for v in node], axis=1)
     if isinstance(node, CExpr):
-        re, im = evaluate_many(node.re, pts), evaluate_many(node.im, pts)
+        re, im = E.eval_batch([node.re], pts)[0], E.eval_batch([node.im], pts)[0]
         return np.array([complex(a, b) for a, b in zip(re, im)])
-    return evaluate_many(node, pts)
+    return E.eval_batch([node], pts)[0]
 
 
 def _assert_bitwise(got, want):
@@ -459,8 +464,8 @@ def test_singular_point_in_last_chunk_raises():
     pts = np.ones((3 * E.CHUNK + 5, 3))
     pts[-1, 0] = 0.0
     with pytest.raises(DomainError, match="division by zero"):
-        evaluate_many(parse("x2/x1"), pts)
-    assert np.all(evaluate_many(parse("x2/x1"), pts[:-1]) == 1.0)
+        eval_forms(parse("x2/x1"), pts)
+    assert np.all(eval_forms(parse("x2/x1"), pts[:-1]) == 1.0)
 
 
 def test_first_failing_node_wins_across_chunks():
@@ -488,7 +493,7 @@ def test_first_failing_node_wins_across_chunks():
 ])
 def test_domain_error_messages(f, point, message):
     with pytest.raises(DomainError) as exc:
-        evaluate(f, point)
+        _at(f, point)
     assert str(exc.value) == message
 
 
@@ -496,7 +501,7 @@ def test_domain_error_names_the_first_failing_sample():
     pts = np.ones((2 * E.CHUNK + 3, 3))
     pts[[E.CHUNK + 7, -1], 0] = -1.0  # both in later chunks
     with pytest.raises(DomainError) as exc:
-        evaluate_many(parse("sqrt(x1)"), pts)
+        eval_forms(parse("sqrt(x1)"), pts)
     assert (exc.value.index, exc.value.point) == (E.CHUNK + 7, (-1.0, 1.0, 1.0))
     assert str(exc.value) == "sqrt of negative value"
 
@@ -509,7 +514,7 @@ def test_a_streamed_error_ranks_the_checks_of_one_op():
     pts[5, :2] = 0.0, -2.0
     pts[2 * E.CHUNK + 9, :2] = -1.0, 0.5
     with pytest.raises(DomainError) as exc:
-        evaluate_many(parse("x1^x2"), pts)
+        eval_forms(parse("x1^x2"), pts)
     assert str(exc.value) == "negative base with non-integer exponent"
     assert (exc.value.index, exc.value.point) == (2 * E.CHUNK + 9, (-1.0, 0.5, 1.0))
 
@@ -703,7 +708,7 @@ def test_evaluation_only_ops():
     assert np.array_equal(got[0], np.abs(re))
     assert np.array_equal(got[1], np.maximum(re, im))
     assert np.array_equal(got[2], np.abs(re + 1j * im))  # numpy's modulus, not hypot
-    assert np.isnan(evaluate(E.maximum(x, float("nan")), (1.0, 0.0, 0.0)))
+    assert np.isnan(_at(E.maximum(x, float("nan")), (1.0, 0.0, 0.0)))
     assert E.cabs(Const(-2.0), 0.0) is E.const(2.0)
     for node in (E.absolute(x), E.maximum(x, y), E.cabs(x, y)):
         with pytest.raises(ValueError, match="evaluation-only"):
@@ -720,15 +725,15 @@ def test_residual_folds_to_one_root():
     assert np.array_equal(got, [5.0, 1.5])
     assert residual([E.const(0.0), c_const(0)]) is E.const(0.0)
     assert residual([E.const(-2.0), c_const(1.0)]) is E.const(2.0)
-    assert np.isnan(evaluate(residual([x, E.const(float("nan"))]), (1.0, 0.0, 0.0)))
+    assert np.isnan(_at(residual([x, E.const(float("nan"))]), (1.0, 0.0, 0.0)))
 
 
 def test_constant_exponents_and_divisors():
     pts = np.array([[-2.0, 0.5, 4.0], [3.0, 2.0, 0.25]])
-    np.testing.assert_array_equal(evaluate_many(parse("x1^3"), pts), [-8.0, 27.0])
-    np.testing.assert_array_equal(evaluate_many(parse("x3^0.5"), pts), [2.0, 0.5])
-    np.testing.assert_array_equal(evaluate_many(parse("x2^-1"), pts), [2.0, 0.5])
-    np.testing.assert_array_equal(evaluate_many(parse("x1/4"), pts), [-0.5, 0.75])
+    np.testing.assert_array_equal(eval_forms(parse("x1^3"), pts), [-8.0, 27.0])
+    np.testing.assert_array_equal(eval_forms(parse("x3^0.5"), pts), [2.0, 0.5])
+    np.testing.assert_array_equal(eval_forms(parse("x2^-1"), pts), [2.0, 0.5])
+    np.testing.assert_array_equal(eval_forms(parse("x1/4"), pts), [-0.5, 0.75])
 
 
 def test_no_module_level_evaluation_cache():

@@ -78,7 +78,8 @@ def sol():
 
 
 def _ev(expr, point, params=None):
-    return E.evaluate(expr, point, params)
+    """One expression at one point, as a batch of one."""
+    return float(E.eval_batch([expr], [point], params)[0][0])
 
 
 def test_load_example1_valid(example1):

@@ -50,14 +50,14 @@ def test_np_metric_relations(example1):
 def test_np_frame_returns_coordinate_components(example1):
     d, dbar = np_frame(example1)
     # D = (e1 - i e2)/sqrt(2): first coordinate component at the origin
-    v = d[0].evaluate((0.0, 0.0, 0.0))
+    v = eval_forms(d[0], [(0.0, 0.0, 0.0)])[0]
     assert v == pytest.approx((1 / SQ2) * 1.0, rel=1e-12)
-    assert dbar[0].evaluate((0.0, 0.0, 0.0)) == pytest.approx(np.conj(v), rel=1e-12)
+    assert eval_forms(dbar[0], [(0.0, 0.0, 0.0)])[0] == pytest.approx(np.conj(v), rel=1e-12)
 
 
 def test_phi_rotates_del_by_i():
     # phi(D) = sum_i D_i phi(E_i), and the rows of PHI_MATRIX are the phi(E_i)
-    d = np.array([c.evaluate((0.0, 0.0, 0.0)) for c in W_DEL])
+    d = eval_forms(W_DEL, [(0.0, 0.0, 0.0)])[0]
     assert np.max(np.abs(d @ np.array(PHI_MATRIX) - 1j * d)) < 1e-15
 
 
@@ -86,8 +86,8 @@ def test_spin_coefficient_routes_agree(example1, example2, sol):
         pts = default_samples(spec, 30, seed=2)
         a, b = spin_coefficients(spec), spin_coefficients_from_f(spec)
         for name in ("kappa", "sigma", "rho", "beta_np", "epsilon_np"):
-            va = getattr(a, name).evaluate_many(pts, spec.params)
-            vb = getattr(b, name).evaluate_many(pts, spec.params)
+            va = eval_forms(getattr(a, name), pts, spec.params)
+            vb = eval_forms(getattr(b, name), pts, spec.params)
             assert np.max(np.abs(va - vb)) < 1e-10, (spec.name, name)
 
 
@@ -95,23 +95,23 @@ def test_kinematics_examples(example1):
     kin = kinematics(spin_coefficients(example1))
     for x3 in (0.0, 0.5, 1.0):
         p = (0.0, 0.0, x3)
-        assert E.evaluate(kin.theta, p) == pytest.approx(-1.0, rel=1e-12)
-        assert E.evaluate(kin.omega, p) == pytest.approx(-0.5 * math.exp(2 * x3), rel=1e-12)
-        assert E.evaluate(kin.shear_mag, p) == pytest.approx(0.0, abs=1e-12)
+        assert eval_forms(kin.theta, [p])[0] == pytest.approx(-1.0, rel=1e-12)
+        assert eval_forms(kin.omega, [p])[0] == pytest.approx(-0.5 * math.exp(2 * x3), rel=1e-12)
+        assert eval_forms(kin.shear_mag, [p])[0] == pytest.approx(0.0, abs=1e-12)
 
     c6 = catalog.get_spec("c6")
     kin = kinematics(spin_coefficients(c6))
     for x1 in (1.0, 2.0):
         p = (x1, 0.3, -0.2)
-        assert E.evaluate(kin.theta, p) == pytest.approx(0.0, abs=1e-12)
-        assert E.evaluate(kin.omega, p) == pytest.approx(1.0 / x1, rel=1e-12)
+        assert eval_forms(kin.theta, [p])[0] == pytest.approx(0.0, abs=1e-12)
+        assert eval_forms(kin.omega, [p])[0] == pytest.approx(1.0 / x1, rel=1e-12)
 
     radial = catalog.get_spec("flat_radial")
     kin = kinematics(spin_coefficients(radial))
     for p in ((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)):
         r = np.linalg.norm(p)
-        assert E.evaluate(kin.theta, p) == pytest.approx(1.0 / r, rel=1e-11)
-        assert E.evaluate(kin.omega, p) == pytest.approx(0.0, abs=1e-11)
+        assert eval_forms(kin.theta, [p])[0] == pytest.approx(1.0 / r, rel=1e-11)
+        assert eval_forms(kin.omega, [p])[0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_epsilon_purely_imaginary(example1, example2, sol):
@@ -231,7 +231,7 @@ def test_gauge_xi_direction_on_flat(flat):
     co = spin_coefficients(flat)
     gauged = gauge_transform(co, E.Coord(1), flat)
     # xi = d/dx3 so xi(x1) = 0 and eps' = i xi(theta) = 0
-    assert gauged.epsilon_np.evaluate((0.7, 0.1, -0.3)) == pytest.approx(0.0, abs=1e-14)
+    assert eval_forms(gauged.epsilon_np, [(0.7, 0.1, -0.3)])[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gauge_formulas_match_rotated_frame(example1):
@@ -244,8 +244,8 @@ def test_gauge_formulas_match_rotated_frame(example1):
     direct = spin_coefficients(rotated)
     for p in [(0.1, 0.2, 0.3), (-0.5, 0.4, 0.8)]:
         for name in ("kappa", "sigma", "rho", "beta_np", "epsilon_np"):
-            a = getattr(gauged, name).evaluate(p)
-            b = getattr(direct, name).evaluate(p)
+            a = eval_forms(getattr(gauged, name), [p])[0]
+            b = eval_forms(getattr(direct, name), [p])[0]
             assert a == pytest.approx(b, abs=1e-10), name
 
 
@@ -253,15 +253,15 @@ def test_gauge_invariants_50_random_constant_gauges(example1):
     rng = random.Random(99)
     co = spin_coefficients(example1)
     pts = default_samples(example1, 20, seed=6)
-    k0 = co.kappa.evaluate_many(pts, example1.params)
-    s0 = co.sigma.evaluate_many(pts, example1.params)
-    r0 = co.rho.evaluate_many(pts, example1.params)
+    k0 = eval_forms(co.kappa, pts, example1.params)
+    s0 = eval_forms(co.sigma, pts, example1.params)
+    r0 = eval_forms(co.rho, pts, example1.params)
     for _ in range(50):
         th = rng.uniform(-math.pi, math.pi)
         gauged = gauge_transform(co, E.const(th), example1)
-        k1 = gauged.kappa.evaluate_many(pts, example1.params)
-        s1 = gauged.sigma.evaluate_many(pts, example1.params)
-        r1 = gauged.rho.evaluate_many(pts, example1.params)
+        k1 = eval_forms(gauged.kappa, pts, example1.params)
+        s1 = eval_forms(gauged.sigma, pts, example1.params)
+        r1 = eval_forms(gauged.rho, pts, example1.params)
         assert np.array_equal(r1, r0)  # rho is strictly gauge invariant
         assert np.max(np.abs(np.abs(k1) - np.abs(k0))) <= 1e-12
         assert np.max(np.abs(np.abs(s1) - np.abs(s0))) <= 1e-12
@@ -274,7 +274,7 @@ def test_weighted_derivative_constant_weight_zero(example1):
     q = c_const(2.5 - 1.0j)
     for direction in ("eth", "eth_bar", "P"):
         out = weighted_derivative(q, 0, direction, example1)
-        assert out.evaluate((0.3, 0.1, 0.2)) == pytest.approx(0.0, abs=1e-14)
+        assert eval_forms(out, [(0.3, 0.1, 0.2)])[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_weighted_derivative_weight_zero_is_directional(example1):
@@ -282,7 +282,7 @@ def test_weighted_derivative_weight_zero_is_directional(example1):
     got = weighted_derivative(co.rho, 0, "eth", example1)
     want = d_del(example1, co.rho)
     for p in [(0.0, 0.0, 0.0), (0.4, -0.2, 0.6)]:
-        assert got.evaluate(p) == pytest.approx(want.evaluate(p), abs=1e-13)
+        assert eval_forms(got, [p])[0] == pytest.approx(eval_forms(want, [p])[0], abs=1e-13)
 
 
 def test_weighted_derivative_gauge_covariance(example1):
@@ -299,8 +299,8 @@ def test_weighted_derivative_gauge_covariance(example1):
         want = weighted_derivative(q, s, "eth", example1)
         phase_s1 = CExpr(E.cos(E.mul(float(s + 1), th)), E.sin(E.mul(float(s + 1), th)))
         want = phase_s1 * want
-        gv = got.evaluate_many(pts, example1.params)
-        wv = want.evaluate_many(pts, example1.params)
+        gv = eval_forms(got, pts, example1.params)
+        wv = eval_forms(want, pts, example1.params)
         assert np.max(np.abs(gv - wv)) < 1e-10, s
 
 
@@ -330,7 +330,7 @@ def test_single_point_residuals_match_per_expression_evaluation(name):
     spec = catalog.get_spec(name)
     for point in default_samples(spec, 20, seed=4):
         for forms in (sachs_forms, bianchi_forms):
-            want = [z.evaluate(point, spec.params) for z in forms(spec)]
+            want = [eval_forms(z, [point], spec.params)[0] for z in forms(spec)]
             got = eval_forms(forms(spec), [point], spec.params)[0]
             assert np.allclose(got, want, rtol=0, atol=1e-14), forms.__name__
 
@@ -354,9 +354,9 @@ def test_grad_xi_norm_identity(example1, example2, sol):
     for spec in (example1, example2, sol):
         pts = default_samples(spec, 30, seed=14)
         co = spin_coefficients(spec)
-        k = co.kappa.evaluate_many(pts, spec.params)
-        s = co.sigma.evaluate_many(pts, spec.params)
-        r = co.rho.evaluate_many(pts, spec.params)
+        k = eval_forms(co.kappa, pts, spec.params)
+        s = eval_forms(co.sigma, pts, spec.params)
+        r = eval_forms(co.rho, pts, spec.params)
         want = 2 * (np.abs(k) ** 2 + np.abs(r) ** 2 + np.abs(s) ** 2)
-        got = E.evaluate_many(grad_xi_norm_sq(spec), pts, spec.params)
+        got = eval_forms(grad_xi_norm_sq(spec), pts, spec.params)
         assert np.max(np.abs(got - want)) <= 1e-10

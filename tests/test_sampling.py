@@ -38,7 +38,7 @@ def test_sample_count_must_be_at_least_one(count):
 def _safe_eval(pred, point, params) -> float:
     """One predicate at one point, NaN where its evaluation faults."""
     try:
-        return E.evaluate(pred, tuple(point), params)
+        return float(E.eval_batch([pred], [point], params)[0][0])
     except E.DomainError:
         return float("nan")
 

@@ -5,7 +5,8 @@ nothing else, the package runs no thread pool of its own, and no module
 keeps evaluation state in a context variable: a request passes its forms
 and values explicitly.  A check's residual arithmetic lives in its forms,
 so the suites, xi and catalog modules take no modulus and permute no array
-themselves, and every check record comes from ``suites._check``.  Only
+themselves, every check record comes from ``suites._record`` and every
+residual record from ``suites._check``.  Only
 ``expr`` runs passes over a tape; every other module evaluates through
 ``expr.sweep`` or its reductions.  Only ``expr`` makes nodes, so its
 constructors may take ``type(x) is Const`` to mean "a constant node".  Only
@@ -17,7 +18,9 @@ statement of the Sachs equations, the Bianchi pair, the gauge and weighted
 operators and the rough Laplacian, so no closed form re-derives one by
 hand.  The forms are the numeric surface: a caller evaluates a suite's forms with
 ``cexpr.eval_forms`` itself, and only a pinned few definitions of the
-package call it, so no evaluator wraps a form under a name of its own.  No
+package call it, so no evaluator wraps a form under a name of its own, and
+no single-point or sampled-array twin of it grows back beside the three
+pinned survivors that the benchmark still calls.  No
 module keeps a table of its own at module level but ``expr._INTERN`` and
 the ``catalog._ENTRIES`` registry: a derived value lives on the object it
 derives from.  No module of the package or its tests imports a name at top
@@ -210,6 +213,106 @@ def test_record_rule_flags_a_second_writer():
     assert max_residual_writers(source) == ["_check", "fold", "widen", "line 9"]
 
 
+def _is_key(node, key) -> bool:
+    return isinstance(node, ast.Constant) and node.value == key
+
+
+def record_builders(source: str) -> list[str]:
+    """Top-level definitions that build a dict display with both a ``"name"``
+    and a ``"pass"`` key: a check record."""
+    return [getattr(top, "name", f"line {top.lineno}") for top in ast.parse(source).body
+            if any(isinstance(node, ast.Dict)
+                   and any(_is_key(k, "name") for k in node.keys)
+                   and any(_is_key(k, "pass") for k in node.keys)
+                   for node in ast.walk(top))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_suites_record_builds_a_check_record(path):
+    want = ["_record"] if path.name == "suites.py" else []
+    assert record_builders(path.read_text(encoding="utf-8")) == want
+
+
+def test_record_constructor_rule_flags_a_second_builder():
+    source = (
+        "def _record(name, ok, **fields):\n"
+        "    return {'name': name, **fields, 'pass': bool(ok)}\n"
+        "def skip(exc):\n"
+        "    return [{'name': 'ts_suite', 'skipped': True, 'pass': exc is None}]\n"
+        "class Flags:\n"
+        "    def record(self, got, want):\n"
+        "        return {'pass': got == want, 'got': got, 'name': 'flag'}\n"
+        "def report(entry, ok):\n"
+        "    return {'entry': entry, 'pass': ok, 'checks': [{'name': 'verdict'}]}\n"
+        "VERDICT = {'name': 'verdict', 'pass': True}\n"
+    )
+    assert record_builders(source) == ["_record", "skip", "Flags", "line 10"]
+
+
+# each survivor is kept for the callers named here; a survivor whose
+# callers move onto ``eval_forms`` is deleted, and its entry with it
+SURVIVING_EVALUATORS = {
+    # the ``spin`` command, ``catalog.run``'s spot checks, and perfbench's
+    # ``session_points`` workload and its traced wrapper
+    "npcore.py": ["SpinCoefficients.evaluate"],
+    # only ``perfbench/child.py`` and ``perfbench/test_perfbench.py``
+    "cexpr.py": ["CExpr.evaluate_many"],
+    # perfbench's ``verify_replay`` and its traced wrapper,
+    # ``ektau.sol_obstruction``, demo 02 and the Ricci tests
+    "frame.py": ["curvature_values_many"],
+}
+
+
+def evaluator_definitions(source: str) -> list[str]:
+    """The dotted names of the definitions in a source, at any depth, named
+    ``evaluate`` or ending in ``_many`` or ``_from_samples``, sorted."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and (
+                        child.name == "evaluate"
+                        or child.name.endswith(("_many", "_from_samples"))):
+                    found.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_pinned_survivors_evaluate_one_point_or_wrap_many(path):
+    got = evaluator_definitions(path.read_text(encoding="utf-8"))
+    assert got == SURVIVING_EVALUATORS.get(path.name, [])
+
+
+def test_survivor_rule_flags_a_twin():
+    source = (
+        "def evaluate(f, point):\n"
+        "    return evaluate_many(f, [point])[0]\n"
+        "def evaluate_many(f, points):\n"
+        "    return eval_batch([f], points)[0]\n"
+        "class CExpr:\n"
+        "    def evaluate(self, point):\n"
+        "        return self\n"
+        "    def evaluated(self):\n"
+        "        return self\n"
+        "def verdict_from_samples(kappa, sigma, rho):\n"
+        "    def ricci_values_many(points):\n"
+        "        return points\n"
+        "    return ricci_values_many(rho)\n"
+        "def many_points(n):\n"
+        "    return n\n"
+    )
+    assert evaluator_definitions(source) == [
+        "CExpr.evaluate", "evaluate", "evaluate_many", "verdict_from_samples",
+        "verdict_from_samples.ricci_values_many"]
+
+
 PASS_DRIVER = ("_Tape", "_windows", "_points")
 
 
@@ -365,6 +468,7 @@ def test_derivative_rule_flags_a_second_differentiator():
 
 EVALUATORS = {
     "cexpr.py": ["CExpr"],
+    "ektau.py": ["sol_obstruction"],
     "npcore.py": ["SpinCoefficients"],
     "frame.py": ["_check_nondegenerate", "curvature_values_many"],
 }
