@@ -1,35 +1,41 @@
-r"""Homogeneous fibered 3-geometries: canonical frames, tilted structure
+r"""Homogeneous fibered 3-geometries: Daniel's chart frame, tilted structure
 candidates, and the rigidity obstruction.
 
 The two-parameter family E(kappa, tau) fibers over the constant-curvature
 surface M^2(kappa) with bundle curvature tau and unit vertical Killing
-field E3.  For tau != 0 the canonical frame has constant brackets
+field E3.  :func:`spec` builds it for the pipeline in Daniel's chart
+(Comment. Math. Helv. 82, 2007):
 
-    [E1,E2] = 2 tau E3,  [E2,E3] = s E1,  [E3,E1] = s E2,   s = kappa/(2 tau),
+    E1 = (1/lam, 0, -tau x2),  E2 = (0, 1/lam, tau x1),  E3 = d3,
+    1/lam = 1 + kappa/4 (x1^2 + x2^2),
 
-and we write delta = s - 2 tau.  A candidate structure field tilted by
-angle u away from E3 (with horizontal direction angle v) has spin
-coefficients that are pointwise algebraic in (u, du, dv); imposing
-kappa_np = sigma_np = 0 and comparing two evaluations of a bracket yields
-the single scalar obstruction
+with kappa and tau as spec parameters, on the domain 1/lam > 0.  It holds
+Berger spheres and S^2 x R locally too.  Its Ricci tensor is
+
+    S = (kappa - 2 tau^2) g + (4 tau^2 - kappa) eta3 (x) eta3,   eta3 = g(E3, .).
+
+A candidate structure field tilted by angle u away from E3 (with horizontal
+direction angle v and frame gauge phi) has p = g(e1, E3) = sin phi sin u and
+q = g(e2, E3) = cos phi sin u, so with D = (e1 - i e2)/sqrt 2
+
+    S(D, D) = (4 tau^2 - kappa)/2 (p - i q)^2,   |p - i q| = |sin u|.
+
+If the candidate has kappa_np = sigma_np = 0, the first Sachs equation leaves
+S(D, D) = 0.  S(D, D) vanishes exactly where the scalar obstruction does,
 
     2 tau delta sin^2 u  =  (kappa - 4 tau^2) sin^2 u        (tau != 0)
     kappa sin u                                              (tau = 0)
 
-whose non-vanishing forces sin u = 0, i.e. a vertical structure field.
-The obstruction is computed in the (kappa - 4 tau^2) form so it vanishes
-*exactly* on the space-form locus.
+so off the space-form locus kappa = 4 tau^2 and the flat product
+kappa = tau = 0 the candidate has sin u = 0: a vertical structure field, on
+which rho_np = i tau, alpha-Sasakian with alpha = tau, cosymplectic at
+tau = 0.  Here delta = s - 2 tau with s = kappa/(2 tau), the horizontal
+bracket coefficient of the canonical frame.  The obstruction is computed in
+the (kappa - 4 tau^2) form so it vanishes *exactly* on the space-form locus.
 
-For tau = 0 the fiber data is the surface connection form folded into a
-single free slot value B(X) = dv(X) + omega(X); its curvature enters only
-through the obstruction.
-
-Everything in this module is plain numeric.  The tilted candidate has one
-closed form, ``adapted_covariant_table``, and its spin coefficients are read
-off it by ``spin_from_f``.  The tests check that closed form against the
-symbolic pipeline on tilted frames of the Heisenberg group (kappa = 0, any
-tau) and of H^2 x R, the canonical model's connection against the catalog
-frame nil3, and its curvature against Daniel's chart frame.
+The step from kappa_np = sigma_np = 0 to S(D, D) = 0 is by hand; the tests
+check the Ricci table, rho_np = i tau and the S(D, D) formula through the
+pipeline on :func:`spec` frames, at samples.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as E
+from .frame import ManifoldSpec, load_manifold
+
 __all__ = [
-    "EkTauParams", "AdaptedState", "RigidityReport", "EkTauModel",
-    "TauZeroForSigma", "ektau_params", "ektau_model",
-    "adapted_covariant_table", "spin_from_f", "rigidity_obstruction",
-    "rigidity_sweep", "bracket_consistency", "sol_obstruction",
+    "EkTauParams", "RigidityReport", "TauZeroForSigma", "ektau_params",
+    "rigidity_obstruction", "rigidity_sweep", "sol_obstruction", "spec",
 ]
 
 _SQ2 = math.sqrt(2.0)
@@ -74,21 +81,39 @@ def ektau_params(kappa: float, tau: float) -> EkTauParams:
     return EkTauParams(float(kappa), float(tau))
 
 
-@dataclass(frozen=True)
-class AdaptedState:
-    """Free local data of a tilted candidate: tilt angle u and the slot
-    values of du and dv on the adapted frame (e1, e2, xi).
+def _tilt_rows(u, v, phi, sin, cos) -> tuple:
+    """(e1, e2, xi) of the tilt (u, v, phi), each as its (E1, E2, E3) row.
 
-    For a product geometry (tau = 0) the dv slots carry the folded
-    connection value B(X) = dv(X) + omega(X) instead.
+    xi = sin u (cos v E1 + sin v E2) + cos u E3, and (e1, e2) is the pair
+    (-sin v E1 + cos v E2, -cos u (cos v E1 + sin v E2) + sin u E3) turned by
+    the gauge angle phi, so g(e1, E3) = sin phi sin u and g(e2, E3) =
+    cos phi sin u.  ``sin`` and ``cos`` are ``math``'s on numbers or ``expr``'s
+    on expressions.
     """
-    u: float
-    du: tuple  # (du(e1), du(e2), du(xi))
-    dv: tuple  # (dv(e1), dv(e2), dv(xi)), or B slots when tau = 0
+    su, cu, sv, cv, sp, cp = sin(u), cos(u), sin(v), cos(v), sin(phi), cos(phi)
+    base1, base2 = (-sv, cv, 0.0), (-cu * cv, -cu * sv, su)
+    return (tuple(cp * a + sp * b for a, b in zip(base1, base2)),
+            tuple(-sp * a + cp * b for a, b in zip(base1, base2)),
+            (su * cv, su * sv, cu))
 
-    @staticmethod
-    def vertical() -> "AdaptedState":
-        return AdaptedState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+def spec(kappa: float, tau: float, tilt=None) -> ManifoldSpec:
+    """Daniel's chart frame of E(kappa, tau) on [-1/2, 1/2]^3, with kappa and
+    tau as spec parameters: e1 = E1, e2 = E2, xi = E3 (see the module
+    docstring).  ``tilt = (u, v, phi)``, each a number or an expression
+    string in x1, x2, x3, tilts the frame as :func:`_tilt_rows` says.
+    """
+    inv_lam = "1 + kappa/4*(x1^2 + x2^2)"
+    chart = [[E.parse(c) for c in row] for row in
+             ((inv_lam, "0", "-tau*x2"), ("0", inv_lam, "tau*x1"), ("0", "0", "1"))]
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if tilt is None else _tilt_rows(
+        *(E.parse(a) if isinstance(a, str) else a for a in tilt), E.sin, E.cos)
+    frame = {key: [E.unparse(sum(w * field[i] for w, field in zip(row, chart))) for i in range(3)]
+             for key, row in zip(("e1", "e2", "xi"), rows)}
+    return load_manifold({
+        "name": "ektau", "coords": ["x1", "x2", "x3"], "frame": frame, "domain": [inv_lam],
+        "params": {"kappa": float(kappa), "tau": float(tau)}, "box": [[-0.5, 0.5]] * 3,
+    })
 
 
 @dataclass(frozen=True)
@@ -96,81 +121,6 @@ class RigidityReport:
     obstruction_value: float
     verdict: str   # forced_vertical | space_form_exception | product_flat_exception
     implied_alpha_beta: tuple
-
-
-@dataclass(frozen=True)
-class EkTauModel:
-    """Constant structure functions and connection of the canonical frame."""
-    params: EkTauParams
-    c: tuple       # c[i][j][k]
-    gamma: tuple   # gamma[i][j][k]
-
-    def curvature(self):
-        """(R, S) from the constant tables (frame derivatives vanish)."""
-        c, gm = np.asarray(self.c), np.asarray(self.gamma)
-        R = (np.einsum("jkm,iml->ijkl", gm, gm) - np.einsum("ikm,jml->ijkl", gm, gm)
-             - np.einsum("ijm,mkl->ijkl", c, gm))
-        S = np.einsum("ijki->jk", R)
-        return R, S
-
-
-def ektau_model(kappa: float, tau: float) -> EkTauModel:
-    """Canonical-frame bracket and connection tables.
-
-    tau != 0: the fibered geometries (Heisenberg, Berger spheres, the
-    universal cover of SL(2,R)).  tau = 0: the product M^2(kappa) x R,
-    which has a constant-bracket orthonormal frame only for kappa <= 0.
-    """
-    p = ektau_params(kappa, tau)
-    c = np.zeros((3, 3, 3))
-    gm = np.zeros((3, 3, 3))
-    if tau != 0.0:
-        s = p.sigma_bracket
-        c[0, 1, 2], c[1, 0, 2] = 2 * tau, -2 * tau
-        c[1, 2, 0], c[2, 1, 0] = s, -s
-        c[2, 0, 1], c[0, 2, 1] = s, -s
-        gm[0, 1, 2], gm[0, 2, 1] = tau, -tau
-        gm[1, 0, 2], gm[1, 2, 0] = -tau, tau
-        gm[2, 0, 1], gm[2, 1, 0] = s - tau, -(s - tau)
-    elif kappa < 0.0:
-        a = math.sqrt(-kappa)
-        c[0, 1, 0], c[1, 0, 0] = -a, a
-        gm[0, 0, 1], gm[0, 1, 0] = a, -a
-    elif kappa > 0.0:
-        raise ValueError(
-            "S^2 x R admits no global constant-bracket orthonormal frame; "
-            "use the rigidity obstruction directly for kappa > 0, tau = 0")
-    return EkTauModel(params=p,
-                      c=tuple(map(tuple, (map(tuple, plane) for plane in c))),
-                      gamma=tuple(map(tuple, (map(tuple, plane) for plane in gm))))
-
-
-def spin_from_f(f) -> tuple:
-    """(kappa_np, sigma_np, rho_np) from shape-operator entries
-    f = ((f11, f12), (f21, f22), (f31, f32))."""
-    (f11, f12), (f21, f22), (f31, f32) = f
-    kappa = -(f31 - 1j * f32) / _SQ2
-    sigma = -((f11 - f22) - 1j * (f21 + f12)) / 2.0
-    rho = ((f11 + f22) + 1j * (f21 - f12)) / 2.0
-    return kappa, sigma, rho
-
-
-def adapted_covariant_table(params: EkTauParams, state: AdaptedState):
-    """Shape-operator entries of the tilted candidate in its adapted frame.
-
-    nabla_{e1} xi = sin(u) dv(e1) e1 - (du(e1) + tau) e2
-    nabla_{e2} xi = (sin(u) dv(e2) + tau + delta sin^2 u) e1 - du(e2) e2
-    nabla_{xi} xi = sin(u)(dv(xi) + delta cos u) e1 - du(xi) e2
-
-    and the tau = 0 analogue with B in place of dv: the same formulas with
-    tau = delta = 0.  Its spin coefficients are ``spin_from_f`` of this table.
-    """
-    tau, d = (params.tau, params.delta) if params.tau != 0.0 else (0.0, 0.0)
-    su, cu = math.sin(state.u), math.cos(state.u)
-    (du1, du2, du3), (v1, v2, v3) = state.du, state.dv
-    return ((su * v1, -(du1 + tau)),
-            (su * v2 + tau + d * su * su, -du2),
-            (su * (v3 + d * cu), -du3))
 
 
 def _obstruction(kappa, tau, u) -> tuple:
@@ -210,37 +160,6 @@ def rigidity_sweep(kappas, taus, us):
     return obstruction, on_locus | (np.sin(u) == 0.0)
 
 
-def bracket_consistency(params: EkTauParams, u: float, alpha: float, beta: float) -> dict:
-    """Check the closed forms behind xi(alpha) = -2 alpha beta and
-    xi(beta) = alpha^2 - beta^2 - tau^2 on a state solving the constraints.
-
-    With du(e1) = alpha - tau, du(e2) = -beta, du(xi) = 0 and dv eliminated
-    through dv(xi) = -delta cos u, dv(e1) = beta/sin u,
-    dv(e2) = (alpha - tau - delta sin^2 u)/sin u, the two bracket
-    evaluations become algebraic identities; the residuals are pure
-    roundoff.  ``system`` is max(|kappa_np|, |sigma_np|) of the state's
-    covariant table, and the implied alpha and beta are Im and Re of its
-    rho_np.  Requires sin u != 0 and tau != 0.
-    """
-    tau, d = params.tau, params.delta
-    su, cu = math.sin(u), math.cos(u)
-    if su == 0.0:
-        raise ValueError("bracket consistency needs a tilted state (sin u != 0)")
-    du = (alpha - tau, -beta, 0.0)
-    dv = (beta / su, (alpha - tau - d * su * su) / su, -d * cu)
-    kappa, sigma, rho = spin_from_f(adapted_covariant_table(params, AdaptedState(u, du, dv)))
-    return {
-        "system": max(abs(kappa), abs(sigma)),
-        # [e1, xi](u) evaluated through the bracket vs through xi(alpha)
-        "xi_alpha": beta * du[0] - (alpha + tau) * du[1] - 2.0 * alpha * beta,
-        # [e2, xi](u): bracket vs xi(beta)
-        "xi_beta": ((alpha + tau) * du[0] + beta * du[1]
-                    - (alpha * alpha - beta * beta - tau * tau)),
-        "implied_alpha": rho.imag - alpha,
-        "implied_beta": rho.real - beta,
-    }
-
-
 def sol_obstruction() -> dict:
     """Why the Sol geometry admits no compatible structure of this kind.
 
@@ -256,12 +175,12 @@ def sol_obstruction() -> dict:
     from .frame import curvature_values_many, default_samples
     from .npcore import spin_coefficients
 
-    spec, tol = catalog.get_spec("sol"), 1e-9
-    pts = default_samples(spec, 50)
-    _, S, _ = curvature_values_many(spec, pts)
+    sol, tol = catalog.get_spec("sol"), 1e-9
+    pts = default_samples(sol, 50)
+    _, S, _ = curvature_values_many(sol, pts)
     ricci_residual = float(np.max(np.abs(S - np.diag([0.0, 0.0, -2.0]))))
 
-    sigma = eval_forms(spin_coefficients(spec).sigma, pts, spec.params)
+    sigma = eval_forms(spin_coefficients(sol).sigma, pts, sol.params)
     sigma_vertical = complex(sigma[np.argmax(np.abs(sigma + 1.0))])
     sigma_residual = float(np.max(np.abs(sigma + 1.0)))
 
@@ -270,12 +189,7 @@ def sol_obstruction() -> dict:
     for u0 in (0.3, 0.7, 1.2, math.pi / 2):
         for v0 in (0.0, 0.9):
             for phi in (0.0, 0.6435011087932844, 2.0):  # frame gauge angle
-                su, cu = math.sin(u0), math.cos(u0)
-                sv, cv = math.sin(v0), math.cos(v0)
-                base1 = np.array([-sv, cv, 0.0])
-                base2 = np.array([-cu * cv, -cu * sv, su])
-                e1 = math.cos(phi) * base1 + math.sin(phi) * base2
-                e2 = -math.sin(phi) * base1 + math.cos(phi) * base2
+                e1, e2, _ = map(np.array, _tilt_rows(u0, v0, phi, math.sin, math.cos))
                 p, q = e1[2], e2[2]  # g(E3, e1), g(E3, e2) in the Sol frame
                 S_closed = complex(-((p - 1j * q) ** 2))
                 w = (e1 - 1j * e2) / _SQ2

@@ -37,10 +37,17 @@ def _fmt(value):
     if isinstance(value, float):
         return f"{value:.3e}" if (value != 0 and abs(value) < 1e-2) else f"{value:.6g}"
     if isinstance(value, list) and len(value) == 2 and all(isinstance(x, (int, float)) for x in value):
+        return f"({_fmt(value[0])}, {_fmt(value[1])})"
+    return str(value)
+
+
+def _fmt_value(value):
+    """A ``values`` entry: a [re, im] pair as a complex number, else :func:`_fmt`."""
+    if isinstance(value, list):
         re_, im_ = value
         sign = "+" if im_ >= 0 else "-"
         return f"{re_:.12g} {sign} {abs(im_):.12g}i"
-    return str(value)
+    return _fmt(value)
 
 
 def render_table(report: dict) -> str:
@@ -66,7 +73,7 @@ def render_table(report: dict) -> str:
             lines.append(f"{key}: {_fmt(value)}")
     if "values" in report:
         for name, value in report["values"].items():
-            lines.append(f"  {name:12s} {_fmt(value)}")
+            lines.append(f"  {name:12s} {_fmt_value(value)}")
     if "classification" in report:
         cls = report["classification"]
         lines.append(f"verdict: {cls['verdict']}")

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from np3kit import ektau
 from np3kit import expr as E
-from np3kit.ektau import AdaptedState, ektau_params
+from np3kit.frame import load_manifold
 
 
 @pytest.fixture
@@ -52,36 +53,27 @@ def nan_det_doc():
 
 @pytest.fixture
 def tilted_candidates():
-    """{geometry: [(document, params, state)]} of constant tilts whose spin
-    coefficients the closed form ``spin_from_f(adapted_covariant_table(params,
-    state))`` gives.
+    """{geometry: [(spec, kappa, tau, p, q)]} of constant tilts, whose S(D, D)
+    is (4 tau^2 - kappa)/2 (p - i q)^2 with p = g(e1, E3), q = g(e2, E3).
 
-    "heisenberg": E(0, tau) in the chart frame E1 = (1, 0, -tau x2),
-    E2 = (0, 1, tau x1), E3 = d3, tilted to e1 = -sin v E1 + cos v E2,
+    "heisenberg": ``ektau.spec(0, tau, (u, v, 0))``, Daniel's chart frame of
+    E(0, tau) tilted to e1 = -sin v E1 + cos v E2,
     e2 = -cos u (cos v E1 + sin v E2) + sin u E3 and
-    xi = sin u (cos v E1 + sin v E2) + cos u E3: the state (u, 0, 0).
-    "h2xr": H^2 x R in the half-plane frame E1 = x2 d1, E2 = x2 d2, E3 = d3,
-    tilted to e1 = E2, e2 = -cos u E1 + sin u E3 and xi = sin u E1 + cos u E3;
-    the connection form has omega(E1) = 1, so the B slots are
-    (0, -cos u, sin u)."""
-    heisenberg = []
-    for tau, u, v in [(0.5, 0.3, 0.0), (1.0, 0.7, 0.9), (-0.8, 1.2, 2.0),
-                      (1.7, math.pi / 2, -0.4)]:
-        su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
-
-        def field(a, b, c):  # a E1 + b E2 + c E3
-            return [repr(a), repr(b), f"{-a * tau!r}*x2 + {b * tau!r}*x1 + {c!r}"]
-
-        frame = {"e1": field(-sv, cv, 0.0), "e2": field(-cu * cv, -cu * sv, su),
-                 "xi": field(su * cv, su * sv, cu)}
-        heisenberg.append(({"name": "nil3_tilted", "coords": ["x1", "x2", "x3"], "frame": frame},
-                           ektau_params(0.0, tau), AdaptedState(u, (0.0,) * 3, (0.0,) * 3)))
+    xi = sin u (cos v E1 + sin v E2) + cos u E3: p = 0 and q = sin u.
+    "h2xr": H^2 x R = E(-1, 0) in the half-plane chart E1 = x2 d1, E2 = x2 d2,
+    E3 = d3, tilted to e1 = E2, e2 = -cos u E1 + sin u E3 and
+    xi = sin u E1 + cos u E3; E3 = d3 and E1, E2 have no d3 component, so p
+    and q are the d3 components of e1 and e2.  p and q are expressions."""
+    heisenberg = [(ektau.spec(0.0, tau, (u, v, 0.0)), 0.0, tau, E.const(0.0), E.const(math.sin(u)))
+                  for tau, u, v in [(0.5, 0.3, 0.0), (1.0, 0.7, 0.9), (-0.8, 1.2, 2.0),
+                                    (1.7, math.pi / 2, -0.4)]]
     h2xr = []
     for u in (0.3, 0.6, 1.2, math.pi / 2):
         su, cu = math.sin(u), math.cos(u)
         frame = {"e1": ["0", "x2", "0"], "e2": [f"{-cu!r}*x2", "0", f"{su!r}"],
                  "xi": [f"{su!r}*x2", "0", f"{cu!r}"]}
-        h2xr.append(({"name": "h2xr_tilted", "coords": ["x1", "x2", "x3"], "frame": frame,
-                      "domain": ["x2"], "box": [[-1, 1], [0.5, 2.0], [-1, 1]]},
-                     ektau_params(-1.0, 0.0), AdaptedState(u, (0.0,) * 3, (0.0, -cu, su))))
+        tilted = load_manifold({"name": "h2xr_tilted", "coords": ["x1", "x2", "x3"],
+                                "frame": frame, "domain": ["x2"],
+                                "box": [[-1, 1], [0.5, 2.0], [-1, 1]]})
+        h2xr.append((tilted, -1.0, 0.0, tilted.e1[2], tilted.e2[2]))
     return {"heisenberg": heisenberg, "h2xr": h2xr}

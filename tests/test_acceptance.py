@@ -11,16 +11,15 @@ import time
 
 import numpy as np
 
-from np3kit import catalog
+from np3kit import catalog, ektau
 from np3kit import expr as E
 from np3kit.classify import _spin_roots, _structure_class, classify, ts_identity_forms
 from np3kit.cli import main as cli_main
-from np3kit.ektau import (adapted_covariant_table, ektau_model, ektau_params,
-                          rigidity_obstruction, rigidity_sweep, spin_from_f)
+from np3kit.ektau import ektau_params, rigidity_obstruction, rigidity_sweep
 from np3kit.cexpr import eval_forms, fold, residual
 from np3kit.frame import (connection_table, curvature_values_many, default_samples,
                           load_manifold)
-from np3kit.npcore import (gauge_transform, grad_xi_norm_sq,
+from np3kit.npcore import (gauge_transform, grad_xi_norm_sq, ricci_complex,
                            spin_coefficients, weighted_derivative)
 from np3kit.suites import run_suites
 from np3kit.xi import divergence_xi, rough_laplacian_xi
@@ -183,27 +182,26 @@ def test_criterion_7_rigidity_sweep():
 
 
 def test_criterion_8_cross_engine_consistency(tilted_candidates):
-    spec = catalog.get_spec("nil3")
-    pts = default_samples(spec, 25, seed=0)
-    gam = eval_forms(connection_table(spec).gamma, pts, spec.params)
-    model = ektau_model(0.0, 0.5)
-    conn_ok = np.max(np.abs(gam - np.asarray(model.gamma))) <= 1e-10
+    # Daniel's chart frame at (0, 1/2) against the catalog's nil3 frame
+    nil3, chart = catalog.get_spec("nil3"), ektau.spec(0.0, 0.5)
+    pts = default_samples(chart, 25, seed=0)
+    gam, gam_chart = (eval_forms(connection_table(m).gamma, pts, m.params) for m in (nil3, chart))
+    conn_ok = np.max(np.abs(gam - gam_chart)) <= 1e-14
 
-    # the tilted candidate's closed form against the pipeline on tilted
-    # Heisenberg (kappa = 0) and H^2 x R frames (see conftest.py)
+    # S(D, D) = (4 tau^2 - kappa)/2 (p - i q)^2 through the pipeline on
+    # tilted Heisenberg and H^2 x R frames (see conftest.py)
     worst = 0.0
-    for doc, p, state in tilted_candidates["heisenberg"] + tilted_candidates["h2xr"]:
-        tilted = load_manifold(doc)
-        co = spin_coefficients(tilted)
-        got = eval_forms((co.kappa, co.sigma, co.rho), default_samples(tilted, 50),
-                         tilted.params)
-        want = np.array(spin_from_f(adapted_covariant_table(p, state)))
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    _report(8, "nil3 connection matches the canonical model table <=1e-10; "
-               "the tilted candidate's closed form matches the pipeline's "
-               "kappa, sigma, rho <=1e-12 at 50 samples on 4 tilted Heisenberg "
-               "and 4 tilted H^2 x R frames",
-            conn_ok and worst <= 1e-12, f"worst={worst:.2e}")
+    for tilted, kappa, tau, p, q in tilted_candidates["heisenberg"] + tilted_candidates["h2xr"]:
+        pts = default_samples(tilted, 50)
+        S_dd = eval_forms(ricci_complex(tilted)["dd"], pts, tilted.params)
+        p, q = eval_forms([p, q], pts, tilted.params)
+        want = 0.5 * (4 * tau * tau - kappa) * (p - 1j * q) ** 2
+        worst = max(worst, float(np.max(np.abs(S_dd - want))))
+    _report(8, "Daniel's chart frame at (0, 1/2) has nil3's connection table <=1e-14; "
+               "the pipeline's S(D, D) matches (4 tau^2 - kappa)/2 (p - i q)^2 "
+               "<=1e-13 at 50 samples on 4 tilted Heisenberg and 4 tilted "
+               "H^2 x R frames",
+            conn_ok and worst <= 1e-13, f"worst={worst:.2e}")
 
 
 def test_criterion_9_gauge_property_suite():

@@ -274,6 +274,20 @@ def test_ektau_verdicts(capsys):
     assert rep["vertical_alpha_beta"] == [0.0, 0.0]
 
 
+def test_ektau_table_prints_alpha_beta_as_a_pair(capsys):
+    # (alpha, beta) = (1, 0) is a pair, not the complex number 1 + 0i
+    code, out, _ = run_cli(capsys, "ektau", "--kappa", "1", "--tau", "1", "--u", "0.7")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "ektau:", "  kappa: 1", "  tau: 1", "  u: 0.7", "  obstruction: -1.24505",
+        "  verdict: forced_vertical", "  vertical_alpha_beta: (1, 0)",
+        "  sigma_bracket: 0.5", "  delta: -1.5"]
+    # a spin report's values are [re, im] pairs, printed as complex numbers
+    code, out, _ = run_cli(capsys, "spin", "example1", "--at", "0,0,0")
+    assert code == 0
+    assert out.splitlines()[4:6] == ["  rho          -1 - 0.5i", "  beta_np      -0 + 0i"]
+
+
 def test_ektau_sweep_csv(capsys):
     code, out, _ = run_cli(capsys, "ektau", "--kappa", "0", "--tau", "0", "--sweep")
     assert code == 0

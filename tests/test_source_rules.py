@@ -12,7 +12,10 @@ residual record from ``suites._check``.  Only
 constructors may take ``type(x) is Const`` to mean "a constant node".  Only
 ``classify``'s one kappa = sigma = 0 gate makes a NotTransSasakian, and
 only ``npcore.contract`` skips the zero weights of a null-frame contraction,
-so no second contraction grows back beside it.  Only a pinned few
+so no second contraction grows back beside it.  Outside ``frame``, no
+definition contracts tables with ``np.einsum`` but ``ektau.sol_obstruction``'s
+one S(w, w), so no hand-written curvature engine grows back beside the
+pipeline.  Only a pinned few
 definitions take a frame derivative D, Dbar or xi of an NP scalar: the one
 statement of the Sachs equations, the Bianchi pair, the gauge and weighted
 operators and the rough Laplacian, so no closed form re-derives one by
@@ -153,11 +156,22 @@ def test_cache_rule_flags_a_second_memo():
 RESIDUAL_ARITHMETIC = ("abs", "swapaxes", "einsum")
 
 
+def _numpy_attributes(tree, names) -> list[str]:
+    """The ``np.<name>`` attributes of ``names`` under ``tree``, once per use."""
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "np" and node.attr in names]
+
+
 def numpy_uses(source: str, names) -> list[str]:
     """The ``np.<name>`` attributes of ``names`` that a source uses, sorted."""
-    return sorted({node.attr for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                   and node.value.id == "np" and node.attr in names})
+    return sorted(set(_numpy_attributes(ast.parse(source), names)))
+
+
+def numpy_users(source: str, names) -> list[str]:
+    """Top-level definitions that use an ``np.<name>`` of ``names``, once per use."""
+    return [getattr(top, "name", f"line {top.lineno}") for top in ast.parse(source).body
+            for _ in _numpy_attributes(top, names)]
 
 
 def _is_max_residual(node) -> bool:
@@ -196,6 +210,31 @@ def test_numpy_rule_flags_residual_arithmetic():
               "    gap = np.abs(v - np.swapaxes(v, 1, 2))\n"
               "    return np.einsum('nij->n', gap), np.max(gap)\n")
     assert numpy_uses(source, RESIDUAL_ARITHMETIC) == ["abs", "einsum", "swapaxes"]
+
+
+# the S(w, w) contraction of the Ricci table with one null vector per tilt
+EINSUM_USERS = {"ektau.py": ["sol_obstruction"]}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "frame.py"],
+                         ids=lambda p: p.name)
+def test_no_second_curvature_engine_contracts_tables_with_einsum(path):
+    assert numpy_users(path.read_text(encoding="utf-8"), ("einsum",)) == \
+        EINSUM_USERS.get(path.name, [])
+
+
+def test_einsum_rule_flags_a_hand_written_curvature():
+    source = ("import numpy as np\n"
+              "def curvature(c, g):\n"
+              "    R = np.einsum('jkm,iml->ijkl', g, g) - np.einsum('ijm,mkl->ijkl', c, g)\n"
+              "    return R, np.einsum('ijki->jk', R)\n"
+              "class Model:\n"
+              "    def ricci(self):\n"
+              "        return np.einsum('ijki->jk', self.R)\n"
+              "def trace(S):\n"
+              "    return np.trace(S)\n"
+              "SCALAR = np.einsum('ii', np.eye(3))\n")
+    assert numpy_users(source, ("einsum",)) == ["curvature"] * 3 + ["Model", "line 10"]
 
 
 def test_record_rule_flags_a_second_writer():
